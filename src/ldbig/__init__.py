@@ -15,7 +15,7 @@ from .containers import (
 )
 from .composefile import (
     ComposeModel, ServiceSpec, assemble, container_stub, environment_bigraph,
-    parse_compose,
+    parse_compose, stub_block,
 )
 from .analysis import (
     FlowGraph, FlowNode, SecurityOrder, Violation, build_flow_graph,
@@ -36,7 +36,7 @@ __all__ = [
     "ContainerSpec", "ProcessSpec", "VolumeMount", "build_container",
     "census", "container_spec_from_json", "default_signature",
     "ComposeModel", "ServiceSpec", "assemble", "container_stub",
-    "environment_bigraph", "parse_compose",
+    "environment_bigraph", "parse_compose", "stub_block",
     "FlowGraph", "FlowNode", "SecurityOrder", "Violation", "build_flow_graph",
     "check_links", "check_security", "find_leaks", "parse_order_file",
     "transitive_closure",

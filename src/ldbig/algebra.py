@@ -3,6 +3,7 @@ support relabelling, and support equivalence (isomorphism)."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 from .bigraph import (
@@ -133,60 +134,81 @@ def compose(b2: Bigraph, b1: Bigraph) -> Bigraph:
                    site_parent, node_parent, link, attrs)
 
 
-def tensor(b1: Bigraph, b2: Bigraph, *, tag_globals: bool = True) -> Bigraph:
-    """b1 (x) b2: side-by-side juxtaposition.
+def tensor(*bigraphs: Bigraph, tag_globals: bool = True) -> Bigraph:
+    """b1 (x) ... (x) bn: side-by-side juxtaposition, built in one pass.
 
-    b2's localized names, sites and roots shift past b1's; colliding global
-    names on b2's side are renamed unless ``tag_globals`` is False, in which
-    case GlobalNameClash is raised.
+    Each operand's localized names, sites and roots shift past those of the
+    operands before it; its colliding global names are renamed unless
+    ``tag_globals`` is False, in which case GlobalNameClash is raised.  Its
+    support ids are refreshed (shifted by the largest id in play) when they
+    collide with earlier ones.  The result equals the left fold of the
+    binary product, dict order included; no operands give the unit.
     """
-    inner, in_plus, in_minus = juxtapose_with_renames(b1.inner, b2.inner)
-    outer, out_plus, out_minus = juxtapose_with_renames(b1.outer, b2.outer)
-    if not tag_globals and (in_plus or in_minus or out_plus or out_minus):
-        clashes = sorted(set(in_plus) | set(in_minus) | set(out_plus) | set(out_minus))
-        raise GlobalNameClash(f"global names collide: {clashes}")
-    b2 = _support_disjoint(b1, b2)
-    d_in, d_out = b1.inner.width, b1.outer.width
+    inner, in_renames = juxtapose_with_renames(*(b.inner for b in bigraphs))
+    outer, out_renames = juxtapose_with_renames(*(b.outer for b in bigraphs))
+    signature = bigraphs[0].signature if bigraphs else EMPTY_SIGNATURE
+    nodes: dict = {}
+    edges: set[int] = set()
+    site_parent: dict = {}
+    node_parent: dict = {}
+    link: dict = {}
+    attrs: dict = {}
+    top = -math.inf         # the largest support id so far
+    d_in = d_out = 0        # sites and roots so far
 
-    def place(p):
-        return Root(p.index + d_out) if isinstance(p, Root) else p
+    for b, (in_plus, in_minus), (out_plus, out_minus) in zip(
+            bigraphs, in_renames, out_renames):
+        if not tag_globals and (in_plus or in_minus or out_plus or out_minus):
+            clashes = sorted(set(in_plus) | set(in_minus)
+                             | set(out_plus) | set(out_minus))
+            raise GlobalNameClash(f"global names collide: {clashes}")
+        if b.signature != signature:
+            signature = signature.union(b.signature)
+        ids = b.nodes.keys() | b.edges
+        offset = 0
+        if any(i in nodes or i in edges for i in ids):
+            offset = max(top, max(ids))
+        nm = {v: v + offset for v in b.nodes}
+        em = {e: e + offset for e in b.edges}
+        if ids:
+            top = max(top, max(ids) + offset)
 
-    def point(x):  # keys: inner names are positive, outer names negative
-        if isinstance(x, InnerName):
-            if x.locality == 0:
-                return InnerName(0, in_plus.get(x.text, x.text))
-            return InnerName(x.locality + d_in, x.text)
-        if isinstance(x, OuterName):
-            if x.locality == 0:
-                return OuterName(0, out_minus.get(x.text, x.text))
-            return OuterName(x.locality + d_out, x.text)
-        return x
+        def place(p):
+            return Root(p.index + d_out) if isinstance(p, Root) else nm.get(p, p)
 
-    def target(x):  # values: inner names are negative, outer names positive
-        if isinstance(x, InnerName):
-            if x.locality == 0:
-                return InnerName(0, in_minus.get(x.text, x.text))
-            return InnerName(x.locality + d_in, x.text)
-        if isinstance(x, OuterName):
-            if x.locality == 0:
-                return OuterName(0, out_plus.get(x.text, x.text))
-            return OuterName(x.locality + d_out, x.text)
-        return x
+        def ref(x, in_map, out_map):
+            # points take the plus renames of inner names and the minus
+            # renames of outer names; links take the other two
+            if isinstance(x, Port):
+                return Port(nm.get(x.node, x.node), x.index)
+            if isinstance(x, Edge):
+                return Edge(em.get(x.ident, x.ident))
+            if isinstance(x, InnerName):
+                if x.locality == 0:
+                    return InnerName(0, in_map.get(x.text, x.text))
+                return InnerName(x.locality + d_in, x.text)
+            if isinstance(x, OuterName):
+                if x.locality == 0:
+                    return OuterName(0, out_map.get(x.text, x.text))
+                return OuterName(x.locality + d_out, x.text)
+            return x
 
-    site_parent = dict(b1.site_parent)
-    for s, p in b2.site_parent.items():
-        site_parent[s + d_in] = place(p)
-    node_parent = dict(b1.node_parent)
-    for v, p in b2.node_parent.items():
-        node_parent[v] = place(p)
-    link = dict(b1.link)
-    for p, t in b2.link.items():
-        link[point(p)] = target(t)
+        for v, c in b.nodes.items():
+            nodes[nm[v]] = c
+        edges.update(em.values())
+        for s, p in b.site_parent.items():
+            site_parent[s + d_in] = place(p)
+        for v, p in b.node_parent.items():
+            node_parent[nm.get(v, v)] = place(p)
+        for p, t in b.link.items():
+            link[ref(p, in_plus, out_minus)] = ref(t, in_minus, out_plus)
+        for v, a in b.node_attrs.items():
+            attrs[nm.get(v, v)] = a
+        d_in += b.inner.width
+        d_out += b.outer.width
 
-    attrs = {**b1.node_attrs, **b2.node_attrs}
-    return Bigraph(b1.signature.union(b2.signature), inner, outer,
-                   {**b1.nodes, **b2.nodes}, b1.edges | b2.edges,
-                   site_parent, node_parent, link, attrs)
+    return Bigraph(signature, inner, outer, nodes, edges, site_parent,
+                   node_parent, link, attrs)
 
 
 # -- support equivalence ----------------------------------------------------

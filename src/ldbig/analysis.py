@@ -93,46 +93,56 @@ def _containers(b: Bigraph) -> dict[int, str]:
     return found
 
 
-def _container_of(b: Bigraph, node: int, containers) -> int | None:
-    """Nearest container ancestor of a node, if any."""
-    cur = b.node_parent.get(node)
-    while isinstance(cur, int):
-        if cur in containers:
-            return cur
-        cur = b.node_parent.get(cur)
-    return None
-
-
-def _resource_links(b: Bigraph, container: int, control: str, containers):
-    """Link targets of the given resource control's source ports inside one
-    container."""
-    out = set()
-    for v, ctrl in b.nodes.items():
-        if ctrl.name == control and _container_of(b, v, containers) == container:
-            target = b.link.get(Port(v, 0))
-            if target is not None:
-                out.add(target)
-    return out
+def _owners(b: Bigraph, containers) -> dict[int, int | None]:
+    """Nearest container strictly above each placed node, if any; one walk
+    up the parent map per chain of unresolved nodes."""
+    owner: dict[int, int | None] = {}
+    for v in b.node_parent:
+        chain, on_chain = [], set()
+        cur = v
+        while cur not in owner:
+            chain.append(cur)
+            on_chain.add(cur)
+            parent = b.node_parent.get(cur)
+            if isinstance(parent, int) and parent in containers:
+                found = parent
+                break
+            if not isinstance(parent, int) or parent in on_chain:
+                found = None  # a root, no parent, or a cycle of non-containers
+                break
+            cur = parent
+        else:
+            found = owner[cur]
+        for u in chain:
+            owner[u] = found
+    return owner
 
 
 def check_links(b: Bigraph) -> list[Violation]:
     """Report linked container pairs that share no network."""
     containers = _containers(b)
+    owners = _owners(b, containers)
     handles = {Port(c, 0): c for c in containers}
 
     pairs = set()
     for point, target in b.link.items():
         if target in handles and isinstance(point, Port):
-            src = _container_of(b, point.node, containers)
+            src = owners.get(point.node)
             dst = handles[target]
             if src is not None and src != dst:
                 pairs.add((src, dst))
 
+    # the link targets of each container's network nodes
+    networks: dict[int, set] = {c: set() for c in containers}
+    for v, ctrl in b.nodes.items():
+        if ctrl.name == NETWORK and owners.get(v) is not None:
+            target = b.link.get(Port(v, 0))
+            if target is not None:
+                networks[owners[v]].add(target)
+
     violations = []
     for src, dst in pairs:
-        shared = (_resource_links(b, src, NETWORK, containers)
-                  & _resource_links(b, dst, NETWORK, containers))
-        if not shared:
+        if not networks[src] & networks[dst]:
             violations.append(Violation("linksUnreachable",
                                         (containers[src], containers[dst])))
     return sorted(violations, key=lambda v: v.subject)
@@ -143,13 +153,14 @@ def build_flow_graph(b: Bigraph) -> FlowGraph:
     container, write arcs out of it.  Networks are read-write; volume writes
     are dropped for read-only mounts."""
     containers = _containers(b)
+    owners = _owners(b, containers)
     nodes: set[FlowNode] = {FlowNode("container", n) for n in containers.values()}
     arcs: set[tuple[FlowNode, FlowNode]] = set()
 
     for v, ctrl in b.nodes.items():
         if ctrl.name not in (NETWORK, VOLUME):
             continue
-        owner = _container_of(b, v, containers)
+        owner = owners.get(v)
         if owner is None:
             continue
         c_node = FlowNode("container", containers[owner])

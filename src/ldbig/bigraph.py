@@ -173,6 +173,7 @@ class Bigraph:
     __slots__ = (
         "signature", "inner", "outer", "nodes", "edges",
         "site_parent", "node_parent", "link", "node_attrs", "_region_cache",
+        "_child_cache",
     )
 
     def __init__(self, signature: Signature, inner: LocalInterface,
@@ -190,6 +191,7 @@ class Bigraph:
         self.link = dict(link)
         self.node_attrs = {v: dict(a) for v, a in (node_attrs or {}).items() if a}
         self._region_cache = None
+        self._child_cache = None
 
     def __eq__(self, other):
         if not isinstance(other, Bigraph):
@@ -213,11 +215,20 @@ class Bigraph:
     def attrs(self, node: int) -> dict:
         return self.node_attrs.get(node, {})
 
-    def children(self, place: Place) -> list[int]:
-        return sorted(v for v, p in self.node_parent.items() if p == place)
+    def children(self, place: Place) -> tuple[int, ...]:
+        """Nodes whose parent is ``place``, in increasing order."""
+        return self._children()[0].get(place, ())
 
-    def sites_under(self, place: Place) -> list[int]:
-        return sorted(s for s, p in self.site_parent.items() if p == place)
+    def sites_under(self, place: Place) -> tuple[int, ...]:
+        """Sites whose parent is ``place``, in increasing order."""
+        return self._children()[1].get(place, ())
+
+    def _children(self):
+        """Per place, its child nodes and its child sites, each sorted."""
+        if self._child_cache is None:
+            self._child_cache = (_invert(self.node_parent),
+                                 _invert(self.site_parent))
+        return self._child_cache
 
     def _regions(self) -> dict[int, int | None]:
         """Root index reached from each node by iterating the parent map.
@@ -300,6 +311,17 @@ class Bigraph:
             return (0 <= x.locality <= self.outer.width
                     and x.text in self.outer.plus(x.locality))
         return False
+
+
+def _invert(parent: dict) -> dict:
+    """Map each parent to the sorted tuple of the keys placed under it."""
+    under: dict = {}
+    for x, p in parent.items():
+        try:
+            under.setdefault(p, []).append(x)
+        except TypeError:  # an unhashable parent is no place to look up
+            pass
+    return {p: tuple(sorted(xs)) for p, xs in under.items()}
 
 
 def validate(b: Bigraph) -> list[Violation]:

@@ -13,14 +13,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import identity, tensor
 from .analysis import check_links, check_security, parse_order_file
 from .bigraph import validate as validate_bigraph
-from .composefile import assemble, container_stub, environment_bigraph, \
-    parse_compose
-from .containers import default_signature
+from .composefile import assemble, environment_bigraph, parse_compose, \
+    stub_block
 from .errors import ComposeSyntaxError, LdbError
-from .interfaces import EMPTY_INTERFACE
 from .report import Finding, Report, input_error, ok, violations
 from .serialize import dumps, patterns_from_json, to_dot
 from .sorting import check_sorting
@@ -106,10 +103,7 @@ def _cmd_export(args) -> Report:
     if args.stage == "environment":
         b = environment_bigraph(model)
     elif args.stage == "stubs":
-        stubs = [container_stub(name, model) for name in model.services]
-        b = stubs[0] if stubs else identity(EMPTY_INTERFACE, default_signature())
-        for stub in stubs[1:]:
-            b = tensor(b, stub)
+        b = stub_block(model)
     else:
         b = assemble(model)
     text = dumps(b) if args.format == "json" else to_dot(b, title=args.stage)

@@ -27,7 +27,7 @@ from .interfaces import LocalInterface, EMPTY_INTERFACE
 __all__ = [
     "ServiceVolume", "ServiceSpec", "NetworkDecl", "VolumeDecl",
     "ComposeModel", "parse_compose", "environment_bigraph", "container_stub",
-    "assemble", "DEFAULT_NETWORK",
+    "stub_block", "assemble", "DEFAULT_NETWORK",
 ]
 
 DEFAULT_NETWORK = "default"
@@ -383,16 +383,19 @@ def container_stub(name: str, model: ComposeModel) -> Bigraph:
     return build_container(spec)
 
 
+def stub_block(model: ComposeModel) -> Bigraph:
+    """The tensor of all container stubs in service order; with no services,
+    the identity on the empty interface."""
+    stubs = [container_stub(name, model) for name in model.services]
+    if not stubs:
+        return identity(EMPTY_INTERFACE, default_signature())
+    return tensor(*stubs)
+
+
 def assemble(model: ComposeModel) -> Bigraph:
     """Compose the environment over the tensor of all container stubs."""
     env = environment_bigraph(model)
-    stubs = [container_stub(name, model) for name in model.services]
-    if stubs:
-        block = stubs[0]
-        for stub in stubs[1:]:
-            block = tensor(block, stub)
-    else:
-        block = identity(EMPTY_INTERFACE, default_signature())
+    block = stub_block(model)
     result = compose(env, block)
     problems = validate(result)
     if problems:

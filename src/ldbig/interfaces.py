@@ -49,6 +49,15 @@ class LocalInterface:
         object.__setattr__(self, "localities", tuple(frozen))
 
     @classmethod
+    def _trusted(cls, localities) -> "LocalInterface":
+        """Build without re-checking: only for localities whose names come
+        from already-constructed interfaces (or fresh variants of them) and
+        whose sides are already disjoint."""
+        interface = object.__new__(cls)
+        object.__setattr__(interface, "localities", localities)
+        return interface
+
+    @classmethod
     def of(cls, *localities) -> "LocalInterface":
         """Build from (plus, minus) name iterables, the first pair being the
         global locality; no arguments gives the empty interface."""
@@ -93,41 +102,45 @@ def _fresh_variant(text: str, taken: set[str]) -> str:
     return f"{base}~{k}"
 
 
-def juxtapose_with_renames(x: LocalInterface, y: LocalInterface):
-    """Juxtapose two interfaces; also return the rename maps applied to the
-    right operand's global names (one per polarity).
+def juxtapose_with_renames(*interfaces: LocalInterface):
+    """Juxtapose interfaces left to right; also return, per operand, the
+    rename maps applied to its global names (one per polarity).
 
-    The left operand's names are never touched.  The right operand's global
-    names are absorbed in a canonical order; a colliding name moves to the
-    smallest free slot of its tag tower.  Plus and minus share one namespace
-    here because a name may collide across polarities and the result's sides
-    must stay disjoint.
+    Each operand's global names are absorbed in a canonical order into the
+    globals of the operands before it; a colliding name moves to the
+    smallest free slot of its tag tower, so the first operand's names are
+    never touched.  Plus and minus share one namespace here because a name
+    may collide across polarities and the result's sides must stay
+    disjoint.  The result equals the left fold of the binary operation.
 
     The ``~k`` suffix is reserved for this tagging.  For names that do not
     already use it the operation is associative on the resulting name sets;
     names hand-crafted in the reserved form may receive grouping-dependent
     fresh variants (disjointness and the rename report still hold).
     """
-    plus = set(x.plus(0))
-    minus = set(x.minus(0))
-    taken = plus | minus
-    renames: tuple[dict[str, str], dict[str, str]] = ({}, {})
-    incoming = [(_tag_base(t), len(t), t, 0) for t in y.plus(0)]
-    incoming += [(_tag_base(t), len(t), t, 1) for t in y.minus(0)]
-    for _, _, text, side in sorted(incoming):
-        final = text
-        if text in taken:
-            final = _fresh_variant(text, taken)
-            renames[side][text] = final
-        taken.add(final)
-        (minus if side else plus).add(final)
+    plus: set[str] = set()
+    minus: set[str] = set()
+    taken: set[str] = set()
+    localized = []
+    renames: list[tuple[dict[str, str], dict[str, str]]] = []
+    for y in interfaces:
+        moved: tuple[dict[str, str], dict[str, str]] = ({}, {})
+        incoming = [(_tag_base(t), len(t), t, 0) for t in y.plus(0)]
+        incoming += [(_tag_base(t), len(t), t, 1) for t in y.minus(0)]
+        for _, _, text, side in sorted(incoming):
+            final = text
+            if text in taken:
+                final = _fresh_variant(text, taken)
+                moved[side][text] = final
+            taken.add(final)
+            (minus if side else plus).add(final)
+        localized.extend(y.localities[1:])
+        renames.append(moved)
+    localities = ((frozenset(plus), frozenset(minus)), *localized)
+    return LocalInterface._trusted(localities), renames
 
-    localities = [(frozenset(plus), frozenset(minus))]
-    localities.extend(x.localities[1:])
-    localities.extend(y.localities[1:])
-    return LocalInterface(tuple(localities)), renames[0], renames[1]
 
-
-def juxtapose(x: LocalInterface, y: LocalInterface) -> LocalInterface:
-    """X (x) Y: merged globals, then X's localities, then Y's localities."""
-    return juxtapose_with_renames(x, y)[0]
+def juxtapose(*interfaces: LocalInterface) -> LocalInterface:
+    """X1 (x) ... (x) Xn: merged globals, then each operand's localities in
+    turn; no operands give the empty interface."""
+    return juxtapose_with_renames(*interfaces)[0]

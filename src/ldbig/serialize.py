@@ -134,6 +134,8 @@ def patterns_from_json(text: str) -> list[Pattern]:
         raise ValueError("pattern file must be a JSON list")
     out = []
     for i, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise ValueError(f"patterns[{i}]: expected an object")
         if "bigraph" not in entry:
             raise ValueError(f"pattern {i}: missing bigraph")
         out.append(Pattern(entry.get("name", f"pattern{i}"),

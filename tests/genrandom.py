@@ -162,11 +162,16 @@ def gen_interchange_quad(rng: random.Random, max_nodes: int = 6):
 # -- compose models -----------------------------------------------------------
 
 def gen_model(rng: random.Random, max_services: int = 6,
-              max_networks: int = 4, max_volumes: int = 3) -> ComposeModel:
+              max_networks: int = 4, max_volumes: int = 3,
+              n_services: int | None = None) -> ComposeModel:
+    """A random model; ``n_services`` fixes the service count, which is
+    otherwise drawn from 1..max_services."""
     nets = [f"net{i}" for i in range(rng.randint(0, max_networks))]
     vols = {f"vol{i}": VolumeDecl(external=rng.random() < 0.5)
             for i in range(rng.randint(0, max_volumes))}
-    names = [f"svc{i}" for i in range(rng.randint(1, max_services))]
+    if n_services is None:
+        n_services = rng.randint(1, max_services)
+    names = [f"svc{i}" for i in range(n_services)]
 
     networks = {n: NetworkDecl() for n in nets}
     services: dict[str, ServiceSpec] = {}

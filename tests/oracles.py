@@ -3,7 +3,8 @@
 Each oracle re-implements its condition from scratch: isomorphism by
 enumerating control-respecting bijections, matching by enumerating injective
 node maps, transitive closure by boolean matrix powers, reachability by a
-dense closure.  Keep them dumb.
+dense closure, the tensor product by a pairwise fold that copies and
+relabels at every step.  Keep them dumb.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import itertools
 
 import numpy as np
 
-from ldbig import Bigraph, Edge, InnerName, OuterName, Port, Root
+from ldbig import Bigraph, Edge, InnerName, OuterName, Port, Root, relabel
+from ldbig.interfaces import juxtapose_with_renames
 
 
 def _groups_by_control(b: Bigraph):
@@ -173,3 +175,82 @@ def reachable_pairs(flow) -> set:
         reach = reach | (reach @ m)
     return {(nodes[i], nodes[j]) for i in range(n) for j in range(n)
             if reach[i, j]}
+
+
+def nearest_container(b: Bigraph, node: int, containers) -> int | None:
+    """Walk up the parent map from ``node`` to the first container."""
+    cur = b.node_parent.get(node)
+    while isinstance(cur, int):
+        if cur in containers:
+            return cur
+        cur = b.node_parent.get(cur)
+    return None
+
+
+def unreachable_links(b: Bigraph) -> list[tuple[str, str]]:
+    """(source, target) names of linked container pairs that share no
+    network, rescanning every node per container."""
+    containers = {v: b.node_attrs[v]["name"] for v, c in b.nodes.items()
+                  if c.name == "container"}
+
+    def networks(c):
+        return {b.link.get(Port(v, 0)) for v, ctrl in b.nodes.items()
+                if ctrl.name == "network"
+                and nearest_container(b, v, containers) == c} - {None}
+
+    pairs = set()
+    for point, target in b.link.items():
+        if (isinstance(point, Port) and isinstance(target, Port)
+                and target.index == 0 and target.node in containers):
+            src = nearest_container(b, point.node, containers)
+            if src is not None and src != target.node:
+                pairs.add((src, target.node))
+    return sorted((containers[s], containers[d]) for s, d in pairs
+                  if not networks(s) & networks(d))
+
+
+def tensor_fold(*bigraphs: Bigraph) -> Bigraph:
+    """The tensor product as a left fold of the binary product: each step
+    juxtaposes two interfaces, relabels the right operand's support past
+    the left one's on collision, and copies both operands."""
+    def pair(b1: Bigraph, b2: Bigraph) -> Bigraph:
+        inner, (_, (in_plus, in_minus)) = juxtapose_with_renames(b1.inner, b2.inner)
+        outer, (_, (out_plus, out_minus)) = juxtapose_with_renames(b1.outer, b2.outer)
+        ids1 = set(b1.nodes) | set(b1.edges)
+        ids2 = set(b2.nodes) | set(b2.edges)
+        if ids1 & ids2:
+            offset = max(ids1 | ids2)
+            b2 = relabel(b2, {v: v + offset for v in b2.nodes},
+                         {e: e + offset for e in b2.edges})
+        d_in, d_out = b1.inner.width, b1.outer.width
+
+        def place(p):
+            return Root(p.index + d_out) if isinstance(p, Root) else p
+
+        def shift(x, in_map, out_map):
+            if isinstance(x, InnerName):
+                if x.locality == 0:
+                    return InnerName(0, in_map.get(x.text, x.text))
+                return InnerName(x.locality + d_in, x.text)
+            if isinstance(x, OuterName):
+                if x.locality == 0:
+                    return OuterName(0, out_map.get(x.text, x.text))
+                return OuterName(x.locality + d_out, x.text)
+            return x
+
+        site_parent = dict(b1.site_parent)
+        site_parent.update({s + d_in: place(p) for s, p in b2.site_parent.items()})
+        node_parent = dict(b1.node_parent)
+        node_parent.update({v: place(p) for v, p in b2.node_parent.items()})
+        link = dict(b1.link)
+        link.update({shift(p, in_plus, out_minus): shift(t, in_minus, out_plus)
+                     for p, t in b2.link.items()})
+        return Bigraph(b1.signature.union(b2.signature), inner, outer,
+                       {**b1.nodes, **b2.nodes}, b1.edges | b2.edges,
+                       site_parent, node_parent, link,
+                       {**b1.node_attrs, **b2.node_attrs})
+
+    out = bigraphs[0]
+    for b in bigraphs[1:]:
+        out = pair(out, b)
+    return out

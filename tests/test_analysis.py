@@ -6,11 +6,13 @@ from ldbig import (
     EMPTY_INTERFACE, SecurityOrder, assemble, build_flow_graph, check_links,
     check_security, find_leaks, identity, parse_order_file, transitive_closure,
 )
-from ldbig.analysis import FlowNode
+from ldbig.analysis import FlowNode, _owners
 from ldbig.composefile import ComposeModel, ServiceSpec
 from ldbig.errors import CyclicOrder, NotAComposite, UnknownNetwork
-from genrandom import gen_dag_order, gen_flow_graph, gen_model
-from oracles import closure_matrix, reachable_pairs
+from genrandom import gen_chain, gen_dag_order, gen_flow_graph, gen_model
+from oracles import (
+    closure_matrix, nearest_container, reachable_pairs, unreachable_links,
+)
 
 
 def with_service(model, name, **changes):
@@ -116,6 +118,27 @@ volumes:
     app = FlowNode("container", "app")
     vol = FlowNode("volume", "data")
     assert (vol, app) in flow.arcs and (app, vol) in flow.arcs
+
+
+def test_check_links_matches_oracle_random():
+    rng = random.Random(52)
+    reported = 0
+    for _ in range(80):
+        composite = assemble(gen_model(rng, max_services=8, max_networks=3))
+        subjects = [v.subject for v in check_links(composite)]
+        assert subjects == unreachable_links(composite)
+        reported += len(subjects)
+    assert reported > 0
+
+
+def test_owner_map_matches_a_walk_up_the_parents():
+    rng = random.Random(53)
+    for _ in range(200):
+        b = gen_chain(rng, length=1, max_nodes=8)[0]
+        containers = {v for v in b.nodes if rng.random() < 0.4}
+        owners = _owners(b, containers)
+        for v in b.node_parent:
+            assert owners.get(v) == nearest_container(b, v, containers)
 
 
 def test_flow_graphs_are_bipartite():

@@ -128,3 +128,16 @@ def test_random_bigraphs_validate():
     for _ in range(60):
         for b in gen_chain(rng, length=2, max_nodes=6):
             assert validate(b) == [], validate(b)
+
+
+def test_child_index_matches_a_scan_of_the_parent_maps():
+    rng = random.Random(54)
+    for _ in range(200):
+        b = gen_chain(rng, length=1, max_nodes=8)[0]
+        for place in [Root(r) for r in range(1, b.outer.width + 1)] + list(b.nodes):
+            kids = b.children(place)
+            assert kids == tuple(sorted(v for v, p in b.node_parent.items()
+                                        if p == place))
+            assert b.sites_under(place) == tuple(sorted(
+                s for s, p in b.site_parent.items() if p == place))
+            assert b.children(place) is kids  # built once, then shared

@@ -78,6 +78,18 @@ def test_check_sorts(compose_file, data_dir, tmp_path):
     assert out.returncode == 0
 
 
+def test_non_object_pattern_entry_is_an_input_error(compose_file, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('[1, "x"]')
+    out = run_cli("check-sorts", compose_file, "--forbidden", str(bad),
+                  "--json")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    report = Report.from_json(json.loads(out.stdout))
+    assert report.status == "inputError"
+    assert "patterns[0]: expected an object" in report.findings[0].message
+
+
 def test_malformed_file_is_an_input_error(tmp_path):
     bad = tmp_path / "garbage.yml"
     bad.write_text("services: [not\n  :valid\n")

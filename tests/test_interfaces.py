@@ -14,6 +14,8 @@ def test_unit_left_and_right():
     y = iface(({"a"}, {"b"}))
     assert juxtapose(EMPTY_INTERFACE, y) == y
     assert juxtapose(y, EMPTY_INTERFACE) == y
+    assert juxtapose(y) == y
+    assert juxtapose() == EMPTY_INTERFACE
 
 
 def test_juxtapose_appends_localities():
@@ -72,6 +74,7 @@ def test_associativity_random_corpus():
         y = gen_interface(rng, rng.randint(0, 2))
         z = gen_interface(rng, rng.randint(0, 2))
         assert juxtapose(juxtapose(x, y), z) == juxtapose(x, juxtapose(y, z))
+        assert juxtapose(x, y, z) == juxtapose(juxtapose(x, y), z)
 
 
 def test_associativity_with_forced_global_collisions():
@@ -94,3 +97,4 @@ def test_associativity_under_heavy_collision_pressure():
 
         x, y, z = iface(), iface(), iface()
         assert juxtapose(juxtapose(x, y), z) == juxtapose(x, juxtapose(y, z))
+        assert juxtapose(x, y, z) == juxtapose(juxtapose(x, y), z)
