@@ -11,7 +11,7 @@ from .bigraph import (
 from .algebra import compose, identity, is_isomorphic, relabel, tensor
 from .containers import (
     ContainerSpec, ProcessSpec, VolumeMount, build_container, census,
-    container_spec_from_json, default_signature,
+    default_signature,
 )
 from .composefile import (
     ComposeModel, ServiceSpec, assemble, container_stub, environment_bigraph,
@@ -34,7 +34,7 @@ __all__ = [
     "Port", "Root", "Signature", "WellFormednessViolation", "validate",
     "compose", "identity", "is_isomorphic", "relabel", "tensor",
     "ContainerSpec", "ProcessSpec", "VolumeMount", "build_container",
-    "census", "container_spec_from_json", "default_signature",
+    "census", "default_signature",
     "ComposeModel", "ServiceSpec", "assemble", "container_stub",
     "environment_bigraph", "parse_compose", "stub_block",
     "FlowGraph", "FlowNode", "SecurityOrder", "Violation", "build_flow_graph",

@@ -120,12 +120,10 @@ class Signature:
             raise ValueError("a control cannot be both fixed and parametric")
         object.__setattr__(self, "fixed", tuple(sorted(self.fixed, key=lambda c: c.name)))
         object.__setattr__(self, "parametric", frozenset(self.parametric))
+        object.__setattr__(self, "_by_name", by_name)
 
     def lookup(self, name: str) -> Control | None:
-        for c in self.fixed:
-            if c.name == name:
-                return c
-        return None
+        return self._by_name.get(name)
 
     def admits(self, control: Control) -> bool:
         if control.name in self.parametric:
@@ -473,9 +471,6 @@ class BigraphBuilder:
 
     def connect(self, point: Point, link: Link):
         self._link[point] = link
-
-    def set_attrs(self, node: int, **attrs):
-        self._attrs.setdefault(node, {}).update(attrs)
 
     def build(self) -> Bigraph:
         return Bigraph(self.signature, self.inner, self.outer, self._nodes,

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import check_links, check_security, parse_order_file
-from .bigraph import validate as validate_bigraph
 from .composefile import assemble, environment_bigraph, parse_compose, \
     stub_block
 from .errors import ComposeSyntaxError, LdbError
@@ -59,13 +58,9 @@ def _sorted_findings(items):
 
 
 def _cmd_validate(args) -> Report:
-    model = _load_model(args.file)
-    composite = assemble(model)
-    problems = validate_bigraph(composite)
-    return violations(_sorted_findings(
-        Finding("invalid", "error", str(p),
-                {"clause": p.clause, "subject": p.subject})
-        for p in problems))
+    # assemble owns well-formedness: an ill-formed composite raises LdbError
+    assemble(_load_model(args.file))
+    return ok()
 
 
 def _cmd_check_links(args) -> Report:

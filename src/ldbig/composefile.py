@@ -4,7 +4,7 @@ bigraph and per-service container stubs, and assemble the composite.
 Supported subset: version '2'; per-service keys image, links, ports, expose,
 networks, volumes; top-level networks (driver recorded, ignored) and volumes
 (external flag).  Services without a ``networks`` key join the implicit
-``default`` network.
+``default`` network.  A key repeated within one mapping is an error.
 """
 
 from __future__ import annotations
@@ -96,6 +96,14 @@ def _require_str(value, path) -> str:
     return value
 
 
+def _section(doc: dict, key: str) -> dict:
+    """A top-level section: a mapping, empty when absent or null."""
+    body = doc.get(key) or {}
+    if not isinstance(body, dict):
+        raise ComposeSyntaxError(f"{key}: expected a mapping")
+    return body
+
+
 def _require_list(value, path) -> list:
     if value is None:
         return []
@@ -171,10 +179,30 @@ def _interface_names(name: str, svc: ServiceSpec):
     return plus, minus
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, rejecting a key repeated within one mapping (merged
+    ``<<`` keys may still be overridden)."""
+
+    def construct_mapping(self, node, deep=False):
+        own = node.value  # merging deletes the << entries from this list
+        count = len(own)
+        mapping = super().construct_mapping(node, deep=deep)
+        if len(mapping) < count or node.value is not own:
+            seen = set()
+            for key_node, _ in own:
+                key = self.construct_object(key_node)  # already constructed
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return mapping
+
+
 def parse_compose(text: str) -> ComposeModel:
     """Parse and validate a docker-compose document in the supported subset."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.MarkedYAMLError as exc:
         line = exc.problem_mark.line + 1 if exc.problem_mark else None
         raise ComposeSyntaxError(f"malformed YAML: {exc.problem}", line=line) from exc
@@ -195,7 +223,7 @@ def parse_compose(text: str) -> ComposeModel:
                              "(this tool reads the version 2 subset)")
 
     networks: dict[str, NetworkDecl] = {}
-    for name, body in (doc.get("networks") or {}).items():
+    for name, body in _section(doc, "networks").items():
         name = _require_str(name, "networks")
         if body is None:
             networks[name] = NetworkDecl()
@@ -208,7 +236,7 @@ def parse_compose(text: str) -> ComposeModel:
         networks[name] = NetworkDecl(driver=body.get("driver"))
 
     volumes: dict[str, VolumeDecl] = {}
-    for name, body in (doc.get("volumes") or {}).items():
+    for name, body in _section(doc, "volumes").items():
         name = _require_str(name, "volumes")
         if body is None:
             volumes[name] = VolumeDecl()
@@ -225,13 +253,9 @@ def parse_compose(text: str) -> ComposeModel:
 
     if "services" not in doc:
         raise ComposeSyntaxError("a services section is required")
-    raw_services = doc.get("services") or {}
-    if not isinstance(raw_services, dict):
-        raise ComposeSyntaxError("services: expected a mapping")
-
     services: dict[str, ServiceSpec] = {}
     wants_default = False
-    for name, body in raw_services.items():
+    for name, body in _section(doc, "services").items():
         name = _require_str(name, "services")
         if not isinstance(body, dict):
             raise ComposeSyntaxError(f"{name}: expected a mapping of service keys")
@@ -378,7 +402,6 @@ def container_stub(name: str, model: ComposeModel) -> Bigraph:
                                   read_only=v.read_only)
                       for v in svc.volumes),
         exposed_ports=port_names,
-        has_site=False,
     )
     return build_container(spec)
 
@@ -393,7 +416,11 @@ def stub_block(model: ComposeModel) -> Bigraph:
 
 
 def assemble(model: ComposeModel) -> Bigraph:
-    """Compose the environment over the tensor of all container stubs."""
+    """Compose the environment over the tensor of all container stubs.
+
+    The pipeline's one well-formedness check: an ill-formed composite raises
+    LdbError, which the CLI reports as an input error.
+    """
     env = environment_bigraph(model)
     block = stub_block(model)
     result = compose(env, block)

@@ -2,10 +2,14 @@
 declarative container description into a well-formed bigraph.
 
 A built container is one root holding one ``container`` node, with process,
-network, volume and request nodes nested inside it, plus an optional site.
-Offered service names route to the outer interface when exposed, otherwise
-(with a site) to the inner interface; consumed names resolve to sibling
-resource nodes, sibling offers, site imports, or fresh outer names.
+network and volume nodes nested inside it, and an empty inner interface.
+Exposed offers route to the outer interface; consumed names resolve to
+sibling network, volume or offer ports, or else to fresh outer names.
+
+The signature keeps a ``request`` control although the builder places no
+request node: every exported JSON document and every pattern file carries
+it, and pattern matching rejects a pattern whose signature differs from the
+host's.
 """
 
 from __future__ import annotations
@@ -14,16 +18,15 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .bigraph import (
-    Bigraph, BigraphBuilder, Control, InnerName, OuterName, Port, Root,
-    Signature,
+    Bigraph, BigraphBuilder, Control, OuterName, Port, Root, Signature,
 )
-from .errors import ArityOverflow, UnresolvedName
-from .interfaces import LocalInterface, EMPTY_INTERFACE
+from .errors import UnresolvedName
+from .interfaces import LocalInterface
 
 __all__ = [
     "CONTAINER", "PROCESS", "REQUEST", "NETWORK", "VOLUME",
     "default_signature", "ProcessSpec", "VolumeMount", "ContainerSpec",
-    "build_container", "container_spec_from_json", "census",
+    "build_container", "census",
 ]
 
 CONTAINER = "container"
@@ -49,26 +52,13 @@ def default_signature() -> Signature:
 @dataclass(frozen=True)
 class ProcessSpec:
     """One process: ``offers`` name its target ports, ``consumes`` say what
-    each source port points at.  Explicit arities may exceed the lists; the
-    spare source ports are closed with fresh edges."""
+    each source port points at."""
 
     offers: tuple[str, ...] = ()
     consumes: tuple[str, ...] = ()
-    plus: int | None = None
-    minus: int | None = None
 
     def arity(self) -> tuple[int, int]:
-        plus = len(self.consumes) if self.plus is None else self.plus
-        minus = len(self.offers) if self.minus is None else self.minus
-        if len(self.consumes) > plus:
-            raise ArityOverflow(
-                f"process consumes {len(self.consumes)} names but has only "
-                f"{plus} source ports")
-        if len(self.offers) > minus:
-            raise ArityOverflow(
-                f"process offers {len(self.offers)} names but has only "
-                f"{minus} target ports")
-        return plus, minus
+        return len(self.consumes), len(self.offers)
 
 
 @dataclass(frozen=True)
@@ -86,167 +76,77 @@ class ContainerSpec:
     processes: tuple[ProcessSpec, ...] = ()
     networks: tuple[str, ...] = ()
     volumes: tuple[VolumeMount, ...] = ()
-    requests: tuple[str, ...] = ()
     exposed_ports: tuple[str, ...] = ()
-    has_site: bool = False
-    site_imports: tuple[str, ...] = ()
-    feedthroughs: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "processes", tuple(self.processes))
         object.__setattr__(self, "networks", tuple(self.networks))
         object.__setattr__(self, "volumes", tuple(self.volumes))
-        object.__setattr__(self, "requests", tuple(self.requests))
         object.__setattr__(self, "exposed_ports", tuple(self.exposed_ports))
-        object.__setattr__(self, "site_imports", tuple(self.site_imports))
-        object.__setattr__(self, "feedthroughs",
-                           tuple((a, b) for a, b in self.feedthroughs))
 
 
 def build_container(spec: ContainerSpec,
                     signature: Signature | None = None) -> Bigraph:
-    """Build the container bigraph for ``spec``.
-
-    Raises UnresolvedName when an entry references nothing buildable and
-    ArityOverflow when a process wires more names than it has ports.
-    """
+    """Build the container bigraph for ``spec``; raises UnresolvedName on a
+    handle offered twice, an exposed port no process offers, or a clash of
+    outer names."""
     signature = signature or default_signature()
-    if not spec.has_site and (spec.site_imports or spec.feedthroughs):
-        raise UnresolvedName(
-            f"{spec.name}: site imports and feedthroughs require has_site")
 
-    # name tables -----------------------------------------------------------
-    offers: dict[str, tuple[int, int]] = {}  # name -> (process slot, port)
-    for p_idx, proc in enumerate(spec.processes):
-        proc.arity()  # arity sanity up front
-        for k, name in enumerate(proc.offers):
+    offers: set[str] = set()
+    for proc in spec.processes:
+        for name in proc.offers:
             if name in offers:
                 raise UnresolvedName(
                     f"{spec.name}: handle {name!r} offered twice")
-            offers[name] = (p_idx, k)
+            offers.add(name)
     for port in spec.exposed_ports:
         if port not in offers:
             raise UnresolvedName(
                 f"{spec.name}: exposed port {port!r} is offered by no process")
 
     exposed = set(spec.exposed_ports)
-    services = [n for proc in spec.processes for n in proc.offers
-                if n not in exposed]
-    imports = set(spec.site_imports)
-    net_names = list(spec.networks)
-    vol_names = [v.name for v in spec.volumes]
-
-    # every feedthrough in-name is one point and cannot double as a service
-    fins = [i for i, _ in spec.feedthroughs]
-    fin_clashes = (set(fins) & set(services)) \
-        | {n for n in fins if fins.count(n) > 1}
-    if fin_clashes:
-        raise UnresolvedName(
-            f"{spec.name}: feedthrough names clash: {sorted(fin_clashes)}")
-
-    consumed = [n for proc in spec.processes for n in proc.consumes]
-    consumed += list(spec.requests)
+    resources = set(spec.networks) | {v.name for v in spec.volumes}
     # names resolved by nothing inside become demanded outer names
-    siblings = set(net_names) | set(vol_names) | set(offers) | imports
-    link_outs = {n for n in consumed if n not in siblings}
-
-    outer_plus = set(net_names) | set(vol_names) | set(link_outs)
-    outer_plus |= {out for _, out in spec.feedthroughs}
-    outer_minus = exposed | {spec.name}
+    link_outs = {n for proc in spec.processes for n in proc.consumes
+                 if n not in resources and n not in offers}
     try:
         outer = LocalInterface.of((frozenset(), frozenset()),
-                                  (outer_plus, outer_minus))
-        if spec.has_site:
-            inner_plus = set(services) | {i for i, _ in spec.feedthroughs}
-            inner = LocalInterface.of((frozenset(), frozenset()),
-                                      (inner_plus, imports))
-        else:
-            inner = EMPTY_INTERFACE
+                                  (resources | link_outs, exposed | {spec.name}))
     except ValueError as exc:
         raise UnresolvedName(f"{spec.name}: {exc}") from exc
 
-    # build -----------------------------------------------------------------
-    b = BigraphBuilder(signature, inner=inner, outer=outer)
-    root = Root(1)
-    box = b.node(CONTAINER, parent=root, name=spec.name)
+    b = BigraphBuilder(signature, outer=outer)
+    box = b.node(CONTAINER, parent=Root(1), name=spec.name)
     b.connect(OuterName(1, spec.name), Port(box, 0))
 
-    nets: dict[str, int] = {}
-    for name in net_names:
+    nets: dict[str, Port] = {}
+    for name in spec.networks:
         v = b.node(NETWORK, parent=box, name=name)
         b.connect(Port(v, 0), OuterName(1, name))
-        nets[name] = v
-    vols: dict[str, int] = {}
+        nets[name] = Port(v, 0)
+    vols: dict[str, Port] = {}
     for mount in spec.volumes:
         v = b.node(VOLUME, parent=box, name=mount.name,
                    read_only=mount.read_only, host_path=mount.host_path)
         b.connect(Port(v, 0), OuterName(1, mount.name))
-        vols[mount.name] = v
+        vols[mount.name] = Port(v, 0)
 
-    procs: dict[int, int] = {}
-    for p_idx, proc in enumerate(spec.processes):
+    procs = []
+    for proc in spec.processes:
         plus, minus = proc.arity()
-        procs[p_idx] = b.node(PROCESS, parent=box, plus=plus, minus=minus)
+        procs.append(b.node(PROCESS, parent=box, plus=plus, minus=minus))
+    offered = {name: Port(v, k) for v, proc in zip(procs, spec.processes)
+               for k, name in enumerate(proc.offers)}
 
-    def consumed_target(name: str):
-        if name in nets:
-            return Port(nets[name], 0)
-        if name in vols:
-            return Port(vols[name], 0)
-        if name in offers:
-            p_idx, k = offers[name]
-            return Port(procs[p_idx], k)
-        if name in imports:
-            return InnerName(1, name)
-        return OuterName(1, name)
-
-    for p_idx, proc in enumerate(spec.processes):
-        plus, _ = proc.arity()
+    # a consumed name is a network, else a volume, else a sibling's offer
+    targets = {**offered, **vols, **nets}
+    for v, proc in zip(procs, spec.processes):
         for k, name in enumerate(proc.consumes):
-            b.connect(Port(procs[p_idx], k), consumed_target(name))
-        for k in range(len(proc.consumes), plus):
-            b.connect(Port(procs[p_idx], k), b.edge())
-
-    for name in spec.requests:
-        v = b.node(REQUEST, parent=box, consumes=name)
-        b.connect(Port(v, 0), consumed_target(name))
-
+            b.connect(Port(v, k), targets.get(name, OuterName(1, name)))
     for port in exposed:
-        p_idx, k = offers[port]
-        b.connect(OuterName(1, port), Port(procs[p_idx], k))
-    if spec.has_site:
-        b.site(1, parent=box)
-        for name in services:
-            p_idx, k = offers[name]
-            b.connect(InnerName(1, name), Port(procs[p_idx], k))
-        for in_name, out_name in spec.feedthroughs:
-            b.connect(InnerName(1, in_name), OuterName(1, out_name))
+        b.connect(OuterName(1, port), offered[port])
 
     return b.build()
-
-
-def container_spec_from_json(data: dict) -> ContainerSpec:
-    """Load a ContainerSpec from its JSON document form."""
-    procs = tuple(
-        ProcessSpec(offers=tuple(p.get("offers", ())),
-                    consumes=tuple(p.get("consumes", ())),
-                    plus=p.get("plus"), minus=p.get("minus"))
-        for p in data.get("processes", ()))
-    vols = tuple(
-        VolumeMount(name=v["name"], host_path=v.get("host_path", ""),
-                    read_only=bool(v.get("read_only", False)))
-        for v in data.get("volumes", ()))
-    return ContainerSpec(
-        name=data["name"],
-        processes=procs,
-        networks=tuple(data.get("networks", ())),
-        volumes=vols,
-        requests=tuple(data.get("requests", ())),
-        exposed_ports=tuple(data.get("exposed_ports", ())),
-        has_site=bool(data.get("has_site", False)),
-        site_imports=tuple(data.get("site_imports", ())),
-        feedthroughs=tuple((a, b) for a, b in data.get("feedthroughs", ())),
-    )
 
 
 def census(b: Bigraph) -> Counter:

@@ -21,10 +21,6 @@ class UnresolvedName(LdbError):
     """A container spec entry references nothing buildable."""
 
 
-class ArityOverflow(LdbError):
-    """A node declares more connections than its control has ports."""
-
-
 class ComposeError(LdbError):
     """Base class for compose-file frontend errors."""
 

@@ -2,8 +2,10 @@
 
 The JSON document carries the signature, both interfaces, nodes with their
 parents and attributes, edges, site placement and the full link map; importing
-it reproduces the bigraph exactly (same identifiers).  DOT output renders the
-place hierarchy as nested clusters and the link map as directed arcs.
+it reproduces the bigraph exactly (same identifiers); a document of the wrong
+shape raises ValueError naming the offending entry by its path.  DOT output
+renders the place hierarchy as nested clusters and the link map as directed
+arcs.
 """
 
 from __future__ import annotations
@@ -22,18 +24,48 @@ __all__ = [
 ]
 
 
+_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _check(value, kind: type, path: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{path}: expected {_KINDS[kind]}")
+    return value
+
+
+def _field(obj: dict, key: str, kind: type, path: str, default=None):
+    """``obj[key]``, or ``default`` when absent, which must be a ``kind``."""
+    return _check(obj.get(key, default), kind, f"{path}.{key}")
+
+
+def _each(obj: dict, key: str, kind: type, path: str, required=False):
+    """(path, entry) for each entry of the list ``obj[key]`` (empty when
+    absent unless ``required``), each of which must be a ``kind``."""
+    where = f"{path}.{key}"
+    items = _field(obj, key, list, path, None if required else [])
+    return [(f"{where}[{i}]", _check(x, kind, f"{where}[{i}]"))
+            for i, x in enumerate(items)]
+
+
 def _interface_to_json(i: LocalInterface) -> list:
     return [{"plus": sorted(p), "minus": sorted(m)} for p, m in i.localities]
 
 
-def _interface_from_json(data) -> LocalInterface:
+def _interface_from_json(data: dict, key: str, path: str) -> LocalInterface:
     return LocalInterface(tuple(
-        (frozenset(loc.get("plus", ())), frozenset(loc.get("minus", ())))
-        for loc in data))
+        (frozenset(t for _, t in _each(loc, "plus", str, where)),
+         frozenset(t for _, t in _each(loc, "minus", str, where)))
+        for where, loc in _each(data, key, dict, path, required=True)))
 
 
 def _control_to_json(c: Control) -> dict:
     return {"name": c.name, "plus": c.plus, "minus": c.minus}
+
+
+def _control_from_json(data: dict, path: str) -> Control:
+    return Control(_field(data, "name", str, path),
+                   _field(data, "plus", int, path),
+                   _field(data, "minus", int, path))
 
 
 def _ref_to_json(x) -> dict:
@@ -48,25 +80,32 @@ def _ref_to_json(x) -> dict:
     raise TypeError(f"not serializable: {x!r}")
 
 
-def _ref_from_json(data):
-    kind = data["kind"]
-    if kind == "inner":
-        return InnerName(data["locality"], data["text"])
-    if kind == "outer":
-        return OuterName(data["locality"], data["text"])
+def _ref_from_json(entry: dict, key: str, path: str):
+    data = _field(entry, key, dict, path)
+    path = f"{path}.{key}"
+    kind = _field(data, "kind", str, path)
+    if kind in ("inner", "outer"):
+        cls = InnerName if kind == "inner" else OuterName
+        return cls(_field(data, "locality", int, path),
+                   _field(data, "text", str, path))
     if kind == "port":
-        return Port(data["node"], data["index"])
+        return Port(_field(data, "node", int, path),
+                    _field(data, "index", int, path))
     if kind == "edge":
-        return Edge(data["id"])
-    raise ValueError(f"unknown reference kind {kind!r}")
+        return Edge(_field(data, "id", int, path))
+    raise ValueError(f"{path}: unknown reference kind {kind!r}")
 
 
 def _parent_to_json(p) -> dict:
     return {"root": p.index} if isinstance(p, Root) else {"node": p}
 
 
-def _parent_from_json(data):
-    return Root(data["root"]) if "root" in data else data["node"]
+def _parent_from_json(entry: dict, path: str):
+    data = _field(entry, "parent", dict, path)
+    path = f"{path}.parent"
+    if "root" in data:
+        return Root(_field(data, "root", int, path))
+    return _field(data, "node", int, path)
 
 
 def bigraph_to_json(b: Bigraph) -> dict:
@@ -93,29 +132,31 @@ def bigraph_to_json(b: Bigraph) -> dict:
     }
 
 
-def bigraph_from_json(data: dict) -> Bigraph:
-    sig = data.get("signature", {})
+def bigraph_from_json(data: dict, path: str = "bigraph") -> Bigraph:
+    """Import a bigraph document; ``path`` names it in shape errors."""
+    _check(data, dict, path)
+    sig = _field(data, "signature", dict, path, {})
+    where = f"{path}.signature"
     signature = Signature(
-        fixed=tuple(Control(c["name"], c["plus"], c["minus"])
-                    for c in sig.get("controls", ())),
-        parametric=frozenset(sig.get("parametric", ())),
+        fixed=tuple(_control_from_json(c, w)
+                    for w, c in _each(sig, "controls", dict, where)),
+        parametric=frozenset(t for _, t in _each(sig, "parametric", str, where)),
     )
     nodes, node_parent, attrs = {}, {}, {}
-    for entry in data.get("nodes", ()):
-        v = entry["id"]
-        c = entry["control"]
-        nodes[v] = Control(c["name"], c["plus"], c["minus"])
-        node_parent[v] = _parent_from_json(entry["parent"])
-        if entry.get("attrs"):
-            attrs[v] = dict(entry["attrs"])
-    site_parent = {s["index"]: _parent_from_json(s["parent"])
-                   for s in data.get("sites", ())}
-    link = {_ref_from_json(e["point"]): _ref_from_json(e["link"])
-            for e in data.get("links", ())}
+    for where, entry in _each(data, "nodes", dict, path):
+        v = _field(entry, "id", int, where)
+        nodes[v] = _control_from_json(_field(entry, "control", dict, where),
+                                      f"{where}.control")
+        node_parent[v] = _parent_from_json(entry, where)
+        attrs[v] = _field(entry, "attrs", dict, where, {})
+    site_parent = {_field(s, "index", int, where): _parent_from_json(s, where)
+                   for where, s in _each(data, "sites", dict, path)}
+    link = {_ref_from_json(e, "point", where): _ref_from_json(e, "link", where)
+            for where, e in _each(data, "links", dict, path)}
     return Bigraph(signature,
-                   _interface_from_json(data["inner"]),
-                   _interface_from_json(data["outer"]),
-                   nodes, set(data.get("edges", ())),
+                   _interface_from_json(data, "inner", path),
+                   _interface_from_json(data, "outer", path),
+                   nodes, {e for _, e in _each(data, "edges", int, path)},
                    site_parent, node_parent, link, attrs)
 
 
@@ -134,12 +175,11 @@ def patterns_from_json(text: str) -> list[Pattern]:
         raise ValueError("pattern file must be a JSON list")
     out = []
     for i, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise ValueError(f"patterns[{i}]: expected an object")
-        if "bigraph" not in entry:
-            raise ValueError(f"pattern {i}: missing bigraph")
-        out.append(Pattern(entry.get("name", f"pattern{i}"),
-                           bigraph_from_json(entry["bigraph"]),
+        path = f"patterns[{i}]"
+        _check(entry, dict, path)
+        out.append(Pattern(_field(entry, "name", str, path, f"pattern{i}"),
+                           bigraph_from_json(_field(entry, "bigraph", dict, path),
+                                             f"{path}.bigraph"),
                            anchor_at_roots=bool(entry.get("anchor_at_roots",
                                                           False))))
     return out

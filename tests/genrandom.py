@@ -231,14 +231,10 @@ def permute_services(rng: random.Random, model: ComposeModel) -> ComposeModel:
 # -- container specs ----------------------------------------------------------
 
 def gen_container_spec(rng: random.Random) -> ContainerSpec:
-    has_site = rng.random() < 0.5
     nets = tuple(f"n{i}" for i in range(rng.randint(0, 3)))
     vols = tuple(VolumeMount(f"v{i}", host_path=f"/srv/v{i}",
                              read_only=rng.random() < 0.5)
                  for i in range(rng.randint(0, 2)))
-    imports = tuple(f"r{i}" for i in range(rng.randint(0, 2))) if has_site else ()
-    feed = tuple((f"fin{i}", f"fout{i}")
-                 for i in range(rng.randint(0, 2))) if has_site else ()
 
     offer_pool = [f"s{i}" for i in range(4)]
     rng.shuffle(offer_pool)
@@ -248,8 +244,9 @@ def gen_container_spec(rng: random.Random) -> ContainerSpec:
         n_offers = rng.randint(0, min(2, len(offer_pool) - taken))
         offers = tuple(offer_pool[taken:taken + n_offers])
         taken += n_offers
-        consumable = list(nets) + [v.name for v in vols] + list(imports) \
-            + [f"ext{i}" for i in range(2)]
+        # resources, handles offered so far, or names from outside
+        consumable = list(nets) + [v.name for v in vols] \
+            + offer_pool[:taken] + [f"ext{i}" for i in range(2)]
         consumes = tuple(rng.sample(consumable,
                                     k=min(len(consumable), rng.randint(0, 3))))
         processes.append(ProcessSpec(offers=offers, consumes=consumes))
@@ -257,11 +254,9 @@ def gen_container_spec(rng: random.Random) -> ContainerSpec:
     offered = [n for p in processes for n in p.offers]
     exposed = tuple(rng.sample(offered, k=rng.randint(0, len(offered)))) \
         if offered else ()
-    requests = tuple(rng.sample(offered, k=min(len(offered), rng.randint(0, 1))))
     return ContainerSpec(
         name="box", processes=tuple(processes), networks=nets, volumes=vols,
-        requests=requests, exposed_ports=exposed, has_site=has_site,
-        site_imports=imports, feedthroughs=feed)
+        exposed_ports=exposed)
 
 
 # -- flow graphs and orders ---------------------------------------------------

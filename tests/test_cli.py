@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from ldbig import assemble, is_isomorphic, loads, parse_compose
+from ldbig.cli import main
 from ldbig.report import Report
 
 
@@ -88,6 +89,35 @@ def test_non_object_pattern_entry_is_an_input_error(compose_file, tmp_path):
     report = Report.from_json(json.loads(out.stdout))
     assert report.status == "inputError"
     assert "patterns[0]: expected an object" in report.findings[0].message
+
+
+MINIMAL = "version: '2'\nservices:\n  a:\n    image: x\n"
+
+
+@pytest.mark.parametrize("compose, patterns, message", [
+    (None, '[{"name": "x", "bigraph": 1}]',
+     "patterns[0].bigraph: expected an object"),
+    (None, '[{"bigraph": {"inner": [], "outer": [], "nodes": [1]}}]',
+     "patterns[0].bigraph.nodes[0]: expected an object"),
+    (None, '[{"bigraph": {}}]', "patterns[0].bigraph.inner: expected a list"),
+    (MINIMAL + "networks: [a]\n", None, "networks: expected a mapping"),
+    (MINIMAL + "volumes: [a]\n", None, "volumes: expected a mapping"),
+    (MINIMAL + "services:\n  b:\n    image: y\n", None,
+     "stack.yml:5: malformed YAML: found duplicate key 'services'"),
+])
+def test_malformed_documents_are_input_errors(compose_file, tmp_path, capsys,
+                                              compose, patterns, message):
+    if compose is not None:
+        compose_file = tmp_path / "stack.yml"
+        compose_file.write_text(compose)
+    forbidden = tmp_path / "patterns.json"
+    forbidden.write_text(patterns or "[]")
+    code = main(["check-sorts", str(compose_file), "--json",
+                 "--forbidden", str(forbidden)])
+    report = Report.from_json(json.loads(capsys.readouterr().out))
+    assert code == 2
+    assert report.status == "inputError"
+    assert report.findings[0].message.endswith(message)
 
 
 def test_malformed_file_is_an_input_error(tmp_path):

@@ -112,6 +112,20 @@ def test_syntax_errors():
         parse_compose(MINIMAL + "    volumes: [v:/x:rw:extra]\n")
 
 
+def test_repeated_keys_rejected_with_their_line():
+    with pytest.raises(ComposeSyntaxError, match="duplicate key 'image'") as err:
+        parse_compose(MINIMAL + "    image: other\n")
+    assert err.value.line == 6
+    with pytest.raises(ComposeSyntaxError, match="duplicate key 'app'"):
+        parse_compose(MINIMAL + "  app:\n    image: other\n")
+    # a key merged in with << may still be overridden, but not repeated
+    merged = MINIMAL.replace("app:", "app: &base") \
+        + "  b:\n    <<: *base\n    image: y\n"
+    assert parse_compose(merged).services["b"].image == "y"
+    with pytest.raises(ComposeSyntaxError, match="duplicate key 'image'"):
+        parse_compose(merged + "    image: z\n")
+
+
 def test_duplicate_host_port_rejected():
     text = """
 version: '2'

@@ -3,31 +3,26 @@ import random
 import pytest
 
 from ldbig import (
-    ContainerSpec, Control, InnerName, OuterName, Port, ProcessSpec,
-    VolumeMount, build_container, census, container_spec_from_json,
-    default_signature, validate,
+    EMPTY_INTERFACE, ContainerSpec, Control, OuterName, Port, ProcessSpec,
+    VolumeMount, build_container, census, default_signature, validate,
 )
-from ldbig.errors import ArityOverflow, UnresolvedName
+from ldbig.errors import UnresolvedName
 from genrandom import gen_container_spec
 
 
 def reference_spec() -> ContainerSpec:
-    """A container offering three services, feeding two link names through to
-    a nested-workload site, with one request in flight."""
+    """A container exposing three of its five offers, whose processes consume
+    a network, a volume, a sibling's offer and a name from outside."""
     return ContainerSpec(
         name="C",
         processes=(
             ProcessSpec(offers=("p1", "s1"), consumes=("n1", "v")),
             ProcessSpec(offers=("p2", "s2"), consumes=("n2",)),
-            ProcessSpec(offers=("p3",), consumes=("r1",)),
+            ProcessSpec(offers=("p3",), consumes=("s1", "r1")),
         ),
         networks=("n1", "n2"),
         volumes=(VolumeMount("v", host_path="/srv/data"),),
-        requests=("s1",),
         exposed_ports=("p1", "p2", "p3"),
-        has_site=True,
-        site_imports=("r1",),
-        feedthroughs=(("l1_in", "l1_out"), ("l2_in", "l2_out")),
     )
 
 
@@ -43,9 +38,8 @@ def test_default_signature_arities():
 
 def test_reference_container_interfaces():
     b = build_container(reference_spec())
-    assert b.inner.plus(1) == {"s1", "s2", "l1_in", "l2_in"}
-    assert b.inner.minus(1) == {"r1"}
-    assert b.outer.plus(1) == {"v", "l1_out", "l2_out", "n1", "n2"}
+    assert b.inner == EMPTY_INTERFACE
+    assert b.outer.plus(1) == {"v", "r1", "n1", "n2"}
     assert b.outer.minus(1) == {"p1", "p2", "p3", "C"}
     assert validate(b) == []
 
@@ -54,17 +48,21 @@ def test_reference_container_structure():
     b = build_container(reference_spec())
     counts = census(b)
     assert counts == {"container": 1, "process": 3, "network": 2,
-                      "volume": 1, "request": 1}
+                      "volume": 1}
     (box,) = [v for v, c in b.nodes.items() if c.name == "container"]
     # the identity handle points at the container's only target port
     assert b.link[OuterName(1, "C")] == Port(box, 0)
-    # all other nodes sit inside the container, as does the site
+    # all other nodes sit inside the container, and there is no site
     for v in b.nodes:
         if v != box:
             assert b.node_parent[v] == box
-    assert b.site_parent == {1: box}
-    # feedthroughs go straight from the inner to the outer interface
-    assert b.link[InnerName(1, "l1_in")] == OuterName(1, "l1_out")
+    assert b.site_parent == {}
+    # a process has one source port per consumed name, one target per offer
+    p1, _, p3 = sorted(v for v, c in b.nodes.items() if c.name == "process")
+    assert b.nodes[p3] == Control("process", 2, 1)
+    # a sibling's offer is a port of that sibling; anything else goes outside
+    assert b.link[Port(p3, 0)] == Port(p1, 1)
+    assert b.link[Port(p3, 1)] == OuterName(1, "r1")
 
 
 def test_dropping_a_process_breaks_isomorphism():
@@ -74,9 +72,7 @@ def test_dropping_a_process_breaks_isomorphism():
     spec = reference_spec()
     trimmed = ContainerSpec(**{**spec.__dict__,
                                "processes": spec.processes[:2],
-                               "exposed_ports": ("p1", "p2"),
-                               "site_imports": (),
-                               "requests": ()})
+                               "exposed_ports": ("p1", "p2")})
     smaller = build_container(trimmed)
     assert not is_isomorphic(full, smaller)
 
@@ -103,46 +99,6 @@ def test_duplicate_offers_rejected():
         build_container(spec)
 
 
-def test_site_imports_require_a_site():
-    spec = ContainerSpec(name="c", site_imports=("r",))
-    with pytest.raises(UnresolvedName):
-        build_container(spec)
-
-
-def test_feedthrough_in_names_must_be_fresh():
-    spec = ContainerSpec(
-        name="c",
-        processes=(ProcessSpec(offers=("s",)),),
-        has_site=True,
-        feedthroughs=(("s", "out"),))  # collides with the unexposed offer
-    with pytest.raises(UnresolvedName):
-        build_container(spec)
-    with pytest.raises(UnresolvedName):
-        build_container(ContainerSpec(
-            name="c", has_site=True,
-            feedthroughs=(("f", "o1"), ("f", "o2"))))
-
-
-def test_explicit_arity_overflow():
-    with pytest.raises(ArityOverflow):
-        build_container(ContainerSpec(name="c", processes=(
-            ProcessSpec(offers=("a", "b"), minus=1),)))
-    with pytest.raises(ArityOverflow):
-        build_container(ContainerSpec(name="c", processes=(
-            ProcessSpec(consumes=("x", "y"), plus=1),)))
-
-
-def test_spare_source_ports_are_closed():
-    from ldbig import Edge
-
-    spec = ContainerSpec(name="c", processes=(ProcessSpec(plus=2),))
-    b = build_container(spec)
-    (proc,) = [v for v, c in b.nodes.items() if c.name == "process"]
-    assert b.nodes[proc] == Control("process", 2, 0)
-    assert all(isinstance(b.link[Port(proc, k)], Edge) for k in range(2))
-    assert validate(b) == []
-
-
 def test_volume_metadata_recorded():
     spec = ContainerSpec(name="c", volumes=(
         VolumeMount("data", host_path="/var/data", read_only=True),))
@@ -162,26 +118,5 @@ def test_every_generated_spec_builds_well_formed():
         assert counts.get("process", 0) == len(spec.processes)
         assert counts.get("network", 0) == len(spec.networks)
         assert counts.get("volume", 0) == len(spec.volumes)
-        assert counts.get("request", 0) == len(spec.requests)
         assert counts.get("container", 0) == 1
-        assert (b.inner.width == 1) == spec.has_site
-
-
-def test_spec_from_json_round_trip():
-    spec = reference_spec()
-    data = {
-        "name": "C",
-        "processes": [
-            {"offers": ["p1", "s1"], "consumes": ["n1", "v"]},
-            {"offers": ["p2", "s2"], "consumes": ["n2"]},
-            {"offers": ["p3"], "consumes": ["r1"]},
-        ],
-        "networks": ["n1", "n2"],
-        "volumes": [{"name": "v", "host_path": "/srv/data"}],
-        "requests": ["s1"],
-        "exposed_ports": ["p1", "p2", "p3"],
-        "has_site": True,
-        "site_imports": ["r1"],
-        "feedthroughs": [["l1_in", "l1_out"], ["l2_in", "l2_out"]],
-    }
-    assert container_spec_from_json(data) == spec
+        assert b.inner == EMPTY_INTERFACE
