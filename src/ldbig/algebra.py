@@ -1,5 +1,6 @@
 """Categorical operations on bigraphs: composition, tensor product, identity,
-support relabelling, and support equivalence (isomorphism)."""
+support relabelling, and support equivalence (isomorphism), whose node-map
+search pattern matching shares."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from .errors import GlobalNameClash, InterfaceMismatch, LdbError
 from .interfaces import LocalInterface, juxtapose_with_renames
 
 __all__ = ["compose", "tensor", "identity", "relabel", "is_isomorphic",
-           "place_order"]
+           "place_order", "node_maps"]
 
 
 def relabel(b: Bigraph, node_map: dict[int, int] | None = None,
@@ -230,29 +231,77 @@ def place_order(b: Bigraph) -> list[int]:
     return out
 
 
-def _fingerprint(b: Bigraph, v: int):
-    """Iso-invariant node summary used to cut the candidate sets."""
-    ctrl = b.nodes[v]
-    parent = b.node_parent.get(v)
-    pkind = parent if isinstance(parent, Root) else ("node",)
-    targets = []
-    for k in range(ctrl.plus):
-        t = b.link.get(Port(v, k))
-        if isinstance(t, (InnerName, OuterName)):
-            targets.append(t)
-        elif isinstance(t, Edge):
-            targets.append("edge")
-        elif isinstance(t, Port):
-            targets.append(("port", b.nodes[t.node].name if t.node in b.nodes else "?", t.index))
+def node_maps(b: Bigraph, image: Bigraph, order: list[int],
+              candidates: dict, fits=None):
+    """Yield each injective map ``phi`` of ``order`` (nodes of ``b``,
+    parents first) into their ``candidates`` (nodes of ``image``) in which
+    a node under a mapped node lands under that node's image, and
+    ``fits(u, w, phi)`` holds for each node u mapped to w, given the map of
+    the nodes before u.
+
+    The search keeps its own stack, so ``b`` may nest to any depth.  The
+    yielded dict is the search's state: use it before resuming.
+    """
+    phi: dict[int, int] = {}
+    used: set[int] = set()
+    if not order:
+        yield phi
+        return
+    parents = [b.node_parent.get(u) for u in order]
+    image_parent = image.node_parent.get
+    stack = [iter(candidates[order[0]])]  # per level, the candidates left
+    wants = [None]  # per level, its parent's image if mapped
+    while stack:
+        i = len(stack) - 1
+        u, want = order[i], wants[i]
+        if u in phi:
+            used.discard(phi.pop(u))
+        for w in stack[i]:
+            if w in used or want is not None and image_parent(w) != want:
+                continue
+            if fits is None or fits(u, w, phi):
+                break
         else:
-            targets.append(None)
-    incoming = Counter()
+            stack.pop()
+            wants.pop()
+            continue
+        phi[u] = w
+        used.add(w)
+        if i + 1 == len(order):
+            yield phi
+        else:
+            stack.append(iter(candidates[order[i + 1]]))
+            wants.append(phi.get(parents[i + 1]))
+
+
+def _fingerprints(b: Bigraph) -> dict:
+    """Iso-invariant node summaries used to cut the candidate sets, built in
+    one pass over the link map."""
+    incoming: dict[int, Counter] = {v: Counter() for v in b.nodes}
     for p, t in b.link.items():
-        if isinstance(t, Port) and t.node == v:
+        if isinstance(t, Port) and t.node in incoming:
             kind = "port" if isinstance(p, Port) else "name"
-            incoming[(t.index, kind)] += 1
-    return (ctrl, pkind, tuple(targets), tuple(sorted(incoming.items())),
-            len(b.children(v)), tuple(b.sites_under(v)))
+            incoming[t.node][(t.index, kind)] += 1
+    out = {}
+    for v, ctrl in b.nodes.items():
+        parent = b.node_parent.get(v)
+        pkind = parent if isinstance(parent, Root) else ("node",)
+        targets = []
+        for k in range(ctrl.plus):
+            t = b.link.get(Port(v, k))
+            if isinstance(t, (InnerName, OuterName)):
+                targets.append(t)
+            elif isinstance(t, Edge):
+                targets.append("edge")
+            elif isinstance(t, Port):
+                name = b.nodes[t.node].name if t.node in b.nodes else "?"
+                targets.append(("port", name, t.index))
+            else:
+                targets.append(None)
+        out[v] = (ctrl, pkind, tuple(targets),
+                  tuple(sorted(incoming[v].items())),
+                  len(b.children(v)), tuple(b.sites_under(v)))
+    return out
 
 
 def _mapped_point(phi: dict[int, int], p):
@@ -288,9 +337,8 @@ def _verify_iso(b1: Bigraph, b2: Bigraph, phi: dict[int, int]) -> bool:
         elif isinstance(t1, Port):
             if t2 != Port(phi[t1.node], t1.index):
                 return False
-        else:
-            if t2 != t1:
-                return False
+        elif t2 != t1:
+            return False
     return True
 
 
@@ -303,45 +351,16 @@ def is_isomorphic(b1: Bigraph, b2: Bigraph) -> bool:
         return False
     if len(b1.nodes) != len(b2.nodes) or len(b1.edges) != len(b2.edges):
         return False
-    if Counter(b1.nodes.values()) != Counter(b2.nodes.values()):
-        return False
     if len(b1.link) != len(b2.link):
         return False
-
-    fp2: dict = {}
-    for w in b2.nodes:
-        fp2.setdefault(_fingerprint(b2, w), []).append(w)
-    classes = {}
-    for v in b1.nodes:
-        key = _fingerprint(b1, v)
-        if key not in fp2:
-            return False
-        classes[v] = fp2[key]
-
-    order = place_order(b1)
-    phi: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return _verify_iso(b1, b2, phi)
-        v = order[i]
-        parent = b1.node_parent.get(v)
-        for w in classes[v]:
-            if w in used:
-                continue
-            qp = b2.node_parent.get(w)
-            if isinstance(parent, Root):
-                if qp != parent:
-                    continue
-            elif parent in phi and qp != phi[parent]:
-                continue
-            phi[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del phi[v]
-            used.discard(w)
+    fp1, fp2 = _fingerprints(b1), _fingerprints(b2)
+    if Counter(fp1.values()) != Counter(fp2.values()):
         return False
 
-    return extend(0)
+    by_key: dict = {}
+    for w, key in fp2.items():
+        by_key.setdefault(key, []).append(w)
+    classes = {v: by_key[key] for v, key in fp1.items()}
+    # the classes fix root parents; the search keeps the rest
+    return any(_verify_iso(b1, b2, phi)
+               for phi in node_maps(b1, b2, place_order(b1), classes))

@@ -174,7 +174,8 @@ def build_flow_graph(b: Bigraph) -> FlowGraph:
 
 
 def transitive_closure(order: SecurityOrder) -> SecurityOrder:
-    """Close the assertions under transitivity; a reflexive pair is an error."""
+    """Close the assertions under transitivity; a reflexive pair is an error
+    naming the smallest network above itself."""
     closed = set(order.pairs)
     changed = True
     while changed:
@@ -184,9 +185,9 @@ def transitive_closure(order: SecurityOrder) -> SecurityOrder:
                 if b == c and (a, d) not in closed:
                     closed.add((a, d))
                     changed = True
-    for n, m in closed:
-        if n == m:
-            raise CyclicOrder(f"network {n!r} is above itself in the closure")
+    cyclic = sorted(n for n, m in closed if n == m)
+    if cyclic:
+        raise CyclicOrder(f"network {cyclic[0]!r} is above itself in the closure")
     return SecurityOrder(frozenset(closed))
 
 

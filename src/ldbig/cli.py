@@ -10,13 +10,15 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
 from .analysis import check_links, check_security, parse_order_file
 from .composefile import assemble, environment_bigraph, parse_compose, \
     stub_block
-from .errors import ComposeSyntaxError, LdbError
+from .errors import ComposeSyntaxError, CyclicOrder, LdbError, \
+    SignatureMismatch, UnknownNetwork
 from .report import Finding, Report, input_error, ok, violations
 from .serialize import dumps, patterns_from_json, to_dot
 from .sorting import check_sorting
@@ -48,6 +50,23 @@ def _print_report(report: Report, as_json: bool):
         print(f"{tag} [{f.kind}] {f.message}")
 
 
+class _InputFileError(Exception):
+    """An input error in an order or pattern file, reported against it."""
+
+    def __init__(self, file: str, error: Exception):
+        super().__init__(f"{file}: {error}")
+        self.file = file
+
+
+@contextmanager
+def _errors_in(path: str, *kinds):
+    """Report an error of these kinds raised inside against ``path``."""
+    try:
+        yield
+    except kinds as exc:
+        raise _InputFileError(path, exc) from exc
+
+
 def _load_model(path: str):
     text = Path(path).read_text(encoding="utf-8")
     return parse_compose(text)
@@ -72,16 +91,21 @@ def _cmd_check_links(args) -> Report:
 
 def _cmd_check_security(args) -> Report:
     composite = assemble(_load_model(args.file))
-    order = parse_order_file(Path(args.order).read_text(encoding="utf-8"))
+    with _errors_in(args.order, ValueError):  # UnicodeDecodeError included
+        order = parse_order_file(Path(args.order).read_text(encoding="utf-8"))
+    with _errors_in(args.order, CyclicOrder, UnknownNetwork):
+        leaks = check_security(composite, order)
     return violations(_sorted_findings(
-        Finding(v.kind, "warning", v.message, v.payload())
-        for v in check_security(composite, order)))
+        Finding(v.kind, "warning", v.message, v.payload()) for v in leaks))
 
 
 def _cmd_check_sorts(args) -> Report:
     composite = assemble(_load_model(args.file))
-    patterns = patterns_from_json(Path(args.forbidden).read_text(encoding="utf-8"))
-    result = check_sorting(composite, patterns)
+    with _errors_in(args.forbidden, ValueError):
+        patterns = patterns_from_json(
+            Path(args.forbidden).read_text(encoding="utf-8"))
+    with _errors_in(args.forbidden, SignatureMismatch):
+        result = check_sorting(composite, patterns)
     findings = []
     for name, occurrences in result.counterexamples:
         findings.append(Finding(
@@ -163,6 +187,8 @@ def main(argv=None) -> int:
     except ComposeSyntaxError as exc:
         where = f"{args.file}:{exc.line}" if exc.line else args.file
         report = input_error(f"{where}: {exc}", file=args.file, line=exc.line)
+    except _InputFileError as exc:
+        report = input_error(str(exc), file=exc.file)
     except (LdbError, ValueError, KeyError) as exc:
         report = input_error(f"{args.file}: {exc}", file=args.file)
     except OSError as exc:

@@ -208,6 +208,8 @@ def parse_compose(text: str) -> ComposeModel:
         raise ComposeSyntaxError(f"malformed YAML: {exc.problem}", line=line) from exc
     except yaml.YAMLError as exc:
         raise ComposeSyntaxError(f"malformed YAML: {exc}") from exc
+    except RecursionError as exc:  # the composer recurses once per level
+        raise ComposeSyntaxError("malformed YAML: nested too deeply") from exc
 
     if not isinstance(doc, dict):
         raise ComposeSyntaxError("top level must be a mapping")

@@ -14,6 +14,7 @@ import json
 
 from .bigraph import (
     Bigraph, Control, Edge, InnerName, OuterName, Port, Root, Signature,
+    validate,
 )
 from .interfaces import LocalInterface
 from .sorting import Pattern
@@ -169,19 +170,26 @@ def loads(text: str) -> Bigraph:
 
 
 def patterns_from_json(text: str) -> list[Pattern]:
-    """Forbidden-pattern file: a JSON list of {name, bigraph} entries."""
-    data = json.loads(text)
+    """Forbidden-pattern file: a JSON list of {name, bigraph} entries, each
+    bigraph well-formed."""
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:  # the decoder recurses once per level
+        raise ValueError("pattern file is nested too deeply") from exc
     if not isinstance(data, list):
         raise ValueError("pattern file must be a JSON list")
     out = []
     for i, entry in enumerate(data):
         path = f"patterns[{i}]"
         _check(entry, dict, path)
-        out.append(Pattern(_field(entry, "name", str, path, f"pattern{i}"),
-                           bigraph_from_json(_field(entry, "bigraph", dict, path),
-                                             f"{path}.bigraph"),
-                           anchor_at_roots=bool(entry.get("anchor_at_roots",
-                                                          False))))
+        name = _field(entry, "name", str, path, f"pattern{i}")
+        b = bigraph_from_json(_field(entry, "bigraph", dict, path),
+                              f"{path}.bigraph")
+        problems = validate(b)
+        if problems:
+            raise ValueError(f"{path}.bigraph: not well-formed: "
+                             + "; ".join(str(p) for p in problems))
+        out.append(Pattern(name, b, bool(entry.get("anchor_at_roots", False))))
     return out
 
 
@@ -215,19 +223,29 @@ def to_dot(b: Bigraph, title: str = "bigraph") -> str:
         base = f"{ctrl.name} {name}" if name else ctrl.name
         return f"{base}\\n({ctrl.plus}+,{ctrl.minus}-) #{v}"
 
-    def emit_place(place, indent: str):
+    def open_place(place, indent: str):
         for s in b.sites_under(place):
             lines.append(f"{indent}\"site_{s}\" [label=\"site {s}\", "
                          "shape=box, style=dotted];")
-        for v in b.children(place):
-            if b.children(v) or b.sites_under(v):
-                lines.append(f"{indent}subgraph cluster_n{v} {{")
-                lines.append(f"{indent}  label={_quote(label(v))};")
-                lines.append(f"{indent}  \"n{v}\" [label=\"\", shape=point];")
-                emit_place(v, indent + "  ")
-                lines.append(f"{indent}}}")
-            else:
+        return iter(b.children(place)), indent
+
+    def emit_place(place, indent: str):
+        # depth-first with an explicit stack of (children left, indent)
+        stack = [open_place(place, indent)]
+        while stack:
+            children, indent = stack[-1]
+            for v in children:
+                if b.children(v) or b.sites_under(v):
+                    lines.append(f"{indent}subgraph cluster_n{v} {{")
+                    lines.append(f"{indent}  label={_quote(label(v))};")
+                    lines.append(f"{indent}  \"n{v}\" [label=\"\", shape=point];")
+                    stack.append(open_place(v, indent + "  "))
+                    break
                 lines.append(f"{indent}\"n{v}\" [label={_quote(label(v))}];")
+            else:
+                stack.pop()
+                if stack:
+                    lines.append(f"{stack[-1][1]}}}")
 
     for r in range(1, b.outer.width + 1):
         lines.append(f"  subgraph cluster_root_{r} {{")

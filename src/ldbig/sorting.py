@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import place_order
+from .algebra import node_maps, place_order
 from .bigraph import Bigraph, Edge, InnerName, Port, Root
 from .errors import SignatureMismatch
 
@@ -139,24 +139,21 @@ def find_matches(pattern, host: Bigraph) -> list[Occurrence]:
         by_control.setdefault(ctrl, []).append(w)
     order = place_order(pb)
     candidates = {u: sorted(by_control.get(pb.nodes[u], [])) for u in order}
-    if any(not c for c in candidates.values()):
-        return []
-
-    matches: list[Occurrence] = []
-    node_map: dict[int, int] = {}
-    used: set[int] = set()
-    anchors: dict[int, object] = {}
-
-    def compatible(u: int, w: int) -> bool:
+    first = {}  # per pattern root, its first node in the order fixes the anchor
+    for u in order:
         pp = pb.node_parent.get(u)
-        hp = host.node_parent.get(w)
         if isinstance(pp, Root):
+            first.setdefault(pp.index, u)
+
+    def fits(u: int, w: int, node_map: dict[int, int]) -> bool:
+        pp = pb.node_parent.get(u)
+        if isinstance(pp, Root):
+            hp = host.node_parent.get(w)
             if pattern.anchor_at_roots and not isinstance(hp, Root):
                 return False
-            if pp.index in anchors and anchors[pp.index] != hp:
+            anchor = first[pp.index]
+            if anchor != u and hp != host.node_parent.get(node_map[anchor]):
                 return False
-        elif pp in node_map and hp != node_map[pp]:
-            return False
         # partial link screen; the full conditions run at the leaf
         for k in range(pb.nodes[u].plus):
             lp = pb.link.get(Port(u, k))
@@ -170,31 +167,9 @@ def find_matches(pattern, host: Bigraph) -> list[Occurrence]:
                 return False
         return True
 
-    def search(i: int):
-        if i == len(order):
-            occ = verify_occurrence(pb, host, node_map,
-                                    anchor_at_roots=pattern.anchor_at_roots)
-            if occ is not None:
-                matches.append(occ)
-            return
-        u = order[i]
-        pp = pb.node_parent.get(u)
-        for w in candidates[u]:
-            if w in used or not compatible(u, w):
-                continue
-            fresh_anchor = isinstance(pp, Root) and pp.index not in anchors
-            if fresh_anchor:
-                anchors[pp.index] = host.node_parent.get(w)
-            node_map[u] = w
-            used.add(w)
-            search(i + 1)
-            del node_map[u]
-            used.discard(w)
-            if fresh_anchor:
-                del anchors[pp.index]
-
-    search(0)
-    return sorted(matches, key=lambda o: o.node_map)
+    occs = (verify_occurrence(pb, host, node_map, pattern.anchor_at_roots)
+            for node_map in node_maps(pb, host, order, candidates, fits))
+    return sorted((o for o in occs if o is not None), key=lambda o: o.node_map)
 
 
 def check_sorting(host: Bigraph, forbidden) -> SortingResult:

@@ -228,6 +228,17 @@ def permute_services(rng: random.Random, model: ComposeModel) -> ComposeModel:
                         volumes=dict(model.volumes))
 
 
+def retarget_one_link(b: Bigraph) -> Bigraph:
+    """A copy with one port moved from an outer name to an edge; an outer
+    name keeps its identity under support equivalence, so the copy is not
+    support-equivalent to ``b``."""
+    point = min((p for p, t in b.link.items()
+                 if isinstance(p, Port) and isinstance(t, OuterName)), key=str)
+    return Bigraph(b.signature, b.inner, b.outer, b.nodes, b.edges,
+                   b.site_parent, b.node_parent,
+                   {**b.link, point: Edge(min(b.edges))}, b.node_attrs)
+
+
 # -- container specs ----------------------------------------------------------
 
 def gen_container_spec(rng: random.Random) -> ContainerSpec:

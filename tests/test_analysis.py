@@ -166,6 +166,13 @@ def test_cyclic_order_rejected():
         transitive_closure(SecurityOrder.of(("a", "b"), ("b", "a")))
 
 
+def test_cyclic_order_names_the_smallest_network_above_itself():
+    order = SecurityOrder.of(("m", "k"), ("k", "m"), ("z", "c"), ("c", "z"),
+                             ("a", "b"))
+    with pytest.raises(CyclicOrder, match="network 'c' is above itself"):
+        transitive_closure(order)
+
+
 def test_closure_matches_matrix_oracle():
     rng = random.Random(52)
     for _ in range(100):

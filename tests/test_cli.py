@@ -9,12 +9,12 @@ from ldbig.cli import main
 from ldbig.report import Report
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, **env):
     return subprocess.run(
         [sys.executable, "-m", "ldbig", *args],
         capture_output=True, text=True,
         env={"PATH": "", "LDBIG_COLOR": "never",
-             "PYTHONPATH": ":".join(sys.path)},
+             "PYTHONPATH": ":".join(sys.path), **env},
         cwd=cwd)
 
 
@@ -118,6 +118,69 @@ def test_malformed_documents_are_input_errors(compose_file, tmp_path, capsys,
     assert code == 2
     assert report.status == "inputError"
     assert report.findings[0].message.endswith(message)
+
+
+ILL_FORMED_PATTERN = json.dumps([{"name": "dangling", "bigraph": {
+    "signature": {"controls": [{"name": "container", "plus": 0, "minus": 1}]},
+    "inner": [{}], "outer": [{}, {}],
+    "nodes": [{"id": 1, "control": {"name": "container", "plus": 0, "minus": 1},
+               "parent": {"node": 7}}]}}])
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--order", "back front\n",
+     'order file line 1: expected "HIGH > LOW", got \'back front\''),
+    ("--order", "back > front\nfront > back\n",
+     "network 'back' is above itself in the closure"),
+    ("--order", "nosuch > front\n",
+     "networks not present in the model: ['nosuch']"),
+    ("--order", b"back > fr\xffont\n", "'utf-8' codec can't decode byte 0xff"),
+    ("--forbidden", "{", "Expecting property name enclosed in double quotes"),
+    ("--forbidden", "[" * 100_000, "pattern file is nested too deeply"),
+    ("--forbidden", '{"name": "x"}', "pattern file must be a JSON list"),
+    ("--forbidden", ILL_FORMED_PATTERN, "patterns[0].bigraph: not well-formed: "
+     "[parent] node 1: unknown node 7; [forest] node 1: never reaches a root"),
+    ("--forbidden", json.dumps([{"name": "other", "bigraph": {
+        "signature": {"controls": [{"name": "x", "plus": 0, "minus": 0}]},
+        "inner": [{}], "outer": [{}]}}]),
+     "pattern 'other' uses a different signature"),
+])
+def test_input_errors_name_the_file_they_are_in(compose_file, tmp_path, capsys,
+                                                flag, text, message):
+    aux = tmp_path / "aux.txt"
+    aux.write_bytes(text if isinstance(text, bytes) else text.encode())
+    command = "check-security" if flag == "--order" else "check-sorts"
+    code = main([command, compose_file, "--json", flag, str(aux)])
+    report = Report.from_json(json.loads(capsys.readouterr().out))
+    assert code == 2
+    assert report.status == "inputError"
+    (finding,) = report.findings
+    assert finding.message.startswith(f"{aux}: {message}")
+    assert finding.payload == {"file": str(aux)}
+
+
+def test_deeply_nested_yaml_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.yml"
+    deep.write_text("a: " + "[" * 100_000 + "\n")
+    code = main(["validate", str(deep), "--json"])
+    report = Report.from_json(json.loads(capsys.readouterr().out))
+    assert code == 2
+    assert report.findings[0].message == \
+        f"{deep}: malformed YAML: nested too deeply"
+
+
+def test_cyclic_order_error_is_the_same_under_every_hash_seed(compose_file,
+                                                              tmp_path):
+    order = tmp_path / "cyclic.txt"
+    order.write_text("back > front\nfront > back\n")
+    outputs = set()
+    for seed in range(1, 9):
+        out = run_cli("check-security", compose_file, "--order", str(order),
+                      PYTHONHASHSEED=str(seed))
+        assert out.returncode == 2
+        outputs.add(out.stdout)
+    assert outputs == {f"error [inputError] {order}: network 'back' is above "
+                       "itself in the closure\n"}
 
 
 def test_malformed_file_is_an_input_error(tmp_path):

@@ -1,4 +1,4 @@
-"""Fuzz the CLI contract: whatever compose or pattern document it reads,
+"""Fuzz the CLI contract: whatever compose, pattern or order file it reads,
 ``ldbig.cli.main`` returns 0, 1 or 2 without raising, exits 2 exactly when
 its report is an input error, and exits 2 on every document that is broken
 by construction."""
@@ -72,6 +72,14 @@ def _check_contract(argv):
         status = json.loads(out.getvalue())["status"]
         assert (status == "inputError") == (code == 2), out.getvalue()
     return code
+
+
+def _code_on_order(text: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        order = Path(tmp) / "order.txt"
+        order.write_text(text, encoding="utf-8")
+        return _check_contract(["check-security", str(DATA / "wordpress.yml"),
+                                "--json", "--order", str(order)])
 
 
 def _compose_commands(compose: Path):
@@ -164,3 +172,38 @@ def test_mistyped_pattern_documents_exit_2(data):
 @given(st.text(max_size=40))
 def test_any_pattern_text_keeps_the_contract(text):
     _code_on_patterns(text)
+
+
+NETWORKS = st.sampled_from(["front", "back"])  # those of the wordpress stack
+pairs = st.tuples(NETWORKS, NETWORKS).map(" > ".join)
+# no '>' and no '#': a nonblank such line is never an assertion
+bare = st.text(alphabet="abfkntz -_.", min_size=1, max_size=12).filter(str.strip)
+
+
+@FUZZ
+@given(st.lists(pairs | bare | st.text(max_size=12), max_size=5))
+def test_any_order_text_keeps_the_contract(lines):
+    _code_on_order("\n".join(lines))
+
+
+@FUZZ
+@given(st.data())
+def test_broken_order_files_exit_2(data):
+    lines = data.draw(st.lists(st.sampled_from(["back > front", "# a comment",
+                                                ""]), max_size=3))
+    how = data.draw(st.sampled_from(["line", "unknown", "cycle"]))
+    if how == "line":
+        # no '>', an empty side, or a chain of three
+        broken = data.draw(bare | st.sampled_from(
+            ["back >", "> front", "back > front > back"]))
+    elif how == "unknown":
+        # a network the stack does not declare
+        name = data.draw(bare.map(str.strip).filter(
+            lambda n: n not in ("front", "back") and " " not in n))
+        broken = data.draw(st.sampled_from([f"{name} > front", f"back > {name}"]))
+    else:
+        # a network above itself, directly or through another
+        a, b = data.draw(NETWORKS), data.draw(NETWORKS)
+        broken = f"{a} > {b}\n{b} > {a}"
+    at = data.draw(st.integers(0, len(lines)))
+    assert _code_on_order("\n".join(lines[:at] + [broken] + lines[at:])) == 2

@@ -2,9 +2,9 @@ import random
 
 from ldbig import (
     BigraphBuilder, Control, LocalInterface, OuterName, Port, Root, Signature,
-    is_isomorphic, relabel,
+    assemble, is_isomorphic, relabel,
 )
-from genrandom import gen_chain, gen_signature
+from genrandom import gen_chain, gen_model, gen_signature, retarget_one_link
 from oracles import iso_bruteforce
 
 SIG = Signature(fixed=(Control("A", 1, 1), Control("B", 0, 1)))
@@ -75,3 +75,12 @@ def test_agrees_with_bruteforce_on_random_corpus():
         cases += 1
         positives += fast
     assert positives >= 40  # the corpus must exercise both outcomes
+
+
+def test_large_composite_against_relabelled_and_retargeted_copies():
+    b = assemble(gen_model(random.Random(3), n_services=300))
+    assert len(b.nodes) == 1090
+    copy = relabel(b, {v: 5000 - v for v in b.nodes},
+                   {e: 5000 - e for e in b.edges})
+    assert is_isomorphic(b, copy)
+    assert not is_isomorphic(b, retarget_one_link(copy))
