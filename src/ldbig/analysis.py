@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .bigraph import Bigraph, Port
@@ -38,10 +41,18 @@ class FlowGraph:
     nodes: frozenset[FlowNode]
     arcs: frozenset[tuple[FlowNode, FlowNode]]
 
-    def successors(self, node: FlowNode) -> list[FlowNode]:
-        # deterministic expansion: containers first, then by name
-        out = [dst for src, dst in self.arcs if src == node]
-        return sorted(out, key=lambda n: (n.kind != "container", n.kind, n.name))
+    @cached_property
+    def _adjacency(self) -> dict[FlowNode, tuple[FlowNode, ...]]:
+        out: dict[FlowNode, list[FlowNode]] = {}
+        for src, dst in self.arcs:
+            out.setdefault(src, []).append(dst)
+        # deterministic expansion: containers first, then by kind and name
+        return {src: tuple(sorted(dsts, key=lambda n: (
+                    n.kind != "container", n.kind, n.name)))
+                for src, dsts in out.items()}
+
+    def successors(self, node: FlowNode) -> tuple[FlowNode, ...]:
+        return self._adjacency.get(node, ())
 
     def network(self, name: str) -> FlowNode | None:
         node = FlowNode("network", name)
@@ -174,52 +185,69 @@ def build_flow_graph(b: Bigraph) -> FlowGraph:
 
 
 def transitive_closure(order: SecurityOrder) -> SecurityOrder:
-    """Close the assertions under transitivity; a reflexive pair is an error
-    naming the smallest network above itself."""
-    closed = set(order.pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closed):
-            for c, d in list(closed):
-                if b == c and (a, d) not in closed:
-                    closed.add((a, d))
-                    changed = True
+    """Close the assertions under transitivity, one depth-first search per
+    network; a reflexive pair is an error naming the smallest network above
+    itself."""
+    below: dict[str, set[str]] = {}
+    for high, low in order.pairs:
+        below.setdefault(high, set()).add(low)
+    closed = set()
+    for high, lows in below.items():
+        seen: set[str] = set()
+        stack = list(lows)
+        while stack:
+            low = stack.pop()
+            if low not in seen:
+                seen.add(low)
+                stack.extend(below.get(low, ()))
+        closed.update((high, low) for low in seen)
     cyclic = sorted(n for n, m in closed if n == m)
     if cyclic:
         raise CyclicOrder(f"network {cyclic[0]!r} is above itself in the closure")
     return SecurityOrder(frozenset(closed))
 
 
-def _bfs_path(flow: FlowGraph, start: FlowNode, goal: FlowNode):
+def _bfs_parents(flow: FlowGraph, start: FlowNode, goals: set[FlowNode]) -> dict:
+    """Breadth-first parents of the nodes found from ``start`` (which maps
+    to None), searching until every goal is found or none is left to find.
+    A node's parent is fixed when it is first found, so the tree path to a
+    goal is the path a search stopping at that goal would give."""
     parent = {start: None}
+    unfound = set(goals)
     queue = deque([start])
-    while queue:
+    while queue and unfound:
         node = queue.popleft()
-        if node == goal:
-            path = []
-            while node is not None:
-                path.append(node)
-                node = parent[node]
-            return tuple(reversed(path))
         for nxt in flow.successors(node):
             if nxt not in parent:
                 parent[nxt] = node
+                unfound.discard(nxt)
                 queue.append(nxt)
-    return None
+    return parent
 
 
 def find_leaks(flow: FlowGraph, order: SecurityOrder) -> list[Violation]:
-    """Order-violating directed paths between network nodes of a flow graph."""
+    """Order-violating directed paths between network nodes of a flow graph:
+    one search from each high network serves all the networks below it, and
+    each witness is a shortest path."""
     closed = transitive_closure(order)
     missing = sorted(n for n in closed.networks() if flow.network(n) is None)
     if missing:
         raise UnknownNetwork(f"networks not present in the model: {missing}")
     violations = []
-    for high, low in sorted(closed.pairs):
-        path = _bfs_path(flow, FlowNode("network", high), FlowNode("network", low))
-        if path is not None:
-            violations.append(Violation("securityLeak", (high, low), path))
+    for high, pairs in groupby(sorted(closed.pairs), key=itemgetter(0)):
+        lows = [low for _, low in pairs]
+        parent = _bfs_parents(flow, FlowNode("network", high),
+                              {FlowNode("network", low) for low in lows})
+        for low in lows:
+            node = FlowNode("network", low)
+            if node not in parent:
+                continue
+            path = []
+            while node is not None:
+                path.append(node)
+                node = parent[node]
+            violations.append(
+                Violation("securityLeak", (high, low), tuple(reversed(path))))
     return violations
 
 

@@ -131,7 +131,7 @@ def _cmd_export(args) -> Report:
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        print(text, end="")  # a no-op when stdout is closed (None)
     return ok()
 
 
@@ -180,22 +180,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> Report:
     try:
-        report = args.func(args)
+        return args.func(args)
     except ComposeSyntaxError as exc:
         where = f"{args.file}:{exc.line}" if exc.line else args.file
-        report = input_error(f"{where}: {exc}", file=args.file, line=exc.line)
+        return input_error(f"{where}: {exc}", file=args.file, line=exc.line)
     except _InputFileError as exc:
-        report = input_error(str(exc), file=exc.file)
-    except (LdbError, ValueError, KeyError) as exc:
-        report = input_error(f"{args.file}: {exc}", file=args.file)
+        return input_error(str(exc), file=exc.file)
+    except (LdbError, ValueError) as exc:
+        return input_error(f"{args.file}: {exc}", file=args.file)
+    except BrokenPipeError:
+        raise  # the reader of stdout left; main handles it
     except OSError as exc:
-        report = input_error(str(exc))
-    if args.command == "export" and report.status == "ok":
-        return 0  # the exported document is the output
-    _print_report(report, getattr(args, "json", False))
+        return input_error(str(exc))
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    report = ok()  # stands for an export whose reader left mid-document
+    try:
+        report = _run(args)
+        if args.command != "export" or report.status != "ok":
+            # an exported document is the output
+            _print_report(report, getattr(args, "json", False))
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): send the rest, and the
+        # flush at exit, to devnull rather than end in a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
 
 

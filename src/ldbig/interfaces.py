@@ -93,12 +93,17 @@ def _tag_base(text: str) -> str:
     return _TAG_SUFFIX.sub("", text) or text
 
 
-def _fresh_variant(text: str, taken: set[str]) -> str:
-    """Smallest ``base~k`` not in ``taken``, continuing an existing tag tower."""
+def _fresh_variant(text: str, taken: set[str], next_free: dict[str, int]) -> str:
+    """Smallest ``base~k`` not in ``taken``, continuing an existing tag tower.
+
+    ``next_free`` maps a base to a k below which every slot is taken; it
+    stays valid while ``taken`` only grows, and the caller must take the
+    result."""
     base = _tag_base(text)
-    k = 1
+    k = next_free.get(base, 1)
     while f"{base}~{k}" in taken:
         k += 1
+    next_free[base] = k + 1
     return f"{base}~{k}"
 
 
@@ -121,6 +126,7 @@ def juxtapose_with_renames(*interfaces: LocalInterface):
     plus: set[str] = set()
     minus: set[str] = set()
     taken: set[str] = set()
+    next_free: dict[str, int] = {}
     localized = []
     renames: list[tuple[dict[str, str], dict[str, str]]] = []
     for y in interfaces:
@@ -130,7 +136,7 @@ def juxtapose_with_renames(*interfaces: LocalInterface):
         for _, _, text, side in sorted(incoming):
             final = text
             if text in taken:
-                final = _fresh_variant(text, taken)
+                final = _fresh_variant(text, taken, next_free)
                 moved[side][text] = final
             taken.add(final)
             (minus if side else plus).add(final)

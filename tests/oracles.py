@@ -3,8 +3,9 @@
 Each oracle re-implements its condition from scratch: isomorphism by
 enumerating control-respecting bijections, matching by enumerating injective
 node maps, transitive closure by boolean matrix powers, reachability by a
-dense closure, the tensor product by a pairwise fold that copies and
-relabels at every step.  Keep them dumb.
+dense closure, leak witnesses by one breadth-first search per ordered pair
+that rescans every arc at each step, the tensor product by a pairwise fold
+that copies and relabels at every step.  Keep them dumb.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import numpy as np
 
 from ldbig import Bigraph, Edge, InnerName, OuterName, Port, Root, relabel
+from ldbig.analysis import FlowNode, Violation
 from ldbig.interfaces import juxtapose_with_renames
 
 
@@ -175,6 +177,38 @@ def reachable_pairs(flow) -> set:
         reach = reach | (reach @ m)
     return {(nodes[i], nodes[j]) for i in range(n) for j in range(n)
             if reach[i, j]}
+
+
+def _bfs_path(flow, start, goal):
+    parent = {start: None}
+    queue = [start]
+    while queue:
+        node = queue.pop(0)
+        if node == goal:
+            path = []
+            while node is not None:
+                path.append(node)
+                node = parent[node]
+            return tuple(reversed(path))
+        # containers first, then by kind and name
+        for nxt in sorted((dst for src, dst in flow.arcs if src == node),
+                          key=lambda n: (n.kind != "container", n.kind, n.name)):
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    return None
+
+
+def leaks_pairwise(flow, order) -> list:
+    """One shortest-path search per ordered pair of the closed order, in
+    pair order; the order must be acyclic."""
+    names = sorted(order.networks())
+    leaks = []
+    for high, low in sorted(closure_matrix(set(order.pairs), names)):
+        path = _bfs_path(flow, FlowNode("network", high), FlowNode("network", low))
+        if path is not None:
+            leaks.append(Violation("securityLeak", (high, low), path))
+    return leaks
 
 
 def nearest_container(b: Bigraph, node: int, containers) -> int | None:

@@ -6,12 +6,13 @@ from ldbig import (
     EMPTY_INTERFACE, SecurityOrder, assemble, build_flow_graph, check_links,
     check_security, find_leaks, identity, parse_order_file, transitive_closure,
 )
-from ldbig.analysis import FlowNode, _owners
+from ldbig.analysis import FlowGraph, FlowNode, _owners
 from ldbig.composefile import ComposeModel, ServiceSpec
 from ldbig.errors import CyclicOrder, NotAComposite, UnknownNetwork
 from genrandom import gen_chain, gen_dag_order, gen_flow_graph, gen_model
 from oracles import (
-    closure_matrix, nearest_container, reachable_pairs, unreachable_links,
+    closure_matrix, leaks_pairwise, nearest_container, reachable_pairs,
+    unreachable_links,
 )
 
 
@@ -186,6 +187,26 @@ def test_closure_matches_matrix_oracle():
         assert ours == closure_matrix(pairs, names)
 
 
+def test_cyclic_orders_name_the_same_network_as_the_matrix_closure():
+    rng = random.Random(57)
+    cyclic = 0
+    for _ in range(300):
+        names = [f"n{i}" for i in range(rng.randint(2, 7))]
+        pairs = {(a, b) for a in names for b in names if rng.random() < 0.2}
+        closed = closure_matrix(pairs, names)
+        above_itself = sorted(a for a, b in closed if a == b)
+        order = SecurityOrder(frozenset(pairs))
+        if not above_itself:
+            assert transitive_closure(order).pairs == closed
+            continue
+        cyclic += 1
+        message = f"network {above_itself[0]!r} is above itself in the closure"
+        with pytest.raises(CyclicOrder) as caught:
+            transitive_closure(order)
+        assert str(caught.value) == message
+    assert cyclic > 100
+
+
 # -- security -----------------------------------------------------------------
 
 def test_wordpress_leak_with_back_above_front(wordpress_composite):
@@ -246,6 +267,49 @@ def test_leaks_match_reachability_oracle():
         expected = {(h, l) for h, l in closed.pairs
                     if (FlowNode("network", h), FlowNode("network", l)) in reach}
         assert leaks == expected
+
+
+def test_leaks_equal_the_pairwise_search():
+    # subjects, witness paths and list order, on ties between equal-length
+    # paths too
+    rng = random.Random(58)
+    leaks = 0
+    for i in range(240):
+        flow = gen_flow_graph(rng, max_nodes=12 if i % 2 else 24)
+        order = gen_dag_order(rng, flow)
+        found = find_leaks(flow, order)
+        assert found == leaks_pairwise(flow, order)
+        leaks += len(found)
+    assert leaks > 150
+
+
+def test_leak_search_expands_each_node_once_per_high_network(monkeypatch):
+    """On a chain order of k networks, successor lists are read at most
+    (distinct highs) x (flow nodes) times; one search per ordered pair reads
+    them about k/2 times as often."""
+    calls = [0]
+    original = FlowGraph.successors
+
+    def counting(self, node):
+        calls[0] += 1
+        return original(self, node)
+
+    monkeypatch.setattr(FlowGraph, "successors", counting)
+    k = 12
+    nets = [FlowNode("network", f"n{i:02}") for i in range(k)]
+    containers = [FlowNode("container", f"c{i}") for i in range(30)]
+    volumes = [FlowNode("volume", f"v{i}") for i in range(10)]
+    # every network feeds every container, which write only to volumes and
+    # to n01, so every search exhausts the pool and n00 > n01 is the one leak
+    arcs = {(net, c) for net in nets for c in containers}
+    arcs |= {(c, v) for c in containers for v in volumes}
+    arcs.add((containers[0], nets[1]))
+    flow = FlowGraph(frozenset(nets + containers + volumes), frozenset(arcs))
+    order = SecurityOrder(frozenset(
+        (nets[i].name, nets[i + 1].name) for i in range(k - 1)))
+    (leak,) = find_leaks(flow, order)
+    assert leak.path == (nets[0], containers[0], nets[1])
+    assert 0 < calls[0] <= (k - 1) * len(flow.nodes), calls
 
 
 def test_witness_paths_are_real_paths():

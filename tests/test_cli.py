@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from ldbig import assemble, is_isomorphic, loads, parse_compose
+from ldbig import cli
 from ldbig.cli import main
 from ldbig.report import Report
 
@@ -218,6 +220,40 @@ def test_bad_order_line_is_an_input_error(compose_file, tmp_path):
     order.write_text("back front\n")
     out = run_cli("check-security", compose_file, "--order", str(order))
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("reader_gone", [True, False])
+@pytest.mark.parametrize("command, code", [
+    (["check-security", "{file}", "--order", "{order}", "--json"], 1),
+    (["export", "{file}", "--format", "json"], 0),
+])
+def test_a_closed_stdout_ends_without_a_traceback(compose_file, data_dir,
+                                                  command, code, reader_gone):
+    # a pipe whose reader has left before anything is written, as
+    # `| head -c 1` may leave it, or no stdout at all (`>&-`)
+    read, write = os.pipe()
+    os.close(read)
+    argv = [a.format(file=compose_file, order=data_dir / "order.txt")
+            for a in command]
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "ldbig", *argv], stdout=write,
+            stderr=subprocess.PIPE, text=True,
+            preexec_fn=None if reader_gone else lambda: os.close(1),
+            env={"PATH": "", "PYTHONPATH": ":".join(sys.path)})
+    finally:
+        os.close(write)
+    assert out.stderr == ""
+    assert out.returncode == code
+
+
+def test_a_programming_error_is_not_an_input_error(compose_file, monkeypatch):
+    def planted(composite):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(cli, "check_links", planted)
+    with pytest.raises(KeyError, match="planted"):
+        main(["check-links", compose_file])
 
 
 def test_json_report_round_trips(compose_file, data_dir):

@@ -131,3 +131,26 @@ def test_assembly_checks_a_linear_number_of_names(monkeypatch):
         counts.append(calls[0])
     assert counts[0] > 0
     assert counts[1] / counts[0] <= 2.2, counts
+
+
+def test_shared_global_names_are_tagged_in_linear_probes(monkeypatch):
+    """Doubling the operands that share one global name at most ~doubles
+    the name-set lookups; searching each tag tower from ~1 quadruples
+    them."""
+    probes = [0]
+
+    class CountingSet(set):
+        def __contains__(self, item):
+            probes[0] += 1
+            return super().__contains__(item)
+
+    monkeypatch.setattr(interfaces, "set", CountingSet, raising=False)
+    X = LocalInterface.of(({"g"}, set()))
+    counts = []
+    for n in (200, 400):
+        probes[0] = 0
+        out = tensor(*[identity(X)] * n, tag_globals=True)
+        counts.append(probes[0])
+    assert out.outer.plus(0) == {"g", *(f"g~{k}" for k in range(1, 400))}
+    assert counts[0] > 0
+    assert counts[1] / counts[0] <= 2.2, counts
