@@ -9,7 +9,7 @@ from collections import Counter
 
 from .bigraph import (
     Bigraph, Edge, InnerName, OuterName, Port, Root, Signature,
-    EMPTY_SIGNATURE,
+    EMPTY_SIGNATURE, place_order,
 )
 from .errors import GlobalNameClash, InterfaceMismatch, LdbError
 from .interfaces import LocalInterface, juxtapose_with_renames
@@ -214,24 +214,7 @@ def tensor(*bigraphs: Bigraph, tag_globals: bool = True) -> Bigraph:
 
 # -- support equivalence ----------------------------------------------------
 
-def place_order(b: Bigraph) -> list[int]:
-    """Nodes in parent-before-child order (stragglers on cycles last)."""
-    out, seen = [], set()
-    frontier = [v for v, p in sorted(b.node_parent.items())
-                if isinstance(p, Root)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-                nxt.extend(b.children(v))
-        frontier = nxt
-    out.extend(sorted(set(b.nodes) - seen))
-    return out
-
-
-def node_maps(b: Bigraph, image: Bigraph, order: list[int],
+def node_maps(b: Bigraph, image: Bigraph, order: tuple[int, ...],
               candidates: dict, fits=None):
     """Yield each injective map ``phi`` of ``order`` (nodes of ``b``,
     parents first) into their ``candidates`` (nodes of ``image``) in which

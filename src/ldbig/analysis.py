@@ -15,7 +15,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
-from .bigraph import Bigraph, Port
+from .bigraph import Bigraph, Port, Root, place_order
 from .containers import CONTAINER, NETWORK, VOLUME
 from .errors import CyclicOrder, NotAComposite, UnknownNetwork
 
@@ -105,27 +105,17 @@ def _containers(b: Bigraph) -> dict[int, str]:
 
 
 def _owners(b: Bigraph, containers) -> dict[int, int | None]:
-    """Nearest container strictly above each placed node, if any; one walk
-    up the parent map per chain of unresolved nodes."""
+    """Nearest container strictly above each node under a root, in one pass
+    over the place order, parents first."""
     owner: dict[int, int | None] = {}
-    for v in b.node_parent:
-        chain, on_chain = [], set()
-        cur = v
-        while cur not in owner:
-            chain.append(cur)
-            on_chain.add(cur)
-            parent = b.node_parent.get(cur)
-            if isinstance(parent, int) and parent in containers:
-                found = parent
-                break
-            if not isinstance(parent, int) or parent in on_chain:
-                found = None  # a root, no parent, or a cycle of non-containers
-                break
-            cur = parent
-        else:
-            found = owner[cur]
-        for u in chain:
-            owner[u] = found
+    for v in place_order(b):
+        # a node is under a root when its parent is a root or a node
+        # already found under one
+        parent = b.node_parent.get(v)
+        if isinstance(parent, Root):
+            owner[v] = None
+        elif parent in owner:
+            owner[v] = parent if parent in containers else owner[parent]
     return owner
 
 

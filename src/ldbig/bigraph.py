@@ -170,8 +170,8 @@ class Bigraph:
 
     __slots__ = (
         "signature", "inner", "outer", "nodes", "edges",
-        "site_parent", "node_parent", "link", "node_attrs", "_region_cache",
-        "_child_cache",
+        "site_parent", "node_parent", "link", "node_attrs", "_child_cache",
+        "_place_cache",
     )
 
     def __init__(self, signature: Signature, inner: LocalInterface,
@@ -188,8 +188,8 @@ class Bigraph:
         self.node_parent = dict(node_parent)
         self.link = dict(link)
         self.node_attrs = {v: dict(a) for v, a in (node_attrs or {}).items() if a}
-        self._region_cache = None
         self._child_cache = None
+        self._place_cache = None
 
     def __eq__(self, other):
         if not isinstance(other, Bigraph):
@@ -228,47 +228,37 @@ class Bigraph:
                                  _invert(self.site_parent))
         return self._child_cache
 
-    def _regions(self) -> dict[int, int | None]:
-        """Root index reached from each node by iterating the parent map.
+    def _places(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        """The one walk of the place forest: breadth-first from the roots
+        over the child index, giving the nodes parent-first and the root
+        index each reached node lies under.
 
-        ``None`` marks nodes on a parent cycle or with a dangling parent;
-        those are reported by validate and skipped by locality checks.
+        Nodes on a parent cycle or under a dangling parent are never
+        reached: they follow in id order and have no root.
         """
-        if self._region_cache is None:
-            cache: dict[int, int | None] = {}
-
-            def resolve(v: int) -> int | None:
-                seen = []
-                cur: Place = v
-                while isinstance(cur, int):
-                    if cur in cache:
-                        root = cache[cur]
-                        break
-                    if cur in seen or cur not in self.node_parent:
-                        root = None
-                        break
-                    seen.append(cur)
-                    cur = self.node_parent[cur]
-                else:
-                    root = cur.index
-                for u in seen:
-                    cache[u] = root
-                return root
-
-            for v in self.nodes:
-                resolve(v)
-            self._region_cache = cache
-        return self._region_cache
+        if self._place_cache is None:
+            nodes, under = self.nodes, self._children()[0]
+            order = [v for v in sorted(nodes)
+                     if isinstance(self.node_parent.get(v), Root)]
+            root_of = {v: self.node_parent[v].index for v in order}
+            for v in order:  # a queue: the walk appends as it goes
+                for u in under.get(v, ()):
+                    if u in nodes:
+                        order.append(u)
+                        root_of[u] = root_of[v]
+            order.extend(sorted(nodes.keys() - root_of.keys()))
+            self._place_cache = (tuple(order), root_of)
+        return self._place_cache
 
     def node_region(self, node: int) -> int | None:
-        return self._regions().get(node)
+        return self._places()[1].get(node)
 
     def site_region(self, site: int) -> int | None:
         parent = self.site_parent.get(site)
         if isinstance(parent, Root):
             return parent.index
         if isinstance(parent, int):
-            return self._regions().get(parent)
+            return self.node_region(parent)
         return None
 
     def region_of(self, x: Point | Link) -> int | None:
@@ -309,6 +299,11 @@ class Bigraph:
             return (0 <= x.locality <= self.outer.width
                     and x.text in self.outer.plus(x.locality))
         return False
+
+
+def place_order(b: Bigraph) -> tuple[int, ...]:
+    """Nodes in parent-before-child order; those not under a root last."""
+    return b._places()[0]
 
 
 def _invert(parent: dict) -> dict:

@@ -54,12 +54,7 @@ class ServiceSpec:
 
     def container_ports(self) -> tuple[str, ...]:
         """Exposed plus published container ports, deduplicated in order."""
-        seen, out = set(), []
-        for p in list(self.expose) + [c for _, c in self.ports]:
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        return tuple(out)
+        return tuple(dict.fromkeys((*self.expose, *(c for _, c in self.ports))))
 
 
 @dataclass(frozen=True)
@@ -102,6 +97,21 @@ def _section(doc: dict, key: str) -> dict:
     if not isinstance(body, dict):
         raise ComposeSyntaxError(f"{key}: expected a mapping")
     return body
+
+
+def _declarations(doc: dict, key: str, allowed: str):
+    """(name, body) per entry of the ``networks`` or ``volumes`` section; a
+    null body is empty, and ``allowed`` is the one key a body may hold."""
+    for name, body in _section(doc, key).items():
+        name = _require_str(name, key)
+        if body is None:
+            body = {}
+        elif not isinstance(body, dict):
+            raise ComposeSyntaxError(f"{key}.{name}: expected a mapping")
+        for k in body:
+            if k != allowed:
+                raise UnsupportedKey(f"{key}.{name}.{k}")
+        yield name, body
 
 
 def _require_list(value, path) -> list:
@@ -169,12 +179,8 @@ def _interface_names(name: str, svc: ServiceSpec):
     A volume mounted at several paths is one name (its nodes fan in), so
     volume names are deduplicated here.
     """
-    vol_names = []
-    for v in svc.volumes:
-        if v.name not in vol_names:
-            vol_names.append(v.name)
-    plus = list(svc.networks) + vol_names \
-        + [_alias_name(a) for _, a in svc.links]
+    plus = [*svc.networks, *dict.fromkeys(v.name for v in svc.volumes),
+            *(_alias_name(a) for _, a in svc.links)]
     minus = [_port_name(c) for c in svc.container_ports()] + [name]
     return plus, minus
 
@@ -224,30 +230,10 @@ def parse_compose(text: str) -> ComposeModel:
         raise UnsupportedKey("version", f"unsupported version {version!r} "
                              "(this tool reads the version 2 subset)")
 
-    networks: dict[str, NetworkDecl] = {}
-    for name, body in _section(doc, "networks").items():
-        name = _require_str(name, "networks")
-        if body is None:
-            networks[name] = NetworkDecl()
-            continue
-        if not isinstance(body, dict):
-            raise ComposeSyntaxError(f"networks.{name}: expected a mapping")
-        for key in body:
-            if key != "driver":
-                raise UnsupportedKey(f"networks.{name}.{key}")
-        networks[name] = NetworkDecl(driver=body.get("driver"))
-
+    networks = {name: NetworkDecl(driver=body.get("driver"))
+                for name, body in _declarations(doc, "networks", "driver")}
     volumes: dict[str, VolumeDecl] = {}
-    for name, body in _section(doc, "volumes").items():
-        name = _require_str(name, "volumes")
-        if body is None:
-            volumes[name] = VolumeDecl()
-            continue
-        if not isinstance(body, dict):
-            raise ComposeSyntaxError(f"volumes.{name}: expected a mapping")
-        for key in body:
-            if key != "external":
-                raise UnsupportedKey(f"volumes.{name}.{key}")
+    for name, body in _declarations(doc, "volumes", "external"):
         external = body.get("external", False)
         if not isinstance(external, bool):
             raise ComposeSyntaxError(f"volumes.{name}.external: expected a boolean")
@@ -279,10 +265,9 @@ def parse_compose(text: str) -> ComposeModel:
         else:
             nets = (DEFAULT_NETWORK,)
             wants_default = True
-        seen = set()
-        nets = tuple(n for n in nets if not (n in seen or seen.add(n)))
-        services[name] = ServiceSpec(image=image, links=links, ports=ports,
-                                     expose=expose, networks=nets, volumes=vols)
+        services[name] = ServiceSpec(
+            image=image, links=links, ports=ports, expose=expose,
+            networks=tuple(dict.fromkeys(nets)), volumes=vols)
 
     if wants_default and DEFAULT_NETWORK not in networks:
         networks[DEFAULT_NETWORK] = NetworkDecl(implicit=True)
@@ -335,14 +320,22 @@ def environment_bigraph(model: ComposeModel) -> Bigraph:
     order = list(model.services)
     site_of = {name: i + 1 for i, name in enumerate(order)}
 
+    # one pass over the services: interface names and each resource's users
     localities = [(frozenset(), frozenset())]
+    net_users: dict[str, list[str]] = {}
+    vol_users: dict[str, list[str]] = {}
     for name in order:
-        plus, minus = _interface_names(name, model.services[name])
+        svc = model.services[name]
+        plus, minus = _interface_names(name, svc)
         localities.append((frozenset(plus), frozenset(minus)))
+        for net in svc.networks:
+            net_users.setdefault(net, []).append(name)
+        for vol in dict.fromkeys(v.name for v in svc.volumes):
+            vol_users.setdefault(vol, []).append(name)
     inner = LocalInterface(tuple(localities))
 
     outer_plus = {v for v, decl in model.volumes.items() if decl.external}
-    outer_minus = {f"p_{host}" for svc in model.services.values()
+    outer_minus = {_port_name(host) for svc in model.services.values()
                    for host, _ in svc.ports}
     outer = LocalInterface.of((frozenset(), frozenset()),
                               (outer_plus, outer_minus))
@@ -353,7 +346,7 @@ def environment_bigraph(model: ComposeModel) -> Bigraph:
 
     # one edge per network in use joins the attached services' network names
     for net in model.networks:
-        users = [n for n in order if net in model.services[n].networks]
+        users = net_users.get(net)
         if not users:
             continue
         e = b.edge()
@@ -362,8 +355,7 @@ def environment_bigraph(model: ComposeModel) -> Bigraph:
 
     # volumes: external ones surface on the outer interface, others close
     for vol, decl in model.volumes.items():
-        users = [n for n in order
-                 if any(v.name == vol for v in model.services[n].volumes)]
+        users = vol_users.get(vol, [])
         if decl.external:
             for n in users:
                 b.connect(InnerName(site_of[n], vol), OuterName(1, vol))
@@ -381,7 +373,7 @@ def environment_bigraph(model: ComposeModel) -> Bigraph:
     # published ports: the outer host-port name reaches the container port
     for name in order:
         for host, container in model.services[name].ports:
-            b.connect(OuterName(1, f"p_{host}"),
+            b.connect(OuterName(1, _port_name(host)),
                       InnerName(site_of[name], _port_name(container)))
 
     return b.build()

@@ -3,9 +3,10 @@
 Each oracle re-implements its condition from scratch: isomorphism by
 enumerating control-respecting bijections, matching by enumerating injective
 node maps, transitive closure by boolean matrix powers, reachability by a
-dense closure, leak witnesses by one breadth-first search per ordered pair
-that rescans every arc at each step, the tensor product by a pairwise fold
-that copies and relabels at every step.  Keep them dumb.
+dense closure, a node's root by walking up its parents, leak witnesses by
+one breadth-first search per ordered pair that rescans every arc at each
+step, the tensor product by a pairwise fold that copies and relabels at
+every step.  Keep them dumb.
 """
 
 from __future__ import annotations
@@ -209,6 +210,20 @@ def leaks_pairwise(flow, order) -> list:
         if path is not None:
             leaks.append(Violation("securityLeak", (high, low), path))
     return leaks
+
+
+def node_root(b: Bigraph, node: int) -> int | None:
+    """Walk up the parent map from ``node`` to the index of the root it
+    reaches; None when some parent is not a node or the walk comes round."""
+    seen = set()
+    cur = node
+    while cur in b.nodes and cur not in seen:
+        seen.add(cur)
+        parent = b.node_parent.get(cur)
+        if isinstance(parent, Root):
+            return parent.index
+        cur = parent
+    return None
 
 
 def nearest_container(b: Bigraph, node: int, containers) -> int | None:

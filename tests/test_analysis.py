@@ -3,7 +3,8 @@ import random
 import pytest
 
 from ldbig import (
-    EMPTY_INTERFACE, SecurityOrder, assemble, build_flow_graph, check_links,
+    EMPTY_INTERFACE, Bigraph, Control, LocalInterface, Root, SecurityOrder,
+    Signature, assemble, build_flow_graph, check_links,
     check_security, find_leaks, identity, parse_order_file, transitive_closure,
 )
 from ldbig.analysis import FlowGraph, FlowNode, _owners
@@ -141,6 +142,19 @@ def test_owner_map_matches_a_walk_up_the_parents():
         for v in b.node_parent:
             assert owners.get(v) == nearest_container(b, v, containers)
 
+
+
+def test_a_parent_cycle_holding_a_container_owns_nothing():
+    # 1 (a container) and 2 sit on a parent cycle with 3 below them, so
+    # none of them is under a root; 5 is under the rooted container 4
+    k = Control("K", 0, 0)
+    b = Bigraph(Signature(fixed=(k,)), EMPTY_INTERFACE,
+                LocalInterface.of((set(), set()), (set(), set())),
+                nodes=dict.fromkeys(range(1, 6), k), edges=set(),
+                site_parent={}, node_parent={1: 2, 2: 1, 3: 1, 4: Root(1), 5: 4},
+                link={})
+    owners = _owners(b, {1, 4})
+    assert [owners.get(v) for v in range(1, 6)] == [None, None, None, None, 4]
 
 def test_flow_graphs_are_bipartite():
     rng = random.Random(51)

@@ -4,7 +4,9 @@ from ldbig import (
     Bigraph, BigraphBuilder, Control, Edge, InnerName, LocalInterface,
     OuterName, Port, Root, Signature, identity, validate,
 )
+from ldbig.bigraph import place_order
 from genrandom import gen_chain
+from oracles import node_root
 
 
 SIG = Signature(fixed=(Control("A", 1, 1), Control("B", 2, 0)))
@@ -141,3 +143,55 @@ def test_child_index_matches_a_scan_of_the_parent_maps():
             assert b.sites_under(place) == tuple(sorted(
                 s for s, p in b.site_parent.items() if p == place))
             assert b.children(place) is kids  # built once, then shared
+
+
+def with_broken_forest(rng, b):
+    """``b`` with a parent cycle, a dangling parent and a parent entry for an
+    id that is not a node, each planted at random."""
+    parent = dict(b.node_parent)
+    nodes = sorted(b.nodes)
+    places = [Root(r) for r in range(1, b.outer.width + 1)] + nodes
+    stranger = max(nodes, default=0) + 100  # no node of b
+    if nodes and rng.random() < 0.5:
+        ring = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
+        for u, w in zip(ring, ring[1:] + ring[:1]):
+            parent[u] = w
+    if nodes and rng.random() < 0.5:
+        v = rng.choice(nodes)
+        if rng.random() < 0.5:
+            parent[v] = stranger
+        else:
+            del parent[v]
+    if places and rng.random() < 0.5:
+        parent[stranger + 1] = rng.choice(places)
+        if nodes and rng.random() < 0.5:
+            parent[rng.choice(nodes)] = stranger + 1
+    return Bigraph(b.signature, b.inner, b.outer, b.nodes, b.edges,
+                   b.site_parent, parent, b.link)
+
+
+def test_regions_and_place_order_match_a_walk_up_the_parents():
+    rng = random.Random(55)
+    rootless = 0
+    for _ in range(300):
+        b = with_broken_forest(rng, gen_chain(rng, length=1, max_nodes=8)[0])
+        roots = {v: node_root(b, v) for v in b.nodes}
+        rootless += sum(r is None for r in roots.values())
+        for v in b.nodes:
+            assert b.node_region(v) == roots[v]
+        for s, p in b.site_parent.items():
+            want = p.index if isinstance(p, Root) else node_root(b, p)
+            assert b.site_region(s) == want
+
+        order = place_order(b)
+        assert sorted(order) == sorted(b.nodes)  # every node, once
+        pos = {v: i for i, v in enumerate(order)}
+        # the nodes under a root come first, each after its parent
+        unrooted = [roots[v] is None for v in order]
+        assert unrooted == sorted(unrooted)
+        for v in order:
+            p = b.node_parent.get(v)
+            if roots[v] is not None and not isinstance(p, Root):
+                assert pos[p] < pos[v]
+        assert place_order(b) is order  # walked once, then shared
+    assert rootless > 100

@@ -6,7 +6,9 @@ from ldbig import (
     InnerName, OuterName, Port, assemble, census, container_stub, compose,
     environment_bigraph, is_isomorphic, parse_compose, tensor, validate,
 )
-from ldbig.composefile import ComposeModel
+from ldbig.composefile import (
+    ComposeModel, NetworkDecl, ServiceSpec, ServiceVolume, VolumeDecl,
+)
 from ldbig.errors import (
     ComposeSyntaxError, DanglingReference, UnsupportedKey,
 )
@@ -180,6 +182,35 @@ def test_environment_single_service():
     assert len(env.edges) == 1  # the implicit default network
     assert isinstance(env.link[InnerName(1, "default")], Edge)
     assert validate(env) == []
+
+
+
+def test_environment_looks_each_service_up_a_bounded_number_of_times():
+    """Doubling the services, each with its own network and volume, at most
+    ~doubles the lookups in ``model.services``; rescanning every service
+    per network and per volume quadruples them."""
+    lookups = [0]
+
+    class CountingDict(dict):
+        def __getitem__(self, key):
+            lookups[0] += 1
+            return super().__getitem__(key)
+
+    counts = []
+    for n in (200, 400):
+        services = CountingDict(
+            (f"s{i}", ServiceSpec(image="busybox", networks=(f"n{i}",),
+                                  volumes=(ServiceVolume(f"v{i}", "/data"),)))
+            for i in range(n))
+        model = ComposeModel(version="2", services=services,
+                             networks={f"n{i}": NetworkDecl() for i in range(n)},
+                             volumes={f"v{i}": VolumeDecl() for i in range(n)})
+        lookups[0] = 0
+        env = environment_bigraph(model)
+        counts.append(lookups[0])
+    assert len(env.edges) == 800
+    assert counts[0] > 0
+    assert counts[1] / counts[0] <= 2.2, counts
 
 
 # -- stubs --------------------------------------------------------------------
