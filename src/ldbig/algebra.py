@@ -11,7 +11,7 @@ from .bigraph import (
     Bigraph, Edge, InnerName, OuterName, Port, Root, Signature,
     EMPTY_SIGNATURE, place_order,
 )
-from .errors import GlobalNameClash, InterfaceMismatch, LdbError
+from .errors import InterfaceMismatch, LdbError
 from .interfaces import LocalInterface, juxtapose_with_renames
 
 __all__ = ["compose", "tensor", "identity", "relabel", "is_isomorphic",
@@ -135,12 +135,11 @@ def compose(b2: Bigraph, b1: Bigraph) -> Bigraph:
                    site_parent, node_parent, link, attrs)
 
 
-def tensor(*bigraphs: Bigraph, tag_globals: bool = True) -> Bigraph:
+def tensor(*bigraphs: Bigraph) -> Bigraph:
     """b1 (x) ... (x) bn: side-by-side juxtaposition, built in one pass.
 
     Each operand's localized names, sites and roots shift past those of the
-    operands before it; its colliding global names are renamed unless
-    ``tag_globals`` is False, in which case GlobalNameClash is raised.  Its
+    operands before it; its colliding global names are renamed.  Its
     support ids are refreshed (shifted by the largest id in play) when they
     collide with earlier ones.  The result equals the left fold of the
     binary product, dict order included; no operands give the unit.
@@ -159,10 +158,6 @@ def tensor(*bigraphs: Bigraph, tag_globals: bool = True) -> Bigraph:
 
     for b, (in_plus, in_minus), (out_plus, out_minus) in zip(
             bigraphs, in_renames, out_renames):
-        if not tag_globals and (in_plus or in_minus or out_plus or out_minus):
-            clashes = sorted(set(in_plus) | set(in_minus)
-                             | set(out_plus) | set(out_minus))
-            raise GlobalNameClash(f"global names collide: {clashes}")
         if b.signature != signature:
             signature = signature.union(b.signature)
         ids = b.nodes.keys() | b.edges

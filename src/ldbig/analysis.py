@@ -96,14 +96,6 @@ class Violation:
         return out
 
 
-def _containers(b: Bigraph) -> dict[int, str]:
-    found = {v: b.attrs(v).get("name", f"container_{v}")
-             for v, ctrl in b.nodes.items() if ctrl.name == CONTAINER}
-    if not found:
-        raise NotAComposite("the bigraph contains no container nodes")
-    return found
-
-
 def _owners(b: Bigraph, containers) -> dict[int, int | None]:
     """Nearest container strictly above each node under a root, in one pass
     over the place order, parents first."""
@@ -119,58 +111,56 @@ def _owners(b: Bigraph, containers) -> dict[int, int | None]:
     return owner
 
 
+def _composite(b: Bigraph):
+    """The compose entities of ``b``, read once for both flow checks: each
+    container's name, each network or volume under a container as (holding
+    container, flow node, read-only), and the pairs of distinct containers
+    where a port under the first links the handle of the second."""
+    named = []
+    for v, ctrl in b.nodes.items():
+        if ctrl.name in (CONTAINER, NETWORK, VOLUME):
+            if "name" not in b.attrs(v):
+                raise NotAComposite(f"{ctrl.name} node {v} has no name")
+            named.append((v, FlowNode(ctrl.name, b.attrs(v)["name"])))
+    containers = {v: node.name for v, node in named if node.kind == CONTAINER}
+    if not containers:
+        raise NotAComposite("the bigraph contains no container nodes")
+    owners = _owners(b, containers)
+    resources = [(owners[v], node, b.attrs(v).get("read_only", False))
+                 for v, node in named
+                 if node.kind != CONTAINER and owners.get(v) is not None]
+    links = {(owners[p.node], t.node) for p, t in b.link.items()
+             if isinstance(p, Port) and isinstance(t, Port) and t.index == 0
+             and t.node in containers
+             and owners.get(p.node) not in (None, t.node)}
+    return containers, resources, links
+
+
 def check_links(b: Bigraph) -> list[Violation]:
     """Report linked container pairs that share no network."""
-    containers = _containers(b)
-    owners = _owners(b, containers)
-    handles = {Port(c, 0): c for c in containers}
-
-    pairs = set()
-    for point, target in b.link.items():
-        if target in handles and isinstance(point, Port):
-            src = owners.get(point.node)
-            dst = handles[target]
-            if src is not None and src != dst:
-                pairs.add((src, dst))
-
-    # the link targets of each container's network nodes
-    networks: dict[int, set] = {c: set() for c in containers}
-    for v, ctrl in b.nodes.items():
-        if ctrl.name == NETWORK and owners.get(v) is not None:
-            target = b.link.get(Port(v, 0))
-            if target is not None:
-                networks[owners[v]].add(target)
-
-    violations = []
-    for src, dst in pairs:
-        if not networks[src] & networks[dst]:
-            violations.append(Violation("linksUnreachable",
-                                        (containers[src], containers[dst])))
-    return sorted(violations, key=lambda v: v.subject)
+    names, resources, links = _composite(b)
+    networks: dict[int, set[str]] = {c: set() for c in names}
+    for c, resource, _ in resources:
+        if resource.kind == NETWORK:
+            networks[c].add(resource.name)
+    return sorted((Violation("linksUnreachable", (names[src], names[dst]))
+                   for src, dst in links if not networks[src] & networks[dst]),
+                  key=lambda v: v.subject)
 
 
 def build_flow_graph(b: Bigraph) -> FlowGraph:
     """One node per container, network and volume; read arcs point into the
     container, write arcs out of it.  Networks are read-write; volume writes
     are dropped for read-only mounts."""
-    containers = _containers(b)
-    owners = _owners(b, containers)
-    nodes: set[FlowNode] = {FlowNode("container", n) for n in containers.values()}
+    names, resources, _ = _composite(b)
+    nodes = {FlowNode(CONTAINER, n) for n in names.values()}
     arcs: set[tuple[FlowNode, FlowNode]] = set()
-
-    for v, ctrl in b.nodes.items():
-        if ctrl.name not in (NETWORK, VOLUME):
-            continue
-        owner = owners.get(v)
-        if owner is None:
-            continue
-        c_node = FlowNode("container", containers[owner])
-        kind = "network" if ctrl.name == NETWORK else "volume"
-        r_node = FlowNode(kind, b.attrs(v).get("name", f"{kind}_{v}"))
-        nodes.add(r_node)
-        arcs.add((r_node, c_node))
-        if kind == "network" or not b.attrs(v).get("read_only", False):
-            arcs.add((c_node, r_node))
+    for c, resource, read_only in resources:
+        container = FlowNode(CONTAINER, names[c])
+        nodes.add(resource)
+        arcs.add((resource, container))
+        if resource.kind == NETWORK or not read_only:
+            arcs.add((container, resource))
     return FlowGraph(frozenset(nodes), frozenset(arcs))
 
 

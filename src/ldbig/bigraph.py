@@ -395,24 +395,18 @@ def validate(b: Bigraph) -> list[Violation]:
         t = b.link.get(p)
         if t is not None:
             preimage[t] = preimage.get(t, 0) + 1
-    for i in range(len(b.inner.localities)):
-        hit = {b.link[InnerName(i, t)] for t in b.inner.plus(i)
-               if InnerName(i, t) in b.link}
-        for x in sorted(hit, key=str):
-            if (isinstance(x, InnerName) and x.locality == i
-                    and x.text in b.inner.minus(i) and preimage.get(x, 0) != 1):
-                out.append(Violation("passthrough", str(x),
-                                     f"{preimage.get(x, 0)} points target a "
-                                     "pass-through inner name"))
-    for i in range(len(b.outer.localities)):
-        hit = {b.link[OuterName(i, t)] for t in b.outer.minus(i)
-               if OuterName(i, t) in b.link}
-        for y in sorted(hit, key=str):
-            if (isinstance(y, OuterName) and y.locality == i
-                    and y.text in b.outer.plus(i) and preimage.get(y, 0) != 1):
-                out.append(Violation("passthrough", str(y),
-                                     f"{preimage.get(y, 0)} points target a "
-                                     "pass-through outer name"))
+    # inner names are points when positive, outer names when negative
+    for cls, localities, side in (
+            (InnerName, b.inner.localities, "inner"),
+            (OuterName, [(m, p) for p, m in b.outer.localities], "outer")):
+        for i, (sources, targets) in enumerate(localities):
+            hit = {b.link[cls(i, t)] for t in sources if cls(i, t) in b.link}
+            for x in sorted(hit, key=str):
+                if (isinstance(x, cls) and x.locality == i
+                        and x.text in targets and preimage.get(x, 0) != 1):
+                    out.append(Violation("passthrough", str(x),
+                                         f"{preimage.get(x, 0)} points target "
+                                         f"a pass-through {side} name"))
     return out
 
 

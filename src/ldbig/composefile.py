@@ -9,6 +9,7 @@ networks, volumes; top-level networks (driver recorded, ignored) and volumes
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import yaml
@@ -301,7 +302,7 @@ def parse_compose(text: str) -> ComposeModel:
             raise ComposeSyntaxError(f"{name}.links: duplicate alias")
         plus, minus = _interface_names(name, svc)
         for group, side in ((plus, "consumed"), (minus, "offered")):
-            dupes = {n for n in group if group.count(n) > 1}
+            dupes = [n for n, k in Counter(group).items() if k > 1]
             if dupes:
                 raise ComposeSyntaxError(
                     f"{name}: {side} names clash: {sorted(dupes)}")

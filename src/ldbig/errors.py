@@ -9,10 +9,6 @@ class InterfaceMismatch(LdbError):
     """Two bigraphs cannot be composed: shared interface differs."""
 
 
-class GlobalNameClash(LdbError):
-    """Locality-0 name sets collide and renaming was disabled."""
-
-
 class SignatureMismatch(LdbError):
     """Pattern and host bigraphs use different signatures."""
 

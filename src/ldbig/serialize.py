@@ -25,11 +25,13 @@ __all__ = [
 ]
 
 
-_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string",
+          bool: "a boolean"}
 
 
 def _check(value, kind: type, path: str):
-    if not isinstance(value, kind):
+    # JSON true is no integer, though bool subclasses int
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
         raise ValueError(f"{path}: expected {_KINDS[kind]}")
     return value
 
@@ -189,7 +191,8 @@ def patterns_from_json(text: str) -> list[Pattern]:
         if problems:
             raise ValueError(f"{path}.bigraph: not well-formed: "
                              + "; ".join(str(p) for p in problems))
-        out.append(Pattern(name, b, bool(entry.get("anchor_at_roots", False))))
+        out.append(Pattern(name, b,
+                           _field(entry, "anchor_at_roots", bool, path, False)))
     return out
 
 
@@ -253,20 +256,12 @@ def to_dot(b: Bigraph, title: str = "bigraph") -> str:
         emit_place(Root(r), "    ")
         lines.append("  }")
 
-    for i in range(len(b.inner.localities)):
-        for t in sorted(b.inner.plus(i)):
-            lines.append(f"  {_dot_id(InnerName(i, t))} "
-                         f"[label={_quote(f'{t}@{i}+')}, shape=plaintext];")
-        for t in sorted(b.inner.minus(i)):
-            lines.append(f"  {_dot_id(InnerName(i, t))} "
-                         f"[label={_quote(f'{t}@{i}-')}, shape=plaintext];")
-    for i in range(len(b.outer.localities)):
-        for t in sorted(b.outer.plus(i)):
-            lines.append(f"  {_dot_id(OuterName(i, t))} "
-                         f"[label={_quote(f'{t}@{i}+')}, shape=plaintext];")
-        for t in sorted(b.outer.minus(i)):
-            lines.append(f"  {_dot_id(OuterName(i, t))} "
-                         f"[label={_quote(f'{t}@{i}-')}, shape=plaintext];")
+    for interface, cls in ((b.inner, InnerName), (b.outer, OuterName)):
+        for i, sides in enumerate(interface.localities):
+            for texts, sign in zip(sides, "+-"):
+                for t in sorted(texts):
+                    lines.append(f"  {_dot_id(cls(i, t))} [label="
+                                 f"{_quote(f'{t}@{i}{sign}')}, shape=plaintext];")
     for e in sorted(b.edges):
         lines.append(f"  {_dot_id(Edge(e))} [label=\"e{e}\", shape=diamond, "
                      "fontsize=8];")

@@ -7,7 +7,7 @@ from ldbig import (
     LocalInterface, OuterName, Root, Signature, compose, identity,
     is_isomorphic, relabel, tensor, validate,
 )
-from ldbig.errors import GlobalNameClash, InterfaceMismatch
+from ldbig.errors import InterfaceMismatch
 from genrandom import gen_chain, gen_signature
 
 SIG = Signature(fixed=(Control("A", 1, 1), Control("B", 0, 1)))
@@ -111,12 +111,6 @@ def test_tensor_tags_global_names_by_default():
     assert out.outer.plus(0) == {"g", "g~1"}
     assert out.link[InnerName(0, "g~1")] == OuterName(0, "g~1")
     assert validate(out) == []
-
-
-def test_tensor_clash_without_tagging():
-    g = LocalInterface.of(({"g"}, set()))
-    with pytest.raises(GlobalNameClash):
-        tensor(identity(g), identity(g), tag_globals=False)
 
 
 def test_tensor_preserves_validity_random():

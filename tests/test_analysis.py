@@ -66,6 +66,19 @@ def test_not_a_composite():
         build_flow_graph(identity(EMPTY_INTERFACE))
 
 
+@pytest.mark.parametrize("control", ["container", "network", "volume"])
+def test_an_unnamed_entity_is_named_by_its_node_id(wordpress_composite, control):
+    b = wordpress_composite
+    v = min(u for u, c in b.nodes.items() if c.name == control)
+    attrs = {**b.node_attrs,
+             v: {k: x for k, x in b.attrs(v).items() if k != "name"}}
+    unnamed = Bigraph(b.signature, b.inner, b.outer, b.nodes, b.edges,
+                      b.site_parent, b.node_parent, b.link, attrs)
+    for check in (check_links, build_flow_graph):
+        with pytest.raises(NotAComposite, match=f"^{control} node {v} has no name$"):
+            check(unnamed)
+
+
 # -- flow graph ---------------------------------------------------------------
 
 def test_wordpress_flow_arcs(wordpress_composite):

@@ -93,6 +93,25 @@ def test_non_object_pattern_entry_is_an_input_error(compose_file, tmp_path):
     assert "patterns[0]: expected an object" in report.findings[0].message
 
 
+@pytest.mark.parametrize("golden, option", [
+    ("wordpress.check-security.json", ("--order", "order.txt")),
+    ("wordpress.check-sorts.json", ("--forbidden", "forbidden.json")),
+    ("wordpress-db-off-front.check-links.json", None),
+])
+def test_check_reports_match_golden_bytes(data_dir, tmp_path, capsys,
+                                          golden, option):
+    stack, command, _ = golden.split(".")
+    text = (data_dir / "wordpress.yml").read_text(encoding="utf-8")
+    if stack == "wordpress-db-off-front":
+        text = text.replace("networks: [front, back]", "networks: [back]")
+    compose = tmp_path / "stack.yml"
+    compose.write_text(text)
+    extra = [option[0], str(data_dir / option[1])] if option else []
+    assert main([command, str(compose), "--json", *extra]) == 1
+    expected = (data_dir / "golden" / golden).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
 MINIMAL = "version: '2'\nservices:\n  a:\n    image: x\n"
 
 
@@ -102,6 +121,10 @@ MINIMAL = "version: '2'\nservices:\n  a:\n    image: x\n"
     (None, '[{"bigraph": {"inner": [], "outer": [], "nodes": [1]}}]',
      "patterns[0].bigraph.nodes[0]: expected an object"),
     (None, '[{"bigraph": {}}]', "patterns[0].bigraph.inner: expected a list"),
+    (None, '[{"bigraph": {"inner": [{}], "outer": [{}], "nodes": [{"id": true}]}}]',
+     "patterns[0].bigraph.nodes[0].id: expected an integer"),
+    (None, '[{"anchor_at_roots": "false", "bigraph": {"inner": [{}], "outer": [{}]}}]',
+     "patterns[0].anchor_at_roots: expected a boolean"),
     (MINIMAL + "networks: [a]\n", None, "networks: expected a mapping"),
     (MINIMAL + "volumes: [a]\n", None, "volumes: expected a mapping"),
     (MINIMAL + "services:\n  b:\n    image: y\n", None,

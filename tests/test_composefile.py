@@ -143,6 +143,16 @@ services:
         parse_compose(text)
 
 
+def test_one_clash_among_thousands_of_names_is_reported_alone():
+    # the service's own name is also the offered name of its port 4242
+    ports = ", ".join(f'"{k}"' for k in range(1000, 5000))
+    text = f"version: '2'\nservices:\n  p_4242:\n    image: x\n" \
+           f"    expose: [{ports}]\n"
+    with pytest.raises(ComposeSyntaxError) as err:
+        parse_compose(text)
+    assert str(err.value) == "p_4242: offered names clash: ['p_4242']"
+
+
 # -- environment --------------------------------------------------------------
 
 def test_environment_shape(wordpress_model):

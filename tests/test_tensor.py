@@ -1,5 +1,5 @@
-"""The n-ary tensor product: agreement with the binary left fold, its unit
-and clash cases, byte-identical exports, and linear-size assembly."""
+"""The n-ary tensor product: agreement with the binary left fold, its unit,
+global-name tagging, byte-identical exports, and linear-size assembly."""
 
 import itertools
 import random
@@ -14,7 +14,6 @@ from ldbig import (
 )
 from ldbig import bigraph, interfaces
 from ldbig.cli import main
-from ldbig.errors import GlobalNameClash
 from genrandom import gen_chain, gen_model, gen_signature
 from oracles import tensor_fold
 
@@ -84,22 +83,6 @@ def test_no_operands_give_the_unit():
     assert tensor() == identity(EMPTY_INTERFACE)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_untagged_clash_between_any_two_operands_raises(n):
-    for i, j in itertools.combinations(range(n), 2):
-        names = [f"g{k}" for k in range(n)]
-        names[j] = names[i]
-        for minus in (False, True):  # a clash may cross polarities
-            ops = [identity(LocalInterface.of(({t}, set())))
-                   for t in names]
-            if minus:
-                ops[j] = identity(LocalInterface.of((set(), {names[j]})))
-            with pytest.raises(GlobalNameClash, match=names[i]):
-                tensor(*ops, tag_globals=False)
-    ops = [identity(LocalInterface.of(({f"g{k}"}, set()))) for k in range(n)]
-    assert tensor(*ops, tag_globals=False) == tensor(*ops)
-
-
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 @pytest.mark.parametrize("stage", ["environment", "stubs", "composite"])
 def test_export_matches_golden_bytes(stage, fmt, data_dir, tmp_path):
@@ -149,7 +132,7 @@ def test_shared_global_names_are_tagged_in_linear_probes(monkeypatch):
     counts = []
     for n in (200, 400):
         probes[0] = 0
-        out = tensor(*[identity(X)] * n, tag_globals=True)
+        out = tensor(*[identity(X)] * n)
         counts.append(probes[0])
     assert out.outer.plus(0) == {"g", *(f"g~{k}" for k in range(1, 400))}
     assert counts[0] > 0
