@@ -10,8 +10,7 @@ from .bigraph import (
 )
 from .algebra import compose, identity, is_isomorphic, relabel, tensor
 from .containers import (
-    ContainerSpec, ProcessSpec, VolumeMount, build_container, census,
-    default_signature,
+    ContainerSpec, VolumeMount, build_container, census, default_signature,
 )
 from .composefile import (
     ComposeModel, ServiceSpec, assemble, container_stub, environment_bigraph,
@@ -33,8 +32,8 @@ __all__ = [
     "Bigraph", "BigraphBuilder", "Control", "Edge", "InnerName", "OuterName",
     "Port", "Root", "Signature", "WellFormednessViolation", "validate",
     "compose", "identity", "is_isomorphic", "relabel", "tensor",
-    "ContainerSpec", "ProcessSpec", "VolumeMount", "build_container",
-    "census", "default_signature",
+    "ContainerSpec", "VolumeMount", "build_container", "census",
+    "default_signature",
     "ComposeModel", "ServiceSpec", "assemble", "container_stub",
     "environment_bigraph", "parse_compose", "stub_block",
     "FlowGraph", "FlowNode", "SecurityOrder", "Violation", "build_flow_graph",

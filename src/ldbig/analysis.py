@@ -123,8 +123,6 @@ def _composite(b: Bigraph):
                 raise NotAComposite(f"{ctrl.name} node {v} has no name")
             named.append((v, FlowNode(ctrl.name, b.attrs(v)["name"])))
     containers = {v: node.name for v, node in named if node.kind == CONTAINER}
-    if not containers:
-        raise NotAComposite("the bigraph contains no container nodes")
     owners = _owners(b, containers)
     resources = [(owners[v], node, b.attrs(v).get("read_only", False))
                  for v, node in named

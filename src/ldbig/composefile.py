@@ -9,7 +9,6 @@ networks, volumes; top-level networks (driver recorded, ignored) and volumes
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import yaml
@@ -17,11 +16,11 @@ import yaml
 from .algebra import compose, identity, tensor
 from .bigraph import Bigraph, BigraphBuilder, InnerName, OuterName, Root, validate
 from .containers import (
-    ContainerSpec, ProcessSpec, VolumeMount, build_container,
-    default_signature,
+    ContainerSpec, VolumeMount, build_container, default_signature,
 )
 from .errors import (
-    ComposeSyntaxError, DanglingReference, LdbError, UnsupportedKey,
+    ComposeSyntaxError, DanglingReference, LdbError, UnresolvedName,
+    UnsupportedKey,
 )
 from .interfaces import LocalInterface, EMPTY_INTERFACE
 
@@ -173,17 +172,15 @@ def _parse_volume(entry, path) -> ServiceVolume:
     return ServiceVolume(name, mount, read_only=(flag == "ro"))
 
 
-def _interface_names(name: str, svc: ServiceSpec):
-    """The (positive, negative) name texts a service contributes; duplicates
-    signal a clash the bigraph interfaces cannot represent.
-
-    A volume mounted at several paths is one name (its nodes fan in), so
-    volume names are deduplicated here.
-    """
-    plus = [*svc.networks, *dict.fromkeys(v.name for v in svc.volumes),
-            *(_alias_name(a) for _, a in svc.links)]
-    minus = [_port_name(c) for c in svc.container_ports()] + [name]
-    return plus, minus
+def _container_spec(name: str, svc: ServiceSpec) -> ContainerSpec:
+    """The one container a service runs: its process consumes the link
+    aliases and offers the container ports; the spec owns the service's
+    outer names and their clash rule."""
+    return ContainerSpec(
+        name, svc.networks,
+        tuple(VolumeMount(v.name, v.path, v.read_only) for v in svc.volumes),
+        tuple(_alias_name(a) for _, a in svc.links),
+        tuple(_port_name(c) for c in svc.container_ports()))
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -300,16 +297,10 @@ def parse_compose(text: str) -> ComposeModel:
         aliases = [a for _, a in svc.links]
         if len(aliases) != len(set(aliases)):
             raise ComposeSyntaxError(f"{name}.links: duplicate alias")
-        plus, minus = _interface_names(name, svc)
-        for group, side in ((plus, "consumed"), (minus, "offered")):
-            dupes = [n for n, k in Counter(group).items() if k > 1]
-            if dupes:
-                raise ComposeSyntaxError(
-                    f"{name}: {side} names clash: {sorted(dupes)}")
-        both = set(plus) & set(minus)
-        if both:
-            raise ComposeSyntaxError(f"{name}: names used with both polarities: "
-                                     f"{sorted(both)}")
+        try:
+            _container_spec(name, svc).names()
+        except UnresolvedName as exc:
+            raise ComposeSyntaxError(str(exc)) from exc
 
     return ComposeModel(version=version, services=services,
                         networks=networks, volumes=volumes)
@@ -327,8 +318,7 @@ def environment_bigraph(model: ComposeModel) -> Bigraph:
     vol_users: dict[str, list[str]] = {}
     for name in order:
         svc = model.services[name]
-        plus, minus = _interface_names(name, svc)
-        localities.append((frozenset(plus), frozenset(minus)))
+        localities.append(_container_spec(name, svc).names())
         for net in svc.networks:
             net_users.setdefault(net, []).append(name)
         for vol in dict.fromkeys(v.name for v in svc.volumes):
@@ -386,19 +376,7 @@ def container_stub(name: str, model: ComposeModel) -> Bigraph:
     attached network, one volume node per mount."""
     if name not in model.services:
         raise KeyError(f"no service {name!r} in the model")
-    svc = model.services[name]
-    port_names = tuple(_port_name(c) for c in svc.container_ports())
-    alias_names = tuple(_alias_name(a) for _, a in svc.links)
-    spec = ContainerSpec(
-        name=name,
-        processes=(ProcessSpec(offers=port_names, consumes=alias_names),),
-        networks=svc.networks,
-        volumes=tuple(VolumeMount(v.name, host_path=v.path,
-                                  read_only=v.read_only)
-                      for v in svc.volumes),
-        exposed_ports=port_names,
-    )
-    return build_container(spec)
+    return build_container(_container_spec(name, model.services[name]))
 
 
 def stub_block(model: ComposeModel) -> Bigraph:

@@ -14,7 +14,7 @@ class SignatureMismatch(LdbError):
 
 
 class UnresolvedName(LdbError):
-    """A container spec entry references nothing buildable."""
+    """A container spec's outer names clash, or one is not a valid name."""
 
 
 class ComposeError(LdbError):
@@ -50,7 +50,8 @@ class AnalysisError(LdbError):
 
 
 class NotAComposite(AnalysisError):
-    """The analysed bigraph contains no container nodes."""
+    """A container, network or volume node of the analysed bigraph has no
+    name."""
 
 
 class UnknownNetwork(AnalysisError):

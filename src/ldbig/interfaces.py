@@ -49,15 +49,6 @@ class LocalInterface:
         object.__setattr__(self, "localities", tuple(frozen))
 
     @classmethod
-    def _trusted(cls, localities) -> "LocalInterface":
-        """Build without re-checking: only for localities whose names come
-        from already-constructed interfaces (or fresh variants of them) and
-        whose sides are already disjoint."""
-        interface = object.__new__(cls)
-        object.__setattr__(interface, "localities", localities)
-        return interface
-
-    @classmethod
     def of(cls, *localities) -> "LocalInterface":
         """Build from (plus, minus) name iterables, the first pair being the
         global locality; no arguments gives the empty interface."""
@@ -143,7 +134,7 @@ def juxtapose_with_renames(*interfaces: LocalInterface):
         localized.extend(y.localities[1:])
         renames.append(moved)
     localities = ((frozenset(plus), frozenset(minus)), *localized)
-    return LocalInterface._trusted(localities), renames
+    return LocalInterface(localities), renames
 
 
 def juxtapose(*interfaces: LocalInterface) -> LocalInterface:

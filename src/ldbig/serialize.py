@@ -199,7 +199,9 @@ def patterns_from_json(text: str) -> list[Pattern]:
 # -- DOT export ---------------------------------------------------------------
 
 def _quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    """A DOT string: backslashes and quotes escaped, a newline as ``\\n``."""
+    escaped = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
 
 
 def _dot_id(x) -> str:
@@ -224,7 +226,7 @@ def to_dot(b: Bigraph, title: str = "bigraph") -> str:
         ctrl = b.nodes[v]
         name = b.attrs(v).get("name")
         base = f"{ctrl.name} {name}" if name else ctrl.name
-        return f"{base}\\n({ctrl.plus}+,{ctrl.minus}-) #{v}"
+        return f"{base}\n({ctrl.plus}+,{ctrl.minus}-) #{v}"
 
     def open_place(place, indent: str):
         for s in b.sites_under(place):

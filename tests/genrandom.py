@@ -16,7 +16,7 @@ from ldbig import (
 )
 from ldbig.analysis import FlowGraph, FlowNode
 from ldbig.composefile import NetworkDecl, ServiceSpec, ServiceVolume, VolumeDecl
-from ldbig.containers import ContainerSpec, ProcessSpec, VolumeMount
+from ldbig.containers import ContainerSpec, VolumeMount
 
 NAME_POOL = ["a", "b", "c", "d", "k", "m", "u", "w", "x", "y", "z"]
 
@@ -243,31 +243,16 @@ def retarget_one_link(b: Bigraph) -> Bigraph:
 
 def gen_container_spec(rng: random.Random) -> ContainerSpec:
     nets = tuple(f"n{i}" for i in range(rng.randint(0, 3)))
-    vols = tuple(VolumeMount(f"v{i}", host_path=f"/srv/v{i}",
-                             read_only=rng.random() < 0.5)
-                 for i in range(rng.randint(0, 2)))
-
-    offer_pool = [f"s{i}" for i in range(4)]
-    rng.shuffle(offer_pool)
-    processes = []
-    taken = 0
-    for _ in range(rng.randint(0, 3)):
-        n_offers = rng.randint(0, min(2, len(offer_pool) - taken))
-        offers = tuple(offer_pool[taken:taken + n_offers])
-        taken += n_offers
-        # resources, handles offered so far, or names from outside
-        consumable = list(nets) + [v.name for v in vols] \
-            + offer_pool[:taken] + [f"ext{i}" for i in range(2)]
-        consumes = tuple(rng.sample(consumable,
-                                    k=min(len(consumable), rng.randint(0, 3))))
-        processes.append(ProcessSpec(offers=offers, consumes=consumes))
-
-    offered = [n for p in processes for n in p.offers]
-    exposed = tuple(rng.sample(offered, k=rng.randint(0, len(offered)))) \
-        if offered else ()
+    vols = [VolumeMount(f"v{i}", host_path=f"/srv/v{i}",
+                        read_only=rng.random() < 0.5)
+            for i in range(rng.randint(0, 2))]
+    if vols and rng.random() < 0.3:  # one volume at a second path
+        vols.append(VolumeMount(vols[0].name, host_path="/alt",
+                                read_only=rng.random() < 0.5))
     return ContainerSpec(
-        name="box", processes=tuple(processes), networks=nets, volumes=vols,
-        exposed_ports=exposed)
+        name="box", networks=nets, volumes=tuple(vols),
+        consumes=tuple(f"ext{i}" for i in range(rng.randint(0, 3))),
+        offers=tuple(f"s{i}" for i in range(rng.randint(0, 3))))
 
 
 # -- flow graphs and orders ---------------------------------------------------

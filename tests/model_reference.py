@@ -33,3 +33,34 @@ def flow_arcs(model) -> set:
             if not vol.read_only:
                 arcs.add((box, ("volume", vol.name)))
     return arcs
+
+
+def _reached(succ, start) -> set:
+    """The nodes one or more steps from ``start``."""
+    seen, todo = set(), [start]
+    while todo:
+        for nxt in succ.get(todo.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
+
+
+def order_closure(pairs) -> set:
+    """The (high, low) pairs of the transitive closure of ``pairs``."""
+    below = {}
+    for high, low in pairs:
+        below.setdefault(high, set()).add(low)
+    return {(high, low) for high in below for low in _reached(below, high)}
+
+
+def leak_pairs(model, pairs) -> list[tuple[str, str]]:
+    """(high, low) of each pair of the closed order whose high network
+    reaches the low one over the flow arcs, sorted."""
+    succ = {}
+    for src, dst in flow_arcs(model):
+        succ.setdefault(src, set()).add(dst)
+    closed = order_closure(pairs)
+    reach = {high: _reached(succ, ("network", high)) for high, _ in closed}
+    return sorted((high, low) for high, low in closed
+                  if ("network", low) in reach[high])

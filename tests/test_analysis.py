@@ -60,10 +60,10 @@ def test_no_links_no_violations(wordpress_model):
 
 
 def test_not_a_composite():
-    with pytest.raises(NotAComposite):
-        check_links(identity(EMPTY_INTERFACE))
-    with pytest.raises(NotAComposite):
-        build_flow_graph(identity(EMPTY_INTERFACE))
+    # a model with no services has no unreachable links and no flow
+    assert check_links(identity(EMPTY_INTERFACE)) == []
+    assert build_flow_graph(identity(EMPTY_INTERFACE)) == FlowGraph(
+        frozenset(), frozenset())
 
 
 @pytest.mark.parametrize("control", ["container", "network", "volume"])

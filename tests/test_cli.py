@@ -65,6 +65,21 @@ def test_check_security_empty_order(compose_file, tmp_path):
     assert out.returncode == 0
 
 
+@pytest.mark.parametrize("services", ["services: {}", "services:"])
+def test_a_stack_without_services_has_no_findings(services, data_dir,
+                                                  tmp_path, capsys):
+    stack = tmp_path / "empty.yml"
+    stack.write_text(f"version: '2'\n{services}\n")
+    order = tmp_path / "empty.order"
+    order.write_text("")
+    for argv in (["validate"], ["check-links"],
+                 ["check-security", "--order", str(order)],
+                 ["check-sorts", "--forbidden",
+                  str(data_dir / "forbidden.json")]):
+        assert main([argv[0], str(stack), *argv[1:]]) == 0, argv
+        assert capsys.readouterr().out == "ok: no findings\n"
+
+
 def test_check_sorts(compose_file, data_dir, tmp_path):
     out = run_cli("check-sorts", compose_file,
                   "--forbidden", str(data_dir / "forbidden.json"), "--json")

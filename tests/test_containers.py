@@ -3,26 +3,22 @@ import random
 import pytest
 
 from ldbig import (
-    EMPTY_INTERFACE, ContainerSpec, Control, OuterName, Port, ProcessSpec,
-    VolumeMount, build_container, census, default_signature, validate,
+    EMPTY_INTERFACE, ContainerSpec, Control, OuterName, Port, VolumeMount,
+    build_container, census, default_signature, parse_compose, validate,
 )
-from ldbig.errors import UnresolvedName
+from ldbig.errors import ComposeSyntaxError, UnresolvedName
 from genrandom import gen_container_spec
 
 
 def reference_spec() -> ContainerSpec:
-    """A container exposing three of its five offers, whose processes consume
-    a network, a volume, a sibling's offer and a name from outside."""
+    """A container on two networks with one volume, whose process consumes
+    two names from outside and offers three."""
     return ContainerSpec(
         name="C",
-        processes=(
-            ProcessSpec(offers=("p1", "s1"), consumes=("n1", "v")),
-            ProcessSpec(offers=("p2", "s2"), consumes=("n2",)),
-            ProcessSpec(offers=("p3",), consumes=("s1", "r1")),
-        ),
         networks=("n1", "n2"),
         volumes=(VolumeMount("v", host_path="/srv/data"),),
-        exposed_ports=("p1", "p2", "p3"),
+        consumes=("r1", "r2"),
+        offers=("p1", "p2", "p3"),
     )
 
 
@@ -39,7 +35,7 @@ def test_default_signature_arities():
 def test_reference_container_interfaces():
     b = build_container(reference_spec())
     assert b.inner == EMPTY_INTERFACE
-    assert b.outer.plus(1) == {"v", "r1", "n1", "n2"}
+    assert b.outer.plus(1) == {"n1", "n2", "v", "r1", "r2"}
     assert b.outer.minus(1) == {"p1", "p2", "p3", "C"}
     assert validate(b) == []
 
@@ -47,7 +43,7 @@ def test_reference_container_interfaces():
 def test_reference_container_structure():
     b = build_container(reference_spec())
     counts = census(b)
-    assert counts == {"container": 1, "process": 3, "network": 2,
+    assert counts == {"container": 1, "process": 1, "network": 2,
                       "volume": 1}
     (box,) = [v for v, c in b.nodes.items() if c.name == "container"]
     # the identity handle points at the container's only target port
@@ -57,46 +53,57 @@ def test_reference_container_structure():
         if v != box:
             assert b.node_parent[v] == box
     assert b.site_parent == {}
-    # a process has one source port per consumed name, one target per offer
-    p1, _, p3 = sorted(v for v, c in b.nodes.items() if c.name == "process")
-    assert b.nodes[p3] == Control("process", 2, 1)
-    # a sibling's offer is a port of that sibling; anything else goes outside
-    assert b.link[Port(p3, 0)] == Port(p1, 1)
-    assert b.link[Port(p3, 1)] == OuterName(1, "r1")
+    # the process has one source port per consumed name, one target per offer
+    (proc,) = [v for v, c in b.nodes.items() if c.name == "process"]
+    assert b.nodes[proc] == Control("process", 2, 3)
+    assert b.link[Port(proc, 1)] == OuterName(1, "r2")
+    assert b.link[OuterName(1, "p2")] == Port(proc, 1)
 
 
-def test_dropping_a_process_breaks_isomorphism():
+def test_dropping_an_offer_breaks_isomorphism():
     from ldbig import is_isomorphic
 
     full = build_container(reference_spec())
     spec = reference_spec()
-    trimmed = ContainerSpec(**{**spec.__dict__,
-                               "processes": spec.processes[:2],
-                               "exposed_ports": ("p1", "p2")})
+    trimmed = ContainerSpec(**{**spec.__dict__, "offers": spec.offers[:2]})
     smaller = build_container(trimmed)
     assert not is_isomorphic(full, smaller)
 
 
 def test_minimal_container():
     b = build_container(ContainerSpec(name="lone"))
-    assert census(b) == {"container": 1}
+    assert census(b) == {"container": 1, "process": 1}
     assert b.inner.width == 0
     assert b.outer.plus(1) == set()
     assert b.outer.minus(1) == {"lone"}
     assert validate(b) == []
 
 
-def test_exposed_port_must_be_offered():
-    spec = ContainerSpec(name="c", exposed_ports=("p",))
-    with pytest.raises(UnresolvedName):
-        build_container(spec)
-
-
 def test_duplicate_offers_rejected():
-    spec = ContainerSpec(name="c", processes=(
-        ProcessSpec(offers=("s",)), ProcessSpec(offers=("s",))))
-    with pytest.raises(UnresolvedName):
+    spec = ContainerSpec(name="c", offers=("s", "s"))
+    with pytest.raises(UnresolvedName, match=r"^c: offered names clash: \['s'\]$"):
         build_container(spec)
+
+
+@pytest.mark.parametrize("stack, spec, message", [
+    ("services: {a: {image: x, networks: [l_b], links: [b]}, b: {image: y}}\n"
+     "networks: {l_b: }",
+     ContainerSpec("a", networks=("l_b",), consumes=("l_b",)),
+     "a: consumed names clash: ['l_b']"),
+    ("services: {p_80: {image: x, expose: ['80']}}",
+     ContainerSpec("p_80", offers=("p_80",)),
+     "p_80: offered names clash: ['p_80']"),
+    ("services: {a: {image: x, networks: [a]}}\nnetworks: {a: }",
+     ContainerSpec("a", networks=("a",)),
+     "a: names used with both polarities: ['a']"),
+])
+def test_clash_texts(stack, spec, message):
+    with pytest.raises(ComposeSyntaxError) as parsed:
+        parse_compose(stack)
+    assert str(parsed.value) == message
+    with pytest.raises(UnresolvedName) as named:
+        spec.names()
+    assert str(named.value) == message
 
 
 def test_volume_metadata_recorded():
@@ -115,8 +122,8 @@ def test_every_generated_spec_builds_well_formed():
         b = build_container(spec)
         assert validate(b) == [], (spec, validate(b))
         counts = census(b)
-        assert counts.get("process", 0) == len(spec.processes)
+        assert counts["process"] == counts["container"] == 1
         assert counts.get("network", 0) == len(spec.networks)
         assert counts.get("volume", 0) == len(spec.volumes)
-        assert counts.get("container", 0) == 1
         assert b.inner == EMPTY_INTERFACE
+        assert (b.outer.plus(1), b.outer.minus(1)) == spec.names()

@@ -1,14 +1,20 @@
-"""check_links and the flow graph against verdicts read off the compose
-model, at sizes the brute-force oracles do not reach."""
+"""check_links, the flow graph and check_security against verdicts read off
+the compose model, at sizes the brute-force oracles do not reach."""
 
 import random
+from dataclasses import replace
 
+import networkx as nx
 import pytest
 
-from ldbig import assemble, build_flow_graph, check_links, parse_compose
+from ldbig import (
+    SecurityOrder, assemble, build_flow_graph, check_links, check_security,
+    parse_compose,
+)
 from ldbig.composefile import ComposeModel, ServiceSpec
 from genrandom import gen_model
-from model_reference import flow_arcs, unreachable_links
+from model_reference import flow_arcs, leak_pairs, order_closure, \
+    unreachable_links
 
 
 def assert_agree(model):
@@ -44,3 +50,48 @@ def test_a_service_linking_itself_forms_no_pair():
         "a": ServiceSpec(image="x", links=(("a", "a"),)),
         "b": ServiceSpec(image="y", links=(("a", "a"),))})
     assert assert_agree(model)[0] == [("b", "a")]
+
+
+def beside(model, other):
+    """One stack holding ``model`` and a copy of ``other`` whose services,
+    networks and volumes are renamed apart and whose ports are dropped, so
+    that no flow joins the two."""
+    def moved(name):
+        return f"{name}_b"
+
+    services = dict(model.services)
+    for name, svc in other.services.items():
+        services[moved(name)] = replace(
+            svc, ports=(), networks=tuple(map(moved, svc.networks)),
+            links=tuple((moved(target), alias) for target, alias in svc.links),
+            volumes=tuple(replace(v, name=moved(v.name)) for v in svc.volumes))
+    return ComposeModel(
+        "2", services,
+        {**model.networks, **{moved(n): d for n, d in other.networks.items()}},
+        {**model.volumes, **{moved(v): d for v, d in other.volumes.items()}})
+
+
+@pytest.mark.parametrize("n", [100, 400, 1600])
+def test_leaks_match_the_model_at_scale(n):
+    rng = random.Random(11)
+    model = beside(*(gen_model(rng, n_services=n // 2, max_networks=6,
+                               max_volumes=4) for _ in range(2)))
+    nets = sorted({net for svc in model.services.values()
+                   for net in svc.networks})
+    rng.shuffle(nets)
+    order = SecurityOrder.of(*((nets[i], nets[j]) for i in range(len(nets))
+                               for j in range(i + 1, len(nets))
+                               if rng.random() < 0.5))
+    leaks = check_security(assemble(model), order)
+    expected = leak_pairs(model, order.pairs)
+    assert [v.subject for v in leaks] == expected
+    # the comparison covers both verdicts
+    assert expected and order_closure(order.pairs) - set(expected)
+
+    arcs = flow_arcs(model)
+    graph = nx.DiGraph(list(arcs))
+    for v in leaks:
+        high, low = (("network", name) for name in v.subject)
+        assert (v.path[0], v.path[-1]) == (high, low)
+        assert all(step in arcs for step in zip(v.path, v.path[1:]))
+        assert len(v.path) - 1 == nx.shortest_path_length(graph, high, low)

@@ -2,8 +2,9 @@ import json
 import random
 
 from ldbig import (
-    bigraph_from_json, bigraph_to_json, build_container, dumps,
-    environment_bigraph, is_isomorphic, loads, patterns_from_json, to_dot,
+    assemble, bigraph_from_json, bigraph_to_json, build_container, dumps,
+    environment_bigraph, is_isomorphic, loads, parse_compose,
+    patterns_from_json, to_dot,
 )
 from genrandom import gen_chain, gen_container_spec
 
@@ -56,3 +57,24 @@ def test_dot_renders_sites(wordpress_model):
 def test_dot_handles_models_with_edges(wordpress_composite):
     dot = to_dot(wordpress_composite)
     assert "shape=diamond" in dot  # closed network links
+
+
+def test_dot_strings_close_on_their_own_line():
+    # a backslash ending a name must not escape the closing quote
+    model = parse_compose("services: {'a\\': {image: x, links: ['b:q\"']}, "
+                          "b: {image: y}}")
+    env = to_dot(environment_bigraph(model))
+    assert '"in_1_a\\\\" [label="a\\\\@1-"' in env
+    composite = to_dot(assemble(model))
+    assert 'label="container a\\\\\\n(0+,1-) #' in composite
+    for line in (env + composite).splitlines():
+        inside = escaped = False
+        for c in line:
+            if escaped:
+                escaped = False
+            elif c == "\\":
+                assert inside, line
+                escaped = True
+            elif c == '"':
+                inside = not inside
+        assert not inside, line
