@@ -138,10 +138,7 @@ class Signature:
             if c.name in mine and mine[c.name] != c:
                 raise ValueError(f"conflicting arities for control {c.name!r}")
             mine[c.name] = c
-        parametric = self.parametric | other.parametric
-        if set(mine) & parametric:
-            raise ValueError("a control cannot be both fixed and parametric")
-        return Signature(tuple(mine.values()), parametric)
+        return Signature(tuple(mine.values()), self.parametric | other.parametric)
 
 
 EMPTY_SIGNATURE = Signature()
@@ -431,18 +428,13 @@ class BigraphBuilder:
         self._next_id += 1
         return self._next_id
 
-    def node(self, control: str | Control, parent: Place,
+    def node(self, control: str, parent: Place,
              plus: int | None = None, minus: int | None = None,
              **attrs) -> int:
         """Add a node; parametric controls take their arity from plus/minus."""
-        if isinstance(control, Control):
-            ctrl = control
-        else:
-            found = self.signature.lookup(control)
-            if found is not None:
-                ctrl = found
-            else:
-                ctrl = Control(control, plus or 0, minus or 0)
+        ctrl = self.signature.lookup(control)
+        if ctrl is None:
+            ctrl = Control(control, plus or 0, minus or 0)
         v = self._fresh()
         self._nodes[v] = ctrl
         self._node_parent[v] = parent

@@ -25,7 +25,7 @@ from .errors import (
 from .interfaces import LocalInterface, EMPTY_INTERFACE
 
 __all__ = [
-    "ServiceVolume", "ServiceSpec", "NetworkDecl", "VolumeDecl",
+    "ServiceSpec", "NetworkDecl", "VolumeDecl",
     "ComposeModel", "parse_compose", "environment_bigraph", "container_stub",
     "stub_block", "assemble", "DEFAULT_NETWORK",
 ]
@@ -37,20 +37,13 @@ _SERVICE_KEYS = {"image", "links", "ports", "expose", "networks", "volumes"}
 
 
 @dataclass(frozen=True)
-class ServiceVolume:
-    name: str
-    path: str
-    read_only: bool = False
-
-
-@dataclass(frozen=True)
 class ServiceSpec:
     image: str
     links: tuple[tuple[str, str], ...] = ()      # (target, alias)
     ports: tuple[tuple[str, str], ...] = ()      # (host, container)
     expose: tuple[str, ...] = ()
     networks: tuple[str, ...] = ()
-    volumes: tuple[ServiceVolume, ...] = ()
+    volumes: tuple[VolumeMount, ...] = ()
 
     def container_ports(self) -> tuple[str, ...]:
         """Exposed plus published container ports, deduplicated in order."""
@@ -154,7 +147,7 @@ def _parse_link(entry, path) -> tuple[str, str]:
                              f"\"service:alias\", got {text!r}")
 
 
-def _parse_volume(entry, path) -> ServiceVolume:
+def _parse_volume(entry, path) -> VolumeMount:
     text = _require_str(entry, path)
     parts = text.split(":")
     if len(parts) == 2:
@@ -169,16 +162,15 @@ def _parse_volume(entry, path) -> ServiceVolume:
         raise ComposeSyntaxError(f"{path}: unknown volume flag {flag!r}")
     if not name or not mount:
         raise ComposeSyntaxError(f"{path}: empty volume name or path in {text!r}")
-    return ServiceVolume(name, mount, read_only=(flag == "ro"))
+    return VolumeMount(name, mount, read_only=(flag == "ro"))
 
 
 def _container_spec(name: str, svc: ServiceSpec) -> ContainerSpec:
     """The one container a service runs: its process consumes the link
     aliases and offers the container ports; the spec owns the service's
-    outer names and their clash rule."""
+    outer names and their checks."""
     return ContainerSpec(
-        name, svc.networks,
-        tuple(VolumeMount(v.name, v.path, v.read_only) for v in svc.volumes),
+        name, svc.networks, svc.volumes,
         tuple(_alias_name(a) for _, a in svc.links),
         tuple(_port_name(c) for c in svc.container_ports()))
 
@@ -285,7 +277,7 @@ def parse_compose(text: str) -> ComposeModel:
                     f"{name}.volumes: {vol.name!r} is not a declared volume "
                     "(bind mounts are outside the supported subset)")
 
-    # clashes the interface name sets cannot represent
+    # names and clashes the interface name sets cannot represent
     published: dict[str, str] = {}
     for name, svc in services.items():
         for host, _ in svc.ports:

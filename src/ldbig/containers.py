@@ -22,7 +22,7 @@ from .bigraph import (
     Bigraph, BigraphBuilder, Control, OuterName, Port, Root, Signature,
 )
 from .errors import UnresolvedName
-from .interfaces import LocalInterface
+from .interfaces import LocalInterface, check_name
 
 __all__ = [
     "CONTAINER", "PROCESS", "REQUEST", "NETWORK", "VOLUME",
@@ -52,8 +52,10 @@ def default_signature() -> Signature:
 
 @dataclass(frozen=True)
 class VolumeMount:
+    """A volume mounted at ``path`` inside the container."""
+
     name: str
-    host_path: str = ""
+    path: str = ""
     read_only: bool = False
 
 
@@ -70,10 +72,15 @@ class ContainerSpec:
 
     def names(self) -> tuple[frozenset[str], frozenset[str]]:
         """The (consumed, offered) outer names; raises UnresolvedName when a
-        name repeats on one side or is used on both."""
+        name is not a valid name, repeats on one side or is used on both."""
         plus = (*self.networks, *dict.fromkeys(v.name for v in self.volumes),
                 *self.consumes)
         minus = (*self.offers, self.name)
+        try:
+            for n in (*plus, *minus):
+                check_name(n)
+        except ValueError as exc:
+            raise UnresolvedName(f"{self.name}: {exc}") from exc
         consumed, offered = frozenset(plus), frozenset(minus)
         if (len(consumed) == len(plus) and len(offered) == len(minus)
                 and consumed.isdisjoint(offered)):
@@ -87,25 +94,21 @@ class ContainerSpec:
                              f"{sorted(consumed & offered)}")
 
 
-def build_container(spec: ContainerSpec,
-                    signature: Signature | None = None) -> Bigraph:
-    """Build the container bigraph for ``spec``; raises UnresolvedName on a
-    clash of its outer names or a name the interface rejects."""
-    signature = signature or default_signature()
-    try:
-        outer = LocalInterface.of((frozenset(), frozenset()), spec.names())
-    except ValueError as exc:
-        raise UnresolvedName(f"{spec.name}: {exc}") from exc
-
-    b = BigraphBuilder(signature, outer=outer)
+def build_container(spec: ContainerSpec) -> Bigraph:
+    """Build the container bigraph for ``spec``; raises UnresolvedName as
+    ``spec.names()`` does."""
+    outer = LocalInterface.of((frozenset(), frozenset()), spec.names())
+    b = BigraphBuilder(default_signature(), outer=outer)
     box = b.node(CONTAINER, parent=Root(1), name=spec.name)
     b.connect(OuterName(1, spec.name), Port(box, 0))
     for name in spec.networks:
         v = b.node(NETWORK, parent=box, name=name)
         b.connect(Port(v, 0), OuterName(1, name))
     for mount in spec.volumes:
+        # the attribute keeps its old key so that exported documents do not
+        # change; it holds the mount point inside the container
         v = b.node(VOLUME, parent=box, name=mount.name,
-                   read_only=mount.read_only, host_path=mount.host_path)
+                   read_only=mount.read_only, host_path=mount.path)
         b.connect(Port(v, 0), OuterName(1, mount.name))
 
     proc = b.node(PROCESS, parent=box, plus=len(spec.consumes),

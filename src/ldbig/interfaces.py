@@ -18,7 +18,7 @@ def check_name(text: str) -> str:
     """Reject empty names and names containing whitespace."""
     if not isinstance(text, str) or not text:
         raise ValueError(f"name must be a non-empty string, got {text!r}")
-    if any(c.isspace() for c in text):
+    if text.split() != [text]:  # str.split cuts at every isspace() char
         raise ValueError(f"name may not contain whitespace: {text!r}")
     return text
 

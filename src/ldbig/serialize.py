@@ -163,8 +163,8 @@ def bigraph_from_json(data: dict, path: str = "bigraph") -> Bigraph:
                    site_parent, node_parent, link, attrs)
 
 
-def dumps(b: Bigraph, indent: int | None = 2) -> str:
-    return json.dumps(bigraph_to_json(b), indent=indent, sort_keys=True)
+def dumps(b: Bigraph) -> str:
+    return json.dumps(bigraph_to_json(b), indent=2, sort_keys=True)
 
 
 def loads(text: str) -> Bigraph:

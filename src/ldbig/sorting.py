@@ -42,7 +42,6 @@ class Occurrence:
     """One embedding, fully determined by its node map."""
 
     node_map: tuple[tuple[int, int], ...]
-    link_map: tuple[tuple[object, object], ...]
     root_anchors: tuple[tuple[int, object], ...]
 
     def nodes(self) -> dict[int, int]:
@@ -55,17 +54,11 @@ class SortingResult:
     counterexamples: tuple[tuple[str, tuple[Occurrence, ...]], ...] = ()
 
 
-def _as_pattern(pattern) -> Pattern:
-    if isinstance(pattern, Pattern):
-        return pattern
-    return Pattern("pattern", pattern)
-
-
 def verify_occurrence(pattern: Bigraph, host: Bigraph,
                       node_map: dict[int, int],
                       anchor_at_roots: bool = False) -> Occurrence | None:
     """Check the embedding conditions for a complete node map; returns the
-    Occurrence with its derived link bindings and root anchors, or None."""
+    Occurrence with its root anchors, or None."""
     if set(node_map) != set(pattern.nodes):
         return None
     if len(set(node_map.values())) != len(node_map):
@@ -121,14 +114,12 @@ def verify_occurrence(pattern: Bigraph, host: Bigraph,
 
     return Occurrence(
         node_map=tuple(sorted(node_map.items())),
-        link_map=tuple(sorted(bindings.items(), key=lambda kv: str(kv[0]))),
         root_anchors=tuple(sorted(anchors.items())),
     )
 
 
-def find_matches(pattern, host: Bigraph) -> list[Occurrence]:
+def find_matches(pattern: Pattern, host: Bigraph) -> list[Occurrence]:
     """All occurrences of the pattern in the host."""
-    pattern = _as_pattern(pattern)
     pb = pattern.bigraph
     if pb.signature != host.signature:
         raise SignatureMismatch(
@@ -172,11 +163,10 @@ def find_matches(pattern, host: Bigraph) -> list[Occurrence]:
     return sorted((o for o in occs if o is not None), key=lambda o: o.node_map)
 
 
-def check_sorting(host: Bigraph, forbidden) -> SortingResult:
+def check_sorting(host: Bigraph, forbidden: list[Pattern]) -> SortingResult:
     """Well-sorted iff no forbidden pattern occurs in the host."""
     hits = []
     for pattern in forbidden:
-        pattern = _as_pattern(pattern)
         occs = find_matches(pattern, host)
         if occs:
             hits.append((pattern.name, tuple(occs)))

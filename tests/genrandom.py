@@ -15,7 +15,7 @@ from ldbig import (
     Signature, ComposeModel, SecurityOrder,
 )
 from ldbig.analysis import FlowGraph, FlowNode
-from ldbig.composefile import NetworkDecl, ServiceSpec, ServiceVolume, VolumeDecl
+from ldbig.composefile import NetworkDecl, ServiceSpec, VolumeDecl
 from ldbig.containers import ContainerSpec, VolumeMount
 
 NAME_POOL = ["a", "b", "c", "d", "k", "m", "u", "w", "x", "y", "z"]
@@ -202,12 +202,12 @@ def gen_model(rng: random.Random, max_services: int = 6,
 
         mounts = []
         for vol in rng.sample(sorted(vols), k=min(len(vols), rng.randint(0, 2))):
-            mounts.append(ServiceVolume(vol, f"/mnt/{vol}",
-                                        read_only=rng.random() < 0.4))
+            mounts.append(VolumeMount(vol, f"/mnt/{vol}",
+                                       read_only=rng.random() < 0.4))
         if mounts and rng.random() < 0.15:
             again = mounts[0]
-            mounts.append(ServiceVolume(again.name, f"/alt/{again.name}",
-                                        read_only=not again.read_only))
+            mounts.append(VolumeMount(again.name, f"/alt/{again.name}",
+                                       read_only=not again.read_only))
 
         services[name] = ServiceSpec(
             image=f"img/{name}", links=tuple(links), ports=tuple(ports),
@@ -243,11 +243,11 @@ def retarget_one_link(b: Bigraph) -> Bigraph:
 
 def gen_container_spec(rng: random.Random) -> ContainerSpec:
     nets = tuple(f"n{i}" for i in range(rng.randint(0, 3)))
-    vols = [VolumeMount(f"v{i}", host_path=f"/srv/v{i}",
+    vols = [VolumeMount(f"v{i}", path=f"/srv/v{i}",
                         read_only=rng.random() < 0.5)
             for i in range(rng.randint(0, 2))]
     if vols and rng.random() < 0.3:  # one volume at a second path
-        vols.append(VolumeMount(vols[0].name, host_path="/alt",
+        vols.append(VolumeMount(vols[0].name, path="/alt",
                                 read_only=rng.random() < 0.5))
     return ContainerSpec(
         name="box", networks=nets, volumes=tuple(vols),

@@ -1,10 +1,12 @@
 import random
 
+import pytest
+
 from ldbig import (
     Bigraph, BigraphBuilder, Control, Edge, InnerName, LocalInterface,
     OuterName, Port, Root, Signature, identity, validate,
 )
-from ldbig.bigraph import place_order
+from ldbig.bigraph import Violation, place_order
 from genrandom import gen_chain
 from oracles import node_root
 
@@ -106,6 +108,57 @@ def test_overlapping_node_and_edge_ids():
                 nodes={1: Control("A", 0, 0)}, edges={1}, site_parent={},
                 node_parent={1: Root(1)}, link={})
     assert "support" in clauses(b)
+
+
+ONE_SITE = LocalInterface.of((set(), set()), (set(), set()))
+
+
+@pytest.mark.parametrize("b, violation", [
+    pytest.param(Bigraph(SIG, ONE_SITE, ONE_SITE, {}, set(), {}, {}, {}),
+                 Violation("parent", "site 1", "no parent"), id="no parent"),
+    pytest.param(Bigraph(SIG, ONE_SITE, ONE_SITE, {}, set(), {1: "r1"}, {},
+                         {}),
+                 Violation("parent", "site 1", "bad parent 'r1'"),
+                 id="bad parent"),
+    pytest.param(Bigraph(SIG, LocalInterface.of(), ONE_SITE, {}, set(),
+                         {2: Root(1)}, {}, {}),
+                 Violation("parent", "site 2",
+                           "not a site of the inner interface"),
+                 id="not a site"),
+    pytest.param(Bigraph(SIG, LocalInterface.of(), ONE_SITE, {}, set(), {},
+                         {7: Root(1)}, {}),
+                 Violation("parent", "node 7", "not a node of this bigraph"),
+                 id="not a node"),
+    pytest.param(Bigraph(SIG, LocalInterface.of(), ONE_SITE, {}, {3}, {}, {},
+                         {InnerName(0, "z"): Edge(3)}),
+                 Violation("link-domain", "z@0i",
+                           "not a point of this bigraph"),
+                 id="link-domain"),
+])
+def test_each_clause_names_its_subject(b, violation):
+    assert validate(b) == [violation]
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: Control("A", -1, 0),
+                 "port counts must be non-negative", id="negative ports"),
+    pytest.param(lambda: Signature(fixed=(Control("A", 0, 0),
+                                          Control("A", 1, 1))),
+                 "duplicate control 'A'", id="duplicate"),
+    pytest.param(lambda: Signature(fixed=(Control("A", 0, 0),),
+                                   parametric=frozenset({"A"})),
+                 "a control cannot be both fixed and parametric",
+                 id="fixed and parametric"),
+    pytest.param(lambda: SIG.union(Signature(fixed=(Control("A", 0, 0),))),
+                 "conflicting arities for control 'A'", id="union arities"),
+    pytest.param(lambda: SIG.union(Signature(parametric=frozenset({"A"}))),
+                 "a control cannot be both fixed and parametric",
+                 id="union fixed and parametric"),
+])
+def test_signature_errors(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_builder_attrs_and_parametric_arities():

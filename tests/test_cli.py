@@ -199,6 +199,23 @@ def test_input_errors_name_the_file_they_are_in(compose_file, tmp_path, capsys,
     assert finding.payload == {"file": str(aux)}
 
 
+def test_a_name_with_whitespace_gets_one_report_from_every_command(
+        tmp_path, capsys):
+    stack = tmp_path / "stack.yml"
+    stack.write_text("services:\n  a b:\n    image: x\n")
+    reports = []
+    for argv in (["validate"], ["check-links"],
+                 *(["export", "--format", "json", "--stage", stage]
+                   for stage in ("environment", "stubs", "composite"))):
+        assert main([*argv, str(stack), "--json"]) == 2
+        reports.append(capsys.readouterr().out)
+    assert len(set(reports)) == 1
+    (finding,) = Report.from_json(json.loads(reports[0])).findings
+    assert finding.message == \
+        f"{stack}: a b: name may not contain whitespace: 'a b'"
+    assert finding.payload == {"file": str(stack), "line": None}
+
+
 def test_deeply_nested_yaml_is_an_input_error(tmp_path, capsys):
     deep = tmp_path / "deep.yml"
     deep.write_text("a: " + "[" * 100_000 + "\n")

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from ldbig import (
-    InnerName, OuterName, Port, assemble, census, container_stub, compose,
-    environment_bigraph, is_isomorphic, parse_compose, tensor, validate,
+    InnerName, OuterName, Port, VolumeMount, assemble, census, container_stub,
+    compose, environment_bigraph, is_isomorphic, parse_compose, tensor,
+    validate,
 )
 from ldbig.composefile import (
-    ComposeModel, NetworkDecl, ServiceSpec, ServiceVolume, VolumeDecl,
+    ComposeModel, NetworkDecl, ServiceSpec, VolumeDecl,
 )
 from ldbig.errors import (
     ComposeSyntaxError, DanglingReference, UnsupportedKey,
@@ -153,6 +154,40 @@ def test_one_clash_among_thousands_of_names_is_reported_alone():
     assert str(err.value) == "p_4242: offered names clash: ['p_4242']"
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param(MINIMAL + '    links: ["a:b:c"]\n',
+                 'app.links: expected "service" or "service:alias", '
+                 "got 'a:b:c'", id="link"),
+    pytest.param(MINIMAL + '    volumes: ["v:/x:rx"]\n',
+                 "app.volumes: unknown volume flag 'rx'", id="volume flag"),
+    pytest.param(MINIMAL + '    volumes: [":/x"]\n',
+                 "app.volumes: empty volume name or path in ':/x'",
+                 id="volume name"),
+    pytest.param(MINIMAL + '    volumes: ["v:"]\n',
+                 "app.volumes: empty volume name or path in 'v:'",
+                 id="volume path"),
+    pytest.param(MINIMAL + '    links: ["b:x", "c:x"]\n'
+                 "  b:\n    image: y\n  c:\n    image: z\n",
+                 "app.links: duplicate alias", id="alias"),
+    pytest.param(MINIMAL.replace("app:", "a b:"),
+                 "a b: name may not contain whitespace: 'a b'",
+                 id="service name"),
+    pytest.param(MINIMAL + "    networks: [n m]\nnetworks: {n m: }\n",
+                 "app: name may not contain whitespace: 'n m'",
+                 id="network name"),
+])
+def test_rejections_name_their_entry(text, message):
+    with pytest.raises(ComposeSyntaxError) as err:
+        parse_compose(text)
+    assert str(err.value) == message
+
+
+def test_a_numeric_expose_and_version_are_read_as_text():
+    model = parse_compose(MINIMAL.replace("'2'", "2") + "    expose: [3306]\n")
+    assert model.version == "2"
+    assert model.services["app"].expose == ("3306",)
+
+
 # -- environment --------------------------------------------------------------
 
 def test_environment_shape(wordpress_model):
@@ -210,7 +245,7 @@ def test_environment_looks_each_service_up_a_bounded_number_of_times():
     for n in (200, 400):
         services = CountingDict(
             (f"s{i}", ServiceSpec(image="busybox", networks=(f"n{i}",),
-                                  volumes=(ServiceVolume(f"v{i}", "/data"),)))
+                                  volumes=(VolumeMount(f"v{i}", "/data"),)))
             for i in range(n))
         model = ComposeModel(version="2", services=services,
                              networks={f"n{i}": NetworkDecl() for i in range(n)},

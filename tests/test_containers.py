@@ -16,7 +16,7 @@ def reference_spec() -> ContainerSpec:
     return ContainerSpec(
         name="C",
         networks=("n1", "n2"),
-        volumes=(VolumeMount("v", host_path="/srv/data"),),
+        volumes=(VolumeMount("v", path="/srv/data"),),
         consumes=("r1", "r2"),
         offers=("p1", "p2", "p3"),
     )
@@ -108,7 +108,7 @@ def test_clash_texts(stack, spec, message):
 
 def test_volume_metadata_recorded():
     spec = ContainerSpec(name="c", volumes=(
-        VolumeMount("data", host_path="/var/data", read_only=True),))
+        VolumeMount("data", path="/var/data", read_only=True),))
     b = build_container(spec)
     (vol,) = [v for v, c in b.nodes.items() if c.name == "volume"]
     assert b.attrs(vol) == {"name": "data", "read_only": True,

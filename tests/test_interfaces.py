@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ldbig import EMPTY_INTERFACE, LocalInterface, juxtapose
+from ldbig.interfaces import check_name
 from genrandom import gen_interface
 
 
@@ -47,6 +48,15 @@ def test_name_format_rejected():
         iface(({"a b"}, set()))
     with pytest.raises(ValueError):
         iface(({""}, set()))
+
+
+def test_every_whitespace_character_is_rejected():
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for c in spaces:
+        for name in (f"a{c}b", c, f"{c}a", f"a{c}"):
+            with pytest.raises(ValueError, match="may not contain whitespace"):
+                check_name(name)
 
 
 def test_global_collision_renames_right_operand():

@@ -57,6 +57,23 @@ def test_interfaces_must_match_exactly():
     assert not is_isomorphic(b1.build(), b2.build())
 
 
+def test_sites_under_swapped_roots_break_isomorphism():
+    inner = LocalInterface.of((set(), set()), (set(), set()), (set(), set()))
+    outer = LocalInterface.of((set(), set()), (set(), set()), (set(), set()))
+    built = []
+    for first, second in ((Root(1), Root(2)), (Root(2), Root(1))):
+        b = BigraphBuilder(SIG, inner=inner, outer=outer)
+        b.node("B", parent=Root(1))
+        b.node("B", parent=Root(2))
+        b.site(1, parent=first)
+        b.site(2, parent=second)
+        built.append(b.build())
+    # every node fits its twin, so only the sites' parents tell them apart
+    assert not is_isomorphic(*built)
+    assert not iso_bruteforce(*built)
+    assert is_isomorphic(built[0], built[0])
+
+
 def test_agrees_with_bruteforce_on_random_corpus():
     rng = random.Random(21)
     cases = positives = 0

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from ldbig import (
-    Bigraph, BigraphBuilder, Control, LocalInterface, Pattern, Port, Root,
-    Signature, assemble, check_sorting, default_signature, find_matches,
-    parse_compose, relabel, verify_occurrence,
+    Bigraph, BigraphBuilder, Control, Edge, InnerName, LocalInterface,
+    Occurrence, OuterName, Pattern, Port, Root, Signature, assemble,
+    check_sorting, default_signature, find_matches, parse_compose, relabel,
+    validate, verify_occurrence,
 )
 from ldbig.errors import SignatureMismatch
 from genrandom import gen_host, gen_pattern, gen_signature
@@ -113,6 +114,89 @@ def test_signature_mismatch():
         find_matches(host_sig_pattern, host)
 
 
+A, B, W = Control("A", 3, 1), Control("B", 1, 1), Control("W", 0, 0)
+
+
+def _shape(ids, edge, node_parent):
+    """Node a, an A, holds the site and a B, node b, whose port it reaches;
+    a also reaches the inner name ``i`` and, like b, the outer name ``o``;
+    a second B, node c, reaches an edge.  Other parents are W nodes."""
+    a, b, c = ids
+    return Bigraph(
+        Signature(fixed=(A, B, W)),
+        LocalInterface.of((set(), set()), (set(), {"i"})),
+        LocalInterface.of((set(), set()), ({"o"}, set())),
+        {**{v: W for v in node_parent}, a: A, b: B, c: B}, {edge}, {1: b},
+        node_parent,
+        {Port(a, 0): Port(b, 0), Port(a, 1): InnerName(1, "i"),
+         Port(a, 2): OuterName(1, "o"), Port(b, 0): OuterName(1, "o"),
+         Port(c, 0): Edge(edge)})
+
+
+EMBED_PATTERN = _shape((1, 2, 3), 10, {1: Root(1), 2: 1, 3: Root(1)})
+# the same shape under a W node, 20
+EMBED_HOST = _shape((11, 12, 13), 30, {20: Root(1), 11: 20, 12: 11, 13: 20})
+EMBED_MAP = {1: 11, 2: 12, 3: 13}
+
+
+def _changed(b, nodes=None, node_parent=None, link=None):
+    """A copy of ``b`` with these entries set; a value of None deletes."""
+    def updated(old, new):
+        merged = {**old, **(new or {})}
+        return {k: v for k, v in merged.items() if v is not None}
+
+    return Bigraph(b.signature, b.inner, b.outer, updated(b.nodes, nodes),
+                   b.edges, b.site_parent, updated(b.node_parent, node_parent),
+                   updated(b.link, link))
+
+
+@pytest.mark.parametrize("pattern, host, node_map, anchor", [
+    pytest.param(EMBED_PATTERN, EMBED_HOST, {1: 11, 2: 12}, False,
+                 id="node set"),
+    # node 3 made a twin of node 2, so both fit host node 12
+    pytest.param(_changed(EMBED_PATTERN, node_parent={3: 1},
+                          link={Port(3, 0): OuterName(1, "o")}),
+                 EMBED_HOST, {1: 11, 2: 12, 3: 12}, False, id="injectivity"),
+    pytest.param(EMBED_PATTERN, _changed(EMBED_HOST, nodes={13: W}),
+                 EMBED_MAP, False, id="control"),
+    pytest.param(EMBED_PATTERN, EMBED_HOST, EMBED_MAP, True,
+                 id="anchor_at_roots"),
+    pytest.param(EMBED_PATTERN,
+                 _changed(EMBED_HOST, node_parent={13: Root(1)}),
+                 EMBED_MAP, False, id="one root at two places"),
+    pytest.param(EMBED_PATTERN, _changed(EMBED_HOST, node_parent={12: 20}),
+                 EMBED_MAP, False, id="parent"),
+    pytest.param(EMBED_PATTERN, _changed(EMBED_HOST, link={Port(13, 0): None}),
+                 EMBED_MAP, False, id="unlinked port"),
+    pytest.param(_changed(EMBED_PATTERN, link={Port(1, 0): Port(99, 0)}),
+                 EMBED_HOST, EMBED_MAP, False,
+                 id="port linked to no pattern node"),
+    pytest.param(EMBED_PATTERN,
+                 _changed(EMBED_HOST, link={Port(11, 0): Port(13, 0)}),
+                 EMBED_MAP, False, id="port target"),
+    pytest.param(EMBED_PATTERN,
+                 _changed(EMBED_HOST, link={Port(11, 1): Edge(30)}),
+                 EMBED_MAP, False, id="inner-name target"),
+    pytest.param(EMBED_PATTERN,
+                 _changed(EMBED_HOST, link={Port(12, 0): Edge(30)}),
+                 EMBED_MAP, False, id="outer name bound to two host links"),
+])
+def test_each_broken_embedding_condition_rejects(pattern, host, node_map,
+                                                 anchor):
+    assert verify_occurrence(pattern, host, node_map, anchor) is None
+
+
+def test_the_unbroken_embedding_is_an_occurrence():
+    assert validate(EMBED_PATTERN) == [] and validate(EMBED_HOST) == []
+    assert verify_occurrence(EMBED_PATTERN, EMBED_HOST, EMBED_MAP) == \
+        Occurrence(node_map=((1, 11), (2, 12), (3, 13)),
+                   root_anchors=((1, 20),))
+    found = find_matches(Pattern("p", EMBED_PATTERN), EMBED_HOST)
+    assert {o.node_map for o in found} == \
+        matches_bruteforce(EMBED_PATTERN, EMBED_HOST) == \
+        {((1, 11), (2, 12), (3, 13))}
+
+
 def test_occurrences_pass_the_independent_validator():
     rng = random.Random(61)
     checked = 0
@@ -170,7 +254,7 @@ def _wildcarded_node(sig, control) -> Pattern:
     outer = LocalInterface(tuple(locs))
     b = BigraphBuilder(sig, outer=outer)
     from ldbig import OuterName
-    v = b.node(control, parent=Root(1))
+    v = b.node(control.name, parent=Root(1))
     for k in range(control.plus):
         b.connect(Port(v, k), OuterName(1, f"w{k}"))
     return Pattern("one-node", b.build())
