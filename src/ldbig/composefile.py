@@ -16,13 +16,13 @@ import yaml
 from .algebra import compose, identity, tensor
 from .bigraph import Bigraph, BigraphBuilder, InnerName, OuterName, Root, validate
 from .containers import (
-    ContainerSpec, VolumeMount, build_container, default_signature,
+    CONTAINER, NETWORK, VOLUME, ContainerSpec, VolumeMount, build_container,
+    default_signature, handle,
 )
 from .errors import (
-    ComposeSyntaxError, DanglingReference, LdbError, UnresolvedName,
-    UnsupportedKey,
+    ComposeSyntaxError, DanglingReference, LdbError, UnsupportedKey,
 )
-from .interfaces import LocalInterface, EMPTY_INTERFACE
+from .interfaces import LocalInterface, EMPTY_INTERFACE, check_name
 
 __all__ = [
     "ServiceSpec", "NetworkDecl", "VolumeDecl",
@@ -69,19 +69,19 @@ class ComposeModel:
     volumes: dict[str, VolumeDecl] = field(default_factory=dict)
 
 
-def _port_name(container_port: str) -> str:
-    return f"p_{container_port}"
-
-
-def _alias_name(alias: str) -> str:
-    return f"l_{alias}"
-
-
 def _require_str(value, path) -> str:
     if not isinstance(value, str) or not value:
         raise ComposeSyntaxError(f"{path}: expected a non-empty string, "
                                  f"got {value!r}")
     return value
+
+
+def _require_name(value, path) -> str:
+    """A non-empty string that ``check_name`` accepts."""
+    try:
+        return check_name(_require_str(value, path))
+    except ValueError as exc:
+        raise ComposeSyntaxError(f"{path}: {exc}") from exc
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -96,7 +96,7 @@ def _declarations(doc: dict, key: str, allowed: str):
     """(name, body) per entry of the ``networks`` or ``volumes`` section; a
     null body is empty, and ``allowed`` is the one key a body may hold."""
     for name, body in _section(doc, key).items():
-        name = _require_str(name, key)
+        name = _require_name(name, key)
         if body is None:
             body = {}
         elif not isinstance(body, dict):
@@ -137,7 +137,7 @@ def _parse_expose(entry, path) -> str:
 
 
 def _parse_link(entry, path) -> tuple[str, str]:
-    text = _require_str(entry, path)
+    text = _require_name(entry, path)
     parts = text.split(":")
     if len(parts) == 1:
         return parts[0], parts[0]
@@ -162,17 +162,17 @@ def _parse_volume(entry, path) -> VolumeMount:
         raise ComposeSyntaxError(f"{path}: unknown volume flag {flag!r}")
     if not name or not mount:
         raise ComposeSyntaxError(f"{path}: empty volume name or path in {text!r}")
-    return VolumeMount(name, mount, read_only=(flag == "ro"))
+    return VolumeMount(_require_name(name, path), mount,
+                       read_only=(flag == "ro"))
 
 
 def _container_spec(name: str, svc: ServiceSpec) -> ContainerSpec:
     """The one container a service runs: its process consumes the link
     aliases and offers the container ports; the spec owns the service's
-    outer names and their checks."""
-    return ContainerSpec(
-        name, svc.networks, svc.volumes,
-        tuple(_alias_name(a) for _, a in svc.links),
-        tuple(_port_name(c) for c in svc.container_ports()))
+    outer names."""
+    return ContainerSpec(name, svc.networks, svc.volumes,
+                         tuple(a for _, a in svc.links),
+                         svc.container_ports())
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -234,7 +234,7 @@ def parse_compose(text: str) -> ComposeModel:
     services: dict[str, ServiceSpec] = {}
     wants_default = False
     for name, body in _section(doc, "services").items():
-        name = _require_str(name, "services")
+        name = _require_name(name, "services")
         if not isinstance(body, dict):
             raise ComposeSyntaxError(f"{name}: expected a mapping of service keys")
         for key in body:
@@ -250,7 +250,7 @@ def parse_compose(text: str) -> ComposeModel:
         vols = tuple(_parse_volume(e, f"{name}.volumes") for e in
                      _require_list(body.get("volumes"), f"{name}.volumes"))
         if "networks" in body:
-            nets = tuple(_require_str(e, f"{name}.networks") for e in
+            nets = tuple(_require_name(e, f"{name}.networks") for e in
                          _require_list(body.get("networks"), f"{name}.networks"))
         else:
             nets = (DEFAULT_NETWORK,)
@@ -277,7 +277,7 @@ def parse_compose(text: str) -> ComposeModel:
                     f"{name}.volumes: {vol.name!r} is not a declared volume "
                     "(bind mounts are outside the supported subset)")
 
-    # names and clashes the interface name sets cannot represent
+    # clashes the interface name sets cannot represent
     published: dict[str, str] = {}
     for name, svc in services.items():
         for host, _ in svc.ports:
@@ -286,13 +286,14 @@ def parse_compose(text: str) -> ComposeModel:
                     f"{name}.ports: host port {host} already published by "
                     f"{published[host]}")
             published[host] = name
+            outer = handle("port", host)
+            if outer in volumes and volumes[outer].external:
+                raise ComposeSyntaxError(
+                    f"volumes.{outer}: clashes with the outer name of "
+                    f"published port {host}")
         aliases = [a for _, a in svc.links]
         if len(aliases) != len(set(aliases)):
             raise ComposeSyntaxError(f"{name}.links: duplicate alias")
-        try:
-            _container_spec(name, svc).names()
-        except UnresolvedName as exc:
-            raise ComposeSyntaxError(str(exc)) from exc
 
     return ComposeModel(version=version, services=services,
                         networks=networks, volumes=volumes)
@@ -318,7 +319,7 @@ def environment_bigraph(model: ComposeModel) -> Bigraph:
     inner = LocalInterface(tuple(localities))
 
     outer_plus = {v for v, decl in model.volumes.items() if decl.external}
-    outer_minus = {_port_name(host) for svc in model.services.values()
+    outer_minus = {handle("port", host) for svc in model.services.values()
                    for host, _ in svc.ports}
     outer = LocalInterface.of((frozenset(), frozenset()),
                               (outer_plus, outer_minus))
@@ -334,30 +335,31 @@ def environment_bigraph(model: ComposeModel) -> Bigraph:
             continue
         e = b.edge()
         for n in users:
-            b.connect(InnerName(site_of[n], net), e)
+            b.connect(InnerName(site_of[n], handle(NETWORK, net)), e)
 
     # volumes: external ones surface on the outer interface, others close
     for vol, decl in model.volumes.items():
         users = vol_users.get(vol, [])
+        inner_vol = handle(VOLUME, vol)
         if decl.external:
             for n in users:
-                b.connect(InnerName(site_of[n], vol), OuterName(1, vol))
+                b.connect(InnerName(site_of[n], inner_vol), OuterName(1, vol))
         elif users:
             e = b.edge()
             for n in users:
-                b.connect(InnerName(site_of[n], vol), e)
+                b.connect(InnerName(site_of[n], inner_vol), e)
 
     # link aliases target the linked service's identity handle
     for name in order:
         for target, alias in model.services[name].links:
-            b.connect(InnerName(site_of[name], _alias_name(alias)),
-                      InnerName(site_of[target], target))
+            b.connect(InnerName(site_of[name], handle("link", alias)),
+                      InnerName(site_of[target], handle(CONTAINER, target)))
 
     # published ports: the outer host-port name reaches the container port
     for name in order:
         for host, container in model.services[name].ports:
-            b.connect(OuterName(1, _port_name(host)),
-                      InnerName(site_of[name], _port_name(container)))
+            b.connect(OuterName(1, handle("port", host)),
+                      InnerName(site_of[name], handle("port", container)))
 
     return b.build()
 

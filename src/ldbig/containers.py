@@ -5,7 +5,8 @@ A built container is one root holding one ``container`` node, with one
 process node and the network and volume nodes nested inside it, and an
 empty inner interface.  Every port links to an outer name: the process's
 offers and the container's own name are offered, its consumed names and
-the networks and volumes are consumed.
+the networks and volumes are consumed.  ``handle`` tags each outer name
+with its kind, so names of two kinds never meet.
 
 The signature keeps a ``request`` control although the builder places no
 request node: every exported JSON document and every pattern file carries
@@ -21,12 +22,11 @@ from dataclasses import dataclass
 from .bigraph import (
     Bigraph, BigraphBuilder, Control, OuterName, Port, Root, Signature,
 )
-from .errors import UnresolvedName
-from .interfaces import LocalInterface, check_name
+from .interfaces import LocalInterface
 
 __all__ = [
     "CONTAINER", "PROCESS", "REQUEST", "NETWORK", "VOLUME",
-    "default_signature", "VolumeMount", "ContainerSpec",
+    "default_signature", "handle", "VolumeMount", "ContainerSpec",
     "build_container", "census",
 ]
 
@@ -35,6 +35,15 @@ PROCESS = "process"
 REQUEST = "request"
 NETWORK = "network"
 VOLUME = "volume"
+
+_TAGS = {NETWORK: "n", VOLUME: "v", "link": "l", "port": "p", CONTAINER: "c"}
+
+
+def handle(kind: str, text: str) -> str:
+    """The outer name of a container's ``kind`` handle ``text``, where kind
+    is network, volume, link (a consumed alias), port (an offered port) or
+    container (the container itself): ``text`` behind the kind's tag."""
+    return f"{_TAGS[kind]}_{text}"
 
 
 def default_signature() -> Signature:
@@ -61,8 +70,9 @@ class VolumeMount:
 
 @dataclass(frozen=True)
 class ContainerSpec:
-    """One container running one process, which consumes ``consumes`` and
-    offers ``offers``; a volume mounted at several paths is one name."""
+    """One container running one process, which consumes the link aliases
+    ``consumes`` and offers the ports ``offers``; a volume mounted at
+    several paths is one name."""
 
     name: str
     networks: tuple[str, ...] = ()
@@ -71,52 +81,36 @@ class ContainerSpec:
     offers: tuple[str, ...] = ()
 
     def names(self) -> tuple[frozenset[str], frozenset[str]]:
-        """The (consumed, offered) outer names; raises UnresolvedName when a
-        name is not a valid name, repeats on one side or is used on both."""
-        plus = (*self.networks, *dict.fromkeys(v.name for v in self.volumes),
-                *self.consumes)
-        minus = (*self.offers, self.name)
-        try:
-            for n in (*plus, *minus):
-                check_name(n)
-        except ValueError as exc:
-            raise UnresolvedName(f"{self.name}: {exc}") from exc
-        consumed, offered = frozenset(plus), frozenset(minus)
-        if (len(consumed) == len(plus) and len(offered) == len(minus)
-                and consumed.isdisjoint(offered)):
-            return consumed, offered
-        for group, side in ((plus, "consumed"), (minus, "offered")):
-            dupes = [n for n, k in Counter(group).items() if k > 1]
-            if dupes:
-                raise UnresolvedName(
-                    f"{self.name}: {side} names clash: {sorted(dupes)}")
-        raise UnresolvedName(f"{self.name}: names used with both polarities: "
-                             f"{sorted(consumed & offered)}")
+        """The (consumed, offered) outer names, each tagged by ``handle``."""
+        return (frozenset([*(handle(NETWORK, n) for n in self.networks),
+                           *(handle(VOLUME, v.name) for v in self.volumes),
+                           *(handle("link", a) for a in self.consumes)]),
+                frozenset([*(handle("port", p) for p in self.offers),
+                           handle(CONTAINER, self.name)]))
 
 
 def build_container(spec: ContainerSpec) -> Bigraph:
-    """Build the container bigraph for ``spec``; raises UnresolvedName as
-    ``spec.names()`` does."""
+    """Build the container bigraph for ``spec``."""
     outer = LocalInterface.of((frozenset(), frozenset()), spec.names())
     b = BigraphBuilder(default_signature(), outer=outer)
     box = b.node(CONTAINER, parent=Root(1), name=spec.name)
-    b.connect(OuterName(1, spec.name), Port(box, 0))
+    b.connect(OuterName(1, handle(CONTAINER, spec.name)), Port(box, 0))
     for name in spec.networks:
         v = b.node(NETWORK, parent=box, name=name)
-        b.connect(Port(v, 0), OuterName(1, name))
+        b.connect(Port(v, 0), OuterName(1, handle(NETWORK, name)))
     for mount in spec.volumes:
         # the attribute keeps its old key so that exported documents do not
         # change; it holds the mount point inside the container
         v = b.node(VOLUME, parent=box, name=mount.name,
                    read_only=mount.read_only, host_path=mount.path)
-        b.connect(Port(v, 0), OuterName(1, mount.name))
+        b.connect(Port(v, 0), OuterName(1, handle(VOLUME, mount.name)))
 
     proc = b.node(PROCESS, parent=box, plus=len(spec.consumes),
                   minus=len(spec.offers))
-    for k, name in enumerate(spec.consumes):
-        b.connect(Port(proc, k), OuterName(1, name))
-    for k, name in enumerate(spec.offers):
-        b.connect(OuterName(1, name), Port(proc, k))
+    for k, alias in enumerate(spec.consumes):
+        b.connect(Port(proc, k), OuterName(1, handle("link", alias)))
+    for k, port in enumerate(spec.offers):
+        b.connect(OuterName(1, handle("port", port)), Port(proc, k))
     return b.build()
 
 

@@ -13,10 +13,6 @@ class SignatureMismatch(LdbError):
     """Pattern and host bigraphs use different signatures."""
 
 
-class UnresolvedName(LdbError):
-    """A container spec's outer names clash, or one is not a valid name."""
-
-
 class ComposeError(LdbError):
     """Base class for compose-file frontend errors."""
 

@@ -161,17 +161,36 @@ def gen_interchange_quad(rng: random.Random, max_nodes: int = 6):
 
 # -- compose models -----------------------------------------------------------
 
+def _kind_names(kind: str, n: int) -> list[str]:
+    """``n`` distinct names for one kind.  The first three of every nine
+    take forms that all kinds share, so that services, networks and volumes
+    meet on names and on the tagged names of aliases and ports: every kind
+    starts ``x0``, ``l_x0`` (the tag of an alias ``x0``) and ``p_12`` (the
+    tag of port 12)."""
+    names = []
+    for i in range(n):
+        if i % 9 == 0:
+            names.append(f"x{i}")
+        elif i % 9 == 1:
+            names.append(f"l_x{i - 1}")
+        elif i % 9 == 2:
+            names.append(f"p_{i + 10}")
+        else:
+            names.append(f"{kind}{i}")
+    return names
+
+
 def gen_model(rng: random.Random, max_services: int = 6,
               max_networks: int = 4, max_volumes: int = 3,
               n_services: int | None = None) -> ComposeModel:
     """A random model; ``n_services`` fixes the service count, which is
     otherwise drawn from 1..max_services."""
-    nets = [f"net{i}" for i in range(rng.randint(0, max_networks))]
-    vols = {f"vol{i}": VolumeDecl(external=rng.random() < 0.5)
-            for i in range(rng.randint(0, max_volumes))}
+    nets = _kind_names("net", rng.randint(0, max_networks))
+    vols = {v: VolumeDecl(external=rng.random() < 0.5)
+            for v in _kind_names("vol", rng.randint(0, max_volumes))}
     if n_services is None:
         n_services = rng.randint(1, max_services)
-    names = [f"svc{i}" for i in range(n_services)]
+    names = _kind_names("svc", n_services)
 
     networks = {n: NetworkDecl() for n in nets}
     services: dict[str, ServiceSpec] = {}

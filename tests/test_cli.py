@@ -5,10 +5,14 @@ import sys
 
 import pytest
 
-from ldbig import assemble, is_isomorphic, loads, parse_compose
+from ldbig import (
+    assemble, build_flow_graph, check_links, is_isomorphic, loads,
+    parse_compose,
+)
 from ldbig import cli
 from ldbig.cli import main
 from ldbig.report import Report
+from model_reference import flow_arcs, unreachable_links
 
 
 def run_cli(*args, cwd=None, **env):
@@ -212,8 +216,70 @@ def test_a_name_with_whitespace_gets_one_report_from_every_command(
     assert len(set(reports)) == 1
     (finding,) = Report.from_json(json.loads(reports[0])).findings
     assert finding.message == \
-        f"{stack}: a b: name may not contain whitespace: 'a b'"
+        f"{stack}: services: name may not contain whitespace: 'a b'"
     assert finding.payload == {"file": str(stack), "line": None}
+
+
+# each stack gives one name to entities of two kinds; ``lone`` sits on its
+# own network, so the order's one pair cannot leak
+_LONE = "  lone: {image: z, networks: [side]}\n"
+
+
+@pytest.mark.parametrize("text, high", [
+    pytest.param("services:\n  db: {image: x, volumes: ['db:/data']}\n"
+                 "  web: {image: y, links: [db]}\n" + _LONE
+                 + "networks: {side: }\nvolumes: {db: }\n",
+                 "default", id="service and volume"),
+    pytest.param("services:\n  db: {image: x, networks: [db, back]}\n"
+                 "  web: {image: y, networks: [back], links: [db]}\n" + _LONE
+                 + "networks: {db: , back: , side: }\n",
+                 "db", id="service and network"),
+    pytest.param("services:\n  app: {image: x, networks: [data], "
+                 "volumes: ['data:/d:ro']}\n" + _LONE
+                 + "networks: {data: , side: }\nvolumes: {data: }\n",
+                 "data", id="network and volume"),
+    pytest.param("services:\n  web: {image: x, networks: [l_db], "
+                 "links: [db]}\n  db: {image: y, networks: [l_db]}\n"
+                 + _LONE + "networks: {l_db: , side: }\n",
+                 "l_db", id="network and link alias"),
+    pytest.param("services:\n  web: {image: x, expose: ['80'], "
+                 "ports: ['8080:80'], volumes: ['p_80:/srv']}\n" + _LONE
+                 + "networks: {side: }\nvolumes: {p_80: {external: true}}\n",
+                 "default", id="volume and port"),
+    pytest.param("services:\n  p_80: {image: x, expose: ['80']}\n"
+                 "  web: {image: y, links: [p_80]}\n" + _LONE
+                 + "networks: {side: }\n",
+                 "default", id="service and port"),
+])
+def test_names_shared_across_kinds_are_accepted_by_every_command(
+        text, high, data_dir, tmp_path, capsys):
+    stack = tmp_path / "stack.yml"
+    stack.write_text(text)
+    order = tmp_path / "order.txt"
+    order.write_text(f"{high} > side\n")
+    forbidden = json.loads((data_dir / "forbidden.json").read_text())
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(
+        [p for p in forbidden if p["name"] == "nested-container"]))
+    for argv in (["validate"], ["check-links"],
+                 ["check-security", "--order", str(order)],
+                 ["check-sorts", "--forbidden", str(nested)],
+                 *(["export", "--format", fmt, "--stage", stage]
+                   for fmt in ("json", "dot")
+                   for stage in ("environment", "stubs", "composite"))):
+        assert main([argv[0], str(stack), *argv[1:]]) == 0, argv
+    capsys.readouterr()
+    # the whole pattern file also holds any-container, one per service
+    model = parse_compose(text)
+    assert main(["check-sorts", str(stack), "--forbidden",
+                 str(data_dir / "forbidden.json"), "--json"]) == 1
+    (finding,) = Report.from_json(json.loads(capsys.readouterr().out)).findings
+    assert finding.payload["pattern"] == "any-container"
+    assert len(finding.payload["occurrences"]) == len(model.services)
+    composite = assemble(model)
+    assert [v.subject for v in check_links(composite)] \
+        == unreachable_links(model)
+    assert build_flow_graph(composite).arcs == flow_arcs(model)
 
 
 def test_deeply_nested_yaml_is_an_input_error(tmp_path, capsys):

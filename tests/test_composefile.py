@@ -144,16 +144,6 @@ services:
         parse_compose(text)
 
 
-def test_one_clash_among_thousands_of_names_is_reported_alone():
-    # the service's own name is also the offered name of its port 4242
-    ports = ", ".join(f'"{k}"' for k in range(1000, 5000))
-    text = f"version: '2'\nservices:\n  p_4242:\n    image: x\n" \
-           f"    expose: [{ports}]\n"
-    with pytest.raises(ComposeSyntaxError) as err:
-        parse_compose(text)
-    assert str(err.value) == "p_4242: offered names clash: ['p_4242']"
-
-
 @pytest.mark.parametrize("text, message", [
     pytest.param(MINIMAL + '    links: ["a:b:c"]\n',
                  'app.links: expected "service" or "service:alias", '
@@ -170,11 +160,27 @@ def test_one_clash_among_thousands_of_names_is_reported_alone():
                  "  b:\n    image: y\n  c:\n    image: z\n",
                  "app.links: duplicate alias", id="alias"),
     pytest.param(MINIMAL.replace("app:", "a b:"),
-                 "a b: name may not contain whitespace: 'a b'",
+                 "services: name may not contain whitespace: 'a b'",
                  id="service name"),
     pytest.param(MINIMAL + "    networks: [n m]\nnetworks: {n m: }\n",
-                 "app: name may not contain whitespace: 'n m'",
+                 "networks: name may not contain whitespace: 'n m'",
                  id="network name"),
+    pytest.param(MINIMAL + "    networks: [n m]\n",
+                 "app.networks: name may not contain whitespace: 'n m'",
+                 id="network entry"),
+    pytest.param(MINIMAL + "volumes: {v w: {external: true}}\n",
+                 "volumes: name may not contain whitespace: 'v w'",
+                 id="unused volume name"),
+    pytest.param(MINIMAL + '    volumes: ["v w:/x"]\n',
+                 "app.volumes: name may not contain whitespace: 'v w'",
+                 id="mounted volume name"),
+    pytest.param(MINIMAL + '    links: ["b:a l"]\n  b:\n    image: y\n',
+                 "app.links: name may not contain whitespace: 'b:a l'",
+                 id="link alias"),
+    pytest.param(MINIMAL + '    ports: ["8080:80"]\n'
+                 "volumes: {p_8080: {external: true}}\n",
+                 "volumes.p_8080: clashes with the outer name of published "
+                 "port 8080", id="external volume and host port"),
 ])
 def test_rejections_name_their_entry(text, message):
     with pytest.raises(ComposeSyntaxError) as err:
@@ -202,20 +208,20 @@ def test_environment_shape(wordpress_model):
     assert len(env.edges) == 2
 
     # wp is site 1, db site 2, pma site 3 (declaration order)
-    assert env.inner.plus(1) == {"front", "datavolume", "l_db"}
-    assert env.inner.minus(1) == {"p_80", "wp"}
-    assert env.inner.minus(2) == {"p_3306", "db"}
+    assert env.inner.plus(1) == {"n_front", "v_datavolume", "l_db"}
+    assert env.inner.minus(1) == {"p_80", "c_wp"}
+    assert env.inner.minus(2) == {"p_3306", "c_db"}
 
     # a link alias points at the target service's identity handle
-    assert env.link[InnerName(3, "l_mysql")] == InnerName(2, "db")
+    assert env.link[InnerName(3, "l_mysql")] == InnerName(2, "c_db")
     # publishing renames the host port onto the container port
     assert env.link[OuterName(1, "p_8080")] == InnerName(1, "p_80")
     # the two attachments of "front" share one closed link
-    assert env.link[InnerName(1, "front")] == env.link[InnerName(2, "front")]
-    assert env.link[InnerName(1, "front")] != env.link[InnerName(2, "back")]
+    assert env.link[InnerName(1, "n_front")] == env.link[InnerName(2, "n_front")]
+    assert env.link[InnerName(1, "n_front")] != env.link[InnerName(2, "n_back")]
     # the external volume shows through to the outer interface
-    assert env.link[InnerName(1, "datavolume")] == OuterName(1, "datavolume")
-    assert env.link[InnerName(3, "datavolume")] == OuterName(1, "datavolume")
+    assert env.link[InnerName(1, "v_datavolume")] == OuterName(1, "datavolume")
+    assert env.link[InnerName(3, "v_datavolume")] == OuterName(1, "datavolume")
 
 
 def test_environment_single_service():
@@ -225,7 +231,7 @@ def test_environment_single_service():
     env = environment_bigraph(m)
     assert env.inner.width == 1
     assert len(env.edges) == 1  # the implicit default network
-    assert isinstance(env.link[InnerName(1, "default")], Edge)
+    assert isinstance(env.link[InnerName(1, "n_default")], Edge)
     assert validate(env) == []
 
 
@@ -263,8 +269,8 @@ def test_environment_looks_each_service_up_a_bounded_number_of_times():
 def test_db_stub(wordpress_model):
     stub = container_stub("db", wordpress_model)
     assert census(stub) == {"container": 1, "process": 1, "network": 2}
-    assert stub.outer.plus(1) == {"front", "back"}
-    assert stub.outer.minus(1) == {"p_3306", "db"}
+    assert stub.outer.plus(1) == {"n_front", "n_back"}
+    assert stub.outer.minus(1) == {"p_3306", "c_db"}
     assert stub.inner.width == 0
     assert validate(stub) == []
 
@@ -273,8 +279,8 @@ def test_wp_stub(wordpress_model):
     stub = container_stub("wp", wordpress_model)
     assert census(stub) == {"container": 1, "process": 1, "network": 1,
                             "volume": 1}
-    assert stub.outer.plus(1) == {"front", "datavolume", "l_db"}
-    assert stub.outer.minus(1) == {"p_80", "wp"}
+    assert stub.outer.plus(1) == {"n_front", "v_datavolume", "l_db"}
+    assert stub.outer.minus(1) == {"p_80", "c_wp"}
     (vol,) = [v for v, c in stub.nodes.items() if c.name == "volume"]
     assert stub.attrs(vol)["read_only"] is True
     (proc,) = [v for v, c in stub.nodes.items() if c.name == "process"]

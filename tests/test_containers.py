@@ -6,7 +6,7 @@ from ldbig import (
     EMPTY_INTERFACE, ContainerSpec, Control, OuterName, Port, VolumeMount,
     build_container, census, default_signature, parse_compose, validate,
 )
-from ldbig.errors import ComposeSyntaxError, UnresolvedName
+from ldbig.composefile import _container_spec
 from genrandom import gen_container_spec
 
 
@@ -35,8 +35,8 @@ def test_default_signature_arities():
 def test_reference_container_interfaces():
     b = build_container(reference_spec())
     assert b.inner == EMPTY_INTERFACE
-    assert b.outer.plus(1) == {"n1", "n2", "v", "r1", "r2"}
-    assert b.outer.minus(1) == {"p1", "p2", "p3", "C"}
+    assert b.outer.plus(1) == {"n_n1", "n_n2", "v_v", "l_r1", "l_r2"}
+    assert b.outer.minus(1) == {"p_p1", "p_p2", "p_p3", "c_C"}
     assert validate(b) == []
 
 
@@ -47,7 +47,7 @@ def test_reference_container_structure():
                       "volume": 1}
     (box,) = [v for v, c in b.nodes.items() if c.name == "container"]
     # the identity handle points at the container's only target port
-    assert b.link[OuterName(1, "C")] == Port(box, 0)
+    assert b.link[OuterName(1, "c_C")] == Port(box, 0)
     # all other nodes sit inside the container, and there is no site
     for v in b.nodes:
         if v != box:
@@ -56,8 +56,8 @@ def test_reference_container_structure():
     # the process has one source port per consumed name, one target per offer
     (proc,) = [v for v, c in b.nodes.items() if c.name == "process"]
     assert b.nodes[proc] == Control("process", 2, 3)
-    assert b.link[Port(proc, 1)] == OuterName(1, "r2")
-    assert b.link[OuterName(1, "p2")] == Port(proc, 1)
+    assert b.link[Port(proc, 1)] == OuterName(1, "l_r2")
+    assert b.link[OuterName(1, "p_p2")] == Port(proc, 1)
 
 
 def test_dropping_an_offer_breaks_isomorphism():
@@ -75,35 +75,28 @@ def test_minimal_container():
     assert census(b) == {"container": 1, "process": 1}
     assert b.inner.width == 0
     assert b.outer.plus(1) == set()
-    assert b.outer.minus(1) == {"lone"}
+    assert b.outer.minus(1) == {"c_lone"}
     assert validate(b) == []
 
 
-def test_duplicate_offers_rejected():
-    spec = ContainerSpec(name="c", offers=("s", "s"))
-    with pytest.raises(UnresolvedName, match=r"^c: offered names clash: \['s'\]$"):
-        build_container(spec)
-
-
-@pytest.mark.parametrize("stack, spec, message", [
+@pytest.mark.parametrize("stack, spec, names", [
     ("services: {a: {image: x, networks: [l_b], links: [b]}, b: {image: y}}\n"
      "networks: {l_b: }",
-     ContainerSpec("a", networks=("l_b",), consumes=("l_b",)),
-     "a: consumed names clash: ['l_b']"),
+     ContainerSpec("a", networks=("l_b",), consumes=("b",)),
+     ({"n_l_b", "l_b"}, {"c_a"})),
     ("services: {p_80: {image: x, expose: ['80']}}",
-     ContainerSpec("p_80", offers=("p_80",)),
-     "p_80: offered names clash: ['p_80']"),
+     ContainerSpec("p_80", networks=("default",), offers=("80",)),
+     ({"n_default"}, {"p_80", "c_p_80"})),
     ("services: {a: {image: x, networks: [a]}}\nnetworks: {a: }",
      ContainerSpec("a", networks=("a",)),
-     "a: names used with both polarities: ['a']"),
+     ({"n_a"}, {"c_a"})),
 ])
-def test_clash_texts(stack, spec, message):
-    with pytest.raises(ComposeSyntaxError) as parsed:
-        parse_compose(stack)
-    assert str(parsed.value) == message
-    with pytest.raises(UnresolvedName) as named:
-        spec.names()
-    assert str(named.value) == message
+def test_clash_texts(stack, spec, names):
+    """Stacks whose names once clashed parse, and their tagged names are
+    distinct."""
+    model = parse_compose(stack)
+    assert _container_spec(spec.name, model.services[spec.name]) == spec
+    assert spec.names() == names
 
 
 def test_volume_metadata_recorded():

@@ -1,8 +1,8 @@
 import random
 
 from ldbig import (
-    BigraphBuilder, Control, LocalInterface, OuterName, Port, Root, Signature,
-    assemble, is_isomorphic, relabel,
+    Bigraph, BigraphBuilder, Control, LocalInterface, OuterName, Port, Root,
+    Signature, assemble, is_isomorphic, relabel,
 )
 from genrandom import gen_chain, gen_model, gen_signature, retarget_one_link
 from oracles import iso_bruteforce
@@ -72,6 +72,21 @@ def test_sites_under_swapped_roots_break_isomorphism():
     assert not is_isomorphic(*built)
     assert not iso_bruteforce(*built)
     assert is_isomorphic(built[0], built[0])
+
+
+def test_parent_cycles_of_two_shapes_are_not_isomorphic():
+    # nodes off the place forest: two 2-cycles of parents against one
+    # 4-cycle; every node has the same control and one child, so only the
+    # node-parent check of the iso search tells them apart
+    sig = Signature(fixed=(Control("K", 0, 0),))
+    outer = LocalInterface.of((set(), set()), (set(), set()))
+    cycles = [
+        Bigraph(sig, LocalInterface.of(), outer,
+                dict.fromkeys(parents, sig.lookup("K")), set(), {}, parents, {})
+        for parents in ({1: 2, 2: 1, 3: 4, 4: 3}, {1: 2, 2: 3, 3: 4, 4: 1})]
+    assert not is_isomorphic(*cycles)
+    assert not iso_bruteforce(*cycles)
+    assert is_isomorphic(cycles[1], cycles[1])
 
 
 def test_agrees_with_bruteforce_on_random_corpus():

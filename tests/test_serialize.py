@@ -64,7 +64,7 @@ def test_dot_strings_close_on_their_own_line():
     model = parse_compose("services: {'a\\': {image: x, links: ['b:q\"']}, "
                           "b: {image: y}}")
     env = to_dot(environment_bigraph(model))
-    assert '"in_1_a\\\\" [label="a\\\\@1-"' in env
+    assert '"in_1_c_a\\\\" [label="c_a\\\\@1-"' in env
     composite = to_dot(assemble(model))
     assert 'label="container a\\\\\\n(0+,1-) #' in composite
     for line in (env + composite).splitlines():
