@@ -12,7 +12,7 @@ from .bigraph import (
     EMPTY_SIGNATURE, place_order,
 )
 from .errors import InterfaceMismatch, LdbError
-from .interfaces import LocalInterface, juxtapose_with_renames
+from .interfaces import LocalInterface, juxtapose
 
 __all__ = ["compose", "tensor", "identity", "relabel", "is_isomorphic",
            "place_order", "node_maps"]
@@ -138,14 +138,16 @@ def compose(b2: Bigraph, b1: Bigraph) -> Bigraph:
 def tensor(*bigraphs: Bigraph) -> Bigraph:
     """b1 (x) ... (x) bn: side-by-side juxtaposition, built in one pass.
 
+    Defined only when no global name belongs to two operands' inner (or two
+    operands' outer) interfaces; ``juxtapose`` raises LdbError otherwise.
     Each operand's localized names, sites and roots shift past those of the
-    operands before it; its colliding global names are renamed.  Its
-    support ids are refreshed (shifted by the largest id in play) when they
-    collide with earlier ones.  The result equals the left fold of the
-    binary product, dict order included; no operands give the unit.
+    operands before it.  Its support ids are refreshed (shifted by the
+    largest id in play) when they collide with earlier ones.  The result
+    equals the left fold of the binary product, dict order included; no
+    operands give the unit.
     """
-    inner, in_renames = juxtapose_with_renames(*(b.inner for b in bigraphs))
-    outer, out_renames = juxtapose_with_renames(*(b.outer for b in bigraphs))
+    inner = juxtapose(*(b.inner for b in bigraphs))
+    outer = juxtapose(*(b.outer for b in bigraphs))
     signature = bigraphs[0].signature if bigraphs else EMPTY_SIGNATURE
     nodes: dict = {}
     edges: set[int] = set()
@@ -156,8 +158,7 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
     top = -math.inf         # the largest support id so far
     d_in = d_out = 0        # sites and roots so far
 
-    for b, (in_plus, in_minus), (out_plus, out_minus) in zip(
-            bigraphs, in_renames, out_renames):
+    for b in bigraphs:
         if b.signature != signature:
             signature = signature.union(b.signature)
         ids = b.nodes.keys() | b.edges
@@ -172,20 +173,15 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
         def place(p):
             return Root(p.index + d_out) if isinstance(p, Root) else nm.get(p, p)
 
-        def ref(x, in_map, out_map):
-            # points take the plus renames of inner names and the minus
-            # renames of outer names; links take the other two
+        def ref(x):
+            # global names are disjoint across operands, so stay as they are
             if isinstance(x, Port):
                 return Port(nm.get(x.node, x.node), x.index)
             if isinstance(x, Edge):
                 return Edge(em.get(x.ident, x.ident))
-            if isinstance(x, InnerName):
-                if x.locality == 0:
-                    return InnerName(0, in_map.get(x.text, x.text))
+            if isinstance(x, InnerName) and x.locality:
                 return InnerName(x.locality + d_in, x.text)
-            if isinstance(x, OuterName):
-                if x.locality == 0:
-                    return OuterName(0, out_map.get(x.text, x.text))
+            if isinstance(x, OuterName) and x.locality:
                 return OuterName(x.locality + d_out, x.text)
             return x
 
@@ -197,7 +193,7 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
         for v, p in b.node_parent.items():
             node_parent[nm.get(v, v)] = place(p)
         for p, t in b.link.items():
-            link[ref(p, in_plus, out_minus)] = ref(t, in_minus, out_plus)
+            link[ref(p)] = ref(t)
         for v, a in b.node_attrs.items():
             attrs[nm.get(v, v)] = a
         d_in += b.inner.width

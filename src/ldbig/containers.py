@@ -46,17 +46,16 @@ def handle(kind: str, text: str) -> str:
     return f"{_TAGS[kind]}_{text}"
 
 
+_SIGNATURE = Signature(
+    fixed=(Control(CONTAINER, 0, 1), Control(REQUEST, 1, 1),
+           Control(NETWORK, 1, 1), Control(VOLUME, 1, 1)),
+    parametric=frozenset({PROCESS}))
+
+
 def default_signature() -> Signature:
-    """The fixed container signature; process arities are per-node."""
-    return Signature(
-        fixed=(
-            Control(CONTAINER, 0, 1),
-            Control(REQUEST, 1, 1),
-            Control(NETWORK, 1, 1),
-            Control(VOLUME, 1, 1),
-        ),
-        parametric=frozenset({PROCESS}),
-    )
+    """The fixed container signature, built once (a Signature is
+    immutable); process arities are per-node."""
+    return _SIGNATURE
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@
 
 Locality 0 holds the global (non-localized) names; localities 1..width are
 attached to roots (outer side) or sites (inner side).  Juxtaposition appends
-the localized parts and merges the global parts, renaming right-operand
-globals on collision.
+the localized parts and takes the union of the global parts, which must be
+disjoint.  Names are checked where they are read (the compose and JSON
+readers); an interface only keeps each locality's two sides disjoint.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+
+from .errors import LdbError
 
 __all__ = ["LocalInterface", "EMPTY_INTERFACE", "juxtapose", "check_name"]
 
@@ -36,26 +38,18 @@ class LocalInterface:
     def __post_init__(self):
         if not self.localities:
             raise ValueError("an interface has at least the global locality")
-        frozen = []
-        for i, (plus, minus) in enumerate(self.localities):
-            plus = frozenset(check_name(n) for n in plus)
-            minus = frozenset(check_name(n) for n in minus)
+        frozen = tuple((frozenset(p), frozenset(m)) for p, m in self.localities)
+        for i, (plus, minus) in enumerate(frozen):
             if plus & minus:
-                raise ValueError(
-                    f"locality {i}: names {sorted(plus & minus)} are both "
-                    "positive and negative"
-                )
-            frozen.append((plus, minus))
-        object.__setattr__(self, "localities", tuple(frozen))
+                raise ValueError(f"locality {i}: names {sorted(plus & minus)} "
+                                 "are both positive and negative")
+        object.__setattr__(self, "localities", frozen)
 
     @classmethod
     def of(cls, *localities) -> "LocalInterface":
         """Build from (plus, minus) name iterables, the first pair being the
         global locality; no arguments gives the empty interface."""
-        pairs = [(frozenset(p), frozenset(m)) for p, m in localities]
-        if not pairs:
-            pairs = [(frozenset(), frozenset())]
-        return cls(tuple(pairs))
+        return cls(localities or ((frozenset(), frozenset()),))
 
     @property
     def width(self) -> int:
@@ -75,69 +69,30 @@ class LocalInterface:
         return "<" + ",".join(parts) + ">"
 
 
-EMPTY_INTERFACE = LocalInterface(((frozenset(), frozenset()),))
-
-_TAG_SUFFIX = re.compile(r"(~\d+)+$")
-
-
-def _tag_base(text: str) -> str:
-    return _TAG_SUFFIX.sub("", text) or text
-
-
-def _fresh_variant(text: str, taken: set[str], next_free: dict[str, int]) -> str:
-    """Smallest ``base~k`` not in ``taken``, continuing an existing tag tower.
-
-    ``next_free`` maps a base to a k below which every slot is taken; it
-    stays valid while ``taken`` only grows, and the caller must take the
-    result."""
-    base = _tag_base(text)
-    k = next_free.get(base, 1)
-    while f"{base}~{k}" in taken:
-        k += 1
-    next_free[base] = k + 1
-    return f"{base}~{k}"
-
-
-def juxtapose_with_renames(*interfaces: LocalInterface):
-    """Juxtapose interfaces left to right; also return, per operand, the
-    rename maps applied to its global names (one per polarity).
-
-    Each operand's global names are absorbed in a canonical order into the
-    globals of the operands before it; a colliding name moves to the
-    smallest free slot of its tag tower, so the first operand's names are
-    never touched.  Plus and minus share one namespace here because a name
-    may collide across polarities and the result's sides must stay
-    disjoint.  The result equals the left fold of the binary operation.
-
-    The ``~k`` suffix is reserved for this tagging.  For names that do not
-    already use it the operation is associative on the resulting name sets;
-    names hand-crafted in the reserved form may receive grouping-dependent
-    fresh variants (disjointness and the rename report still hold).
-    """
-    plus: set[str] = set()
-    minus: set[str] = set()
-    taken: set[str] = set()
-    next_free: dict[str, int] = {}
-    localized = []
-    renames: list[tuple[dict[str, str], dict[str, str]]] = []
-    for y in interfaces:
-        moved: tuple[dict[str, str], dict[str, str]] = ({}, {})
-        incoming = [(_tag_base(t), len(t), t, 0) for t in y.plus(0)]
-        incoming += [(_tag_base(t), len(t), t, 1) for t in y.minus(0)]
-        for _, _, text, side in sorted(incoming):
-            final = text
-            if text in taken:
-                final = _fresh_variant(text, taken, next_free)
-                moved[side][text] = final
-            taken.add(final)
-            (minus if side else plus).add(final)
-        localized.extend(y.localities[1:])
-        renames.append(moved)
-    localities = ((frozenset(plus), frozenset(minus)), *localized)
-    return LocalInterface(localities), renames
+EMPTY_INTERFACE = LocalInterface.of()
 
 
 def juxtapose(*interfaces: LocalInterface) -> LocalInterface:
-    """X1 (x) ... (x) Xn: merged globals, then each operand's localities in
-    turn; no operands give the empty interface."""
-    return juxtapose_with_renames(*interfaces)[0]
+    """X1 (x) ... (x) Xn: the union of the global localities, then each
+    operand's localized ones in turn; no operands give the empty interface.
+
+    The product is partial: it is defined only when no global name, of
+    either polarity, belongs to two operands.
+    """
+    plus: set[str] = set()
+    minus: set[str] = set()
+    owner: dict[str, int] = {}
+    localized = []
+    for k, y in enumerate(interfaces, 1):
+        for text in sorted(y.plus(0) | y.minus(0)):
+            if owner.setdefault(text, k) != k:
+                raise LdbError(f"global name {text!r} is shared by operands "
+                               f"{owner[text]} and {k}")
+        plus |= y.plus(0)
+        minus |= y.minus(0)
+        localized.extend(y.localities[1:])
+    return LocalInterface(((frozenset(plus), frozenset(minus)), *localized))
+
+
+# the name perfbench/tracer.py wraps
+juxtapose_with_renames = juxtapose

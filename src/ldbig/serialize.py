@@ -16,7 +16,7 @@ from .bigraph import (
     Bigraph, Control, Edge, InnerName, OuterName, Port, Root, Signature,
     validate,
 )
-from .interfaces import LocalInterface
+from .interfaces import LocalInterface, check_name
 from .sorting import Pattern
 
 __all__ = [
@@ -50,14 +50,22 @@ def _each(obj: dict, key: str, kind: type, path: str, required=False):
             for i, x in enumerate(items)]
 
 
+def _at(path: str, build, *args):
+    """``build(*args)``, with a ValueError it raises prefixed by ``path``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _interface_to_json(i: LocalInterface) -> list:
     return [{"plus": sorted(p), "minus": sorted(m)} for p, m in i.localities]
 
 
 def _interface_from_json(data: dict, key: str, path: str) -> LocalInterface:
-    return LocalInterface(tuple(
-        (frozenset(t for _, t in _each(loc, "plus", str, where)),
-         frozenset(t for _, t in _each(loc, "minus", str, where)))
+    return _at(f"{path}.{key}", LocalInterface, tuple(
+        tuple(frozenset(_at(w, check_name, t) for w, t in _each(loc, side, str, where))
+              for side in ("plus", "minus"))
         for where, loc in _each(data, key, dict, path, required=True)))
 
 
@@ -66,9 +74,9 @@ def _control_to_json(c: Control) -> dict:
 
 
 def _control_from_json(data: dict, path: str) -> Control:
-    return Control(_field(data, "name", str, path),
-                   _field(data, "plus", int, path),
-                   _field(data, "minus", int, path))
+    return _at(path, Control, _field(data, "name", str, path),
+               _field(data, "plus", int, path),
+               _field(data, "minus", int, path))
 
 
 def _ref_to_json(x) -> dict:
@@ -140,11 +148,10 @@ def bigraph_from_json(data: dict, path: str = "bigraph") -> Bigraph:
     _check(data, dict, path)
     sig = _field(data, "signature", dict, path, {})
     where = f"{path}.signature"
-    signature = Signature(
-        fixed=tuple(_control_from_json(c, w)
-                    for w, c in _each(sig, "controls", dict, where)),
-        parametric=frozenset(t for _, t in _each(sig, "parametric", str, where)),
-    )
+    signature = _at(where, Signature,
+                    tuple(_control_from_json(c, w)
+                          for w, c in _each(sig, "controls", dict, where)),
+                    frozenset(t for _, t in _each(sig, "parametric", str, where)))
     nodes, node_parent, attrs = {}, {}, {}
     for where, entry in _each(data, "nodes", dict, path):
         v = _field(entry, "id", int, where)

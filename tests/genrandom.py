@@ -30,7 +30,11 @@ def gen_signature(rng: random.Random, max_controls: int = 4) -> Signature:
 
 
 def gen_interface(rng: random.Random, width: int,
-                  max_names: int = 2, globals_ok: bool = True) -> LocalInterface:
+                  max_names: int = 2, globals_ok: bool = True,
+                  owner: str = "") -> LocalInterface:
+    """Global names are ``owner`` before a pool name, so interfaces drawn
+    for distinct owners have disjoint globals and their tensor is defined;
+    the owner draws nothing from ``rng``."""
     locs = []
     for i in range(width + 1):
         if i == 0 and not globals_ok:
@@ -40,8 +44,9 @@ def gen_interface(rng: random.Random, width: int,
         pool = rng.sample(NAME_POOL, k=min(len(NAME_POOL), 2 * budget))
         n_plus = rng.randint(0, budget)
         n_minus = rng.randint(0, budget)
-        plus = frozenset(pool[:n_plus])
-        minus = frozenset(pool[n_plus:n_plus + n_minus])
+        prefix = "" if i else owner
+        plus = frozenset(prefix + t for t in pool[:n_plus])
+        minus = frozenset(prefix + t for t in pool[n_plus:n_plus + n_minus])
         locs.append((plus, minus))
     return LocalInterface(tuple(locs))
 
@@ -131,31 +136,38 @@ def gen_bigraph(rng: random.Random, signature: Signature,
 
 
 def gen_chain(rng: random.Random, length: int = 3, max_nodes: int = 8,
-              signature: Signature | None = None):
+              signature: Signature | None = None, owner: str = ""):
     """Composable bigraphs b[0]: I0 -> I1, b[1]: I1 -> I2, ...
 
     Interfaces with localized width 0 cannot host sites, so a zero width
-    forces the whole chain to zero width (globals only).
+    forces the whole chain to zero width (globals only).  Global names take
+    ``owner`` as in :func:`gen_interface`.
     """
     signature = signature or gen_signature(rng)
     if rng.random() < 0.05:
         widths = [0] * (length + 1)
     else:
         widths = [rng.randint(1, 2) for _ in range(length + 1)]
-    ifaces = [gen_interface(rng, w) for w in widths]
+    ifaces = [gen_interface(rng, w, owner=owner) for w in widths]
     return [gen_bigraph(rng, signature, ifaces[i], ifaces[i + 1], max_nodes)
             for i in range(length)]
 
 
 def gen_interchange_quad(rng: random.Random, max_nodes: int = 6):
-    """(A, B, C, D) with C: -> inner(A) and D: -> inner(B)."""
+    """(A, B, C, D) with C: -> inner(A) and D: -> inner(B); the globals of
+    A and C are disjoint from those of B and D, so A (x) B and C (x) D are
+    defined."""
     sig = gen_signature(rng)
-    i_a = gen_interface(rng, rng.randint(1, 2))
-    i_b = gen_interface(rng, rng.randint(1, 2))
-    a = gen_bigraph(rng, sig, i_a, gen_interface(rng, rng.randint(1, 2)), max_nodes)
-    b = gen_bigraph(rng, sig, i_b, gen_interface(rng, rng.randint(1, 2)), max_nodes)
-    c = gen_bigraph(rng, sig, gen_interface(rng, rng.randint(1, 2)), i_a, max_nodes)
-    d = gen_bigraph(rng, sig, gen_interface(rng, rng.randint(1, 2)), i_b, max_nodes)
+
+    def iface(owner):
+        return gen_interface(rng, rng.randint(1, 2), owner=owner)
+
+    i_a = iface("l.")
+    i_b = iface("r.")
+    a = gen_bigraph(rng, sig, i_a, iface("l."), max_nodes)
+    b = gen_bigraph(rng, sig, i_b, iface("r."), max_nodes)
+    c = gen_bigraph(rng, sig, iface("l."), i_a, max_nodes)
+    d = gen_bigraph(rng, sig, iface("r."), i_b, max_nodes)
     return a, b, c, d
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ldbig import Bigraph, Edge, InnerName, OuterName, Port, Root, relabel
 from ldbig.analysis import FlowNode, Violation
-from ldbig.interfaces import juxtapose_with_renames
+from ldbig.interfaces import juxtapose
 
 
 def _groups_by_control(b: Bigraph):
@@ -263,8 +263,8 @@ def tensor_fold(*bigraphs: Bigraph) -> Bigraph:
     juxtaposes two interfaces, relabels the right operand's support past
     the left one's on collision, and copies both operands."""
     def pair(b1: Bigraph, b2: Bigraph) -> Bigraph:
-        inner, (_, (in_plus, in_minus)) = juxtapose_with_renames(b1.inner, b2.inner)
-        outer, (_, (out_plus, out_minus)) = juxtapose_with_renames(b1.outer, b2.outer)
+        inner = juxtapose(b1.inner, b2.inner)
+        outer = juxtapose(b1.outer, b2.outer)
         ids1 = set(b1.nodes) | set(b1.edges)
         ids2 = set(b2.nodes) | set(b2.edges)
         if ids1 & ids2:
@@ -276,14 +276,10 @@ def tensor_fold(*bigraphs: Bigraph) -> Bigraph:
         def place(p):
             return Root(p.index + d_out) if isinstance(p, Root) else p
 
-        def shift(x, in_map, out_map):
-            if isinstance(x, InnerName):
-                if x.locality == 0:
-                    return InnerName(0, in_map.get(x.text, x.text))
+        def shift(x):
+            if isinstance(x, InnerName) and x.locality:
                 return InnerName(x.locality + d_in, x.text)
-            if isinstance(x, OuterName):
-                if x.locality == 0:
-                    return OuterName(0, out_map.get(x.text, x.text))
+            if isinstance(x, OuterName) and x.locality:
                 return OuterName(x.locality + d_out, x.text)
             return x
 
@@ -292,8 +288,7 @@ def tensor_fold(*bigraphs: Bigraph) -> Bigraph:
         node_parent = dict(b1.node_parent)
         node_parent.update({v: place(p) for v, p in b2.node_parent.items()})
         link = dict(b1.link)
-        link.update({shift(p, in_plus, out_minus): shift(t, in_minus, out_plus)
-                     for p, t in b2.link.items()})
+        link.update({shift(p): shift(t) for p, t in b2.link.items()})
         return Bigraph(b1.signature.union(b2.signature), inner, outer,
                        {**b1.nodes, **b2.nodes}, b1.edges | b2.edges,
                        site_parent, node_parent, link,

@@ -104,21 +104,12 @@ def test_tensor_shifts_sites_roots_and_localities():
     assert out.link[InnerName(2, "a")] == OuterName(2, "a")
 
 
-def test_tensor_tags_global_names_by_default():
-    g = LocalInterface.of(({"g"}, set()))
-    b = identity(g)
-    out = tensor(b, b)
-    assert out.outer.plus(0) == {"g", "g~1"}
-    assert out.link[InnerName(0, "g~1")] == OuterName(0, "g~1")
-    assert validate(out) == []
-
-
 def test_tensor_preserves_validity_random():
     rng = random.Random(14)
     for _ in range(500):
         sig = gen_signature(rng)
-        b1 = gen_chain(rng, length=1, max_nodes=4, signature=sig)[0]
-        b2 = gen_chain(rng, length=1, max_nodes=4, signature=sig)[0]
+        b1 = gen_chain(rng, length=1, max_nodes=4, signature=sig, owner="l.")[0]
+        b2 = gen_chain(rng, length=1, max_nodes=4, signature=sig, owner="r.")[0]
         assert validate(b1) == [] and validate(b2) == []
         assert validate(tensor(b1, b2)) == []
 

@@ -112,6 +112,18 @@ def test_non_object_pattern_entry_is_an_input_error(compose_file, tmp_path):
     assert "patterns[0]: expected an object" in report.findings[0].message
 
 
+def test_a_bad_pattern_name_is_an_input_error_at_its_path(compose_file,
+                                                          tmp_path):
+    bad = tmp_path / "pat.json"
+    bad.write_text(json.dumps([{"name": "p", "bigraph": {
+        "inner": [{}], "outer": [{}, {"plus": ["a b"]}]}}]))
+    out = run_cli("check-sorts", compose_file, "--forbidden", str(bad))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert (f"{bad}: patterns[0].bigraph.outer[1].plus[0]: name may not "
+            "contain whitespace: 'a b'") in out.stdout
+
+
 @pytest.mark.parametrize("golden, option", [
     ("wordpress.check-security.json", ("--order", "order.txt")),
     ("wordpress.check-sorts.json", ("--forbidden", "forbidden.json")),

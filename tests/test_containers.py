@@ -6,6 +6,7 @@ from ldbig import (
     EMPTY_INTERFACE, ContainerSpec, Control, OuterName, Port, VolumeMount,
     build_container, census, default_signature, parse_compose, validate,
 )
+from ldbig.cli import main
 from ldbig.composefile import _container_spec
 from genrandom import gen_container_spec
 
@@ -20,6 +21,17 @@ def reference_spec() -> ContainerSpec:
         consumes=("r1", "r2"),
         offers=("p1", "p2", "p3"),
     )
+
+
+def test_the_signature_is_built_once(data_dir, tmp_path):
+    assert default_signature() is default_signature()
+    golden = data_dir / "golden"
+    for stage in ("environment", "stubs"):
+        target = tmp_path / f"{stage}.json"
+        assert main(["export", str(data_dir / "wordpress.yml"), "--format",
+                     "json", "--stage", stage, "--output", str(target)]) == 0
+        assert target.read_bytes() == (
+            golden / f"wordpress.{stage}.json").read_bytes()
 
 
 def test_default_signature_arities():

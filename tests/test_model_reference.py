@@ -3,6 +3,7 @@ the compose model, at sizes the brute-force oracles do not reach."""
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -15,6 +16,8 @@ from ldbig.composefile import ComposeModel, ServiceSpec
 from genrandom import gen_model
 from model_reference import flow_arcs, leak_pairs, order_closure, \
     unreachable_links
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def assert_agree(model):
@@ -95,3 +98,27 @@ def test_leaks_match_the_model_at_scale(n):
         assert (v.path[0], v.path[-1]) == (high, low)
         assert all(step in arcs for step in zip(v.path, v.path[1:]))
         assert len(v.path) - 1 == nx.shortest_path_length(graph, high, low)
+
+
+def test_lattice_stacks_match_the_model(monkeypatch):
+    """The benchmark's lattice stacks, whose one-way bridges between groups
+    of networks give both leaking pairs and pairs the closure holds safe."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import generate
+    import workloads
+
+    rng = random.Random(3)
+    leaking = safe = 0
+    for i, n in enumerate((60, 96, 132)):
+        stack = generate.lattice_stack(rng, i, n, workloads.LATTICE_GROUPS,
+                                       workloads.LATTICE_PER_GROUP)
+        model = parse_compose(generate.compose_yaml(stack))
+        assert len(model.services) == n
+        assert_agree(model)
+        order = SecurityOrder.of(*stack.order)
+        leaks = check_security(assemble(model), order)
+        expected = leak_pairs(model, order.pairs)
+        assert [v.subject for v in leaks] == expected
+        leaking += len(expected)
+        safe += len(order_closure(order.pairs) - set(expected))
+    assert leaking > 0 and safe > 0, (leaking, safe)

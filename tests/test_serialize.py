@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from ldbig import (
     assemble, bigraph_from_json, bigraph_to_json, build_container, dumps,
     environment_bigraph, is_isomorphic, loads, parse_compose,
@@ -78,3 +80,57 @@ def test_dot_strings_close_on_their_own_line():
             elif c == '"':
                 inside = not inside
         assert not inside, line
+
+
+def pattern_file(**bigraph):
+    """A one-entry pattern file whose bigraph has ``bigraph``'s keys over
+    two empty interfaces of width 1."""
+    doc = {"inner": [{}], "outer": [{}, {}], **bigraph}
+    return json.dumps([{"name": "p", "bigraph": doc}])
+
+
+def control(name="container", plus=0, minus=1):
+    return {"name": name, "plus": plus, "minus": minus}
+
+
+def test_name_format_rejected():
+    doc = json.loads(dumps(gen_chain(random.Random(73), length=1)[0]))
+    for bad, message in (("a b", "may not contain whitespace"),
+                         ("", "must be a non-empty string")):
+        doc["outer"][0]["plus"] = [bad]
+        with pytest.raises(ValueError, match=rf"^bigraph\.outer\[0\]\.plus\[0\]: "
+                                             f"name {message}"):
+            bigraph_from_json(doc)
+
+
+@pytest.mark.parametrize("bigraph, message", [
+    ({"outer": [{}, {"plus": ["a b"]}]},
+     "patterns[0].bigraph.outer[1].plus[0]: name may not contain "
+     "whitespace: 'a b'"),
+    ({"inner": [{"minus": [""]}]},
+     "patterns[0].bigraph.inner[0].minus[0]: name must be a non-empty "
+     "string, got ''"),
+    ({"outer": []},
+     "patterns[0].bigraph.outer: an interface has at least the global "
+     "locality"),
+    ({"outer": [{}, {"plus": ["a"], "minus": ["a"]}]},
+     "patterns[0].bigraph.outer: locality 1: names ['a'] are both positive "
+     "and negative"),
+    ({"nodes": [{"id": 1, "control": control("a\tb"),
+                 "parent": {"root": 1}}]},
+     "patterns[0].bigraph.nodes[0].control: name may not contain "
+     "whitespace: 'a\\tb'"),
+    ({"signature": {"controls": [control(" ")]}},
+     "patterns[0].bigraph.signature.controls[0]: name may not contain "
+     "whitespace: ' '"),
+    ({"nodes": [{"id": 1, "control": control(minus=-1),
+                 "parent": {"root": 1}}]},
+     "patterns[0].bigraph.nodes[0].control: port counts must be "
+     "non-negative"),
+    ({"signature": {"controls": [control(), control()]}},
+     "patterns[0].bigraph.signature: duplicate control 'container'"),
+])
+def test_reader_rejections_name_their_path(bigraph, message):
+    with pytest.raises(ValueError) as caught:
+        patterns_from_json(pattern_file(**bigraph))
+    assert str(caught.value) == message

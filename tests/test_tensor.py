@@ -1,5 +1,6 @@
 """The n-ary tensor product: agreement with the binary left fold, its unit,
-global-name tagging, byte-identical exports, and linear-size assembly."""
+its partiality on shared global names, byte-identical exports, and
+linear-size assembly."""
 
 import itertools
 import random
@@ -9,10 +10,11 @@ from pathlib import Path
 import pytest
 
 from ldbig import (
-    EMPTY_INTERFACE, LocalInterface, assemble, container_stub, dumps,
-    identity, stub_block, tensor, validate,
+    EMPTY_INTERFACE, Bigraph, Edge, InnerName, LocalInterface, OuterName,
+    assemble, container_stub, dumps, identity, stub_block, tensor, validate,
 )
-from ldbig import bigraph, interfaces
+from ldbig.bigraph import EMPTY_SIGNATURE
+from ldbig.errors import LdbError
 from ldbig.cli import main
 from genrandom import gen_chain, gen_model, gen_signature
 from oracles import tensor_fold
@@ -43,32 +45,21 @@ def test_n_operands_equal_the_left_fold():
     # one operand: tensor(a) is a; three: tensor(tensor(a, b), c); any
     # count: the fold of the copying binary product
     rng = random.Random(31)
-    tagged = refreshed = 0
+    with_globals = refreshed = 0
     for _ in range(400):
         sig = gen_signature(rng)
-        ops = [gen_chain(rng, length=1, max_nodes=5, signature=sig)[0]
-               for _ in range(rng.randint(1, 5))]
+        ops = [gen_chain(rng, length=1, max_nodes=5, signature=sig,
+                         owner=f"o{k}.")[0]
+               for k in range(rng.randint(1, 5))]
         out = tensor(*ops)
         assert_same(out, reduce(tensor, ops))
         assert_same(out, tensor_fold(*ops))
         assert validate(out) == []
-        tagged += any("~" in t for t in global_names(out))
+        with_globals += sum(bool(global_names(b)) for b in ops)
         refreshed += max(support(out), default=0) > max(
             max(support(b), default=0) for b in ops)
-    # both kinds of collision are exercised, not just the easy case
-    assert tagged > 100 and refreshed > 250
-
-
-def test_forced_global_collisions_follow_the_fold():
-    # one name on every operand, in either polarity, with hand-made tags
-    pool = [LocalInterface.of(({"g"}, set())), LocalInterface.of((set(), {"g"})),
-            LocalInterface.of(({"g~1"}, {"h"})), LocalInterface.of(({"g", "g~2"}, set()))]
-    for ops in itertools.product(pool, repeat=3):
-        bs = [identity(i) for i in ops]
-        out = tensor(*bs)
-        assert_same(out, tensor(tensor(bs[0], bs[1]), bs[2]))
-        assert_same(out, tensor_fold(*bs))
-        assert validate(out) == []
+    # global names and support collisions are both exercised
+    assert with_globals > 1000 and refreshed > 250
 
 
 def test_stub_block_equals_the_fold_of_its_stubs():
@@ -83,6 +74,39 @@ def test_no_operands_give_the_unit():
     assert tensor() == identity(EMPTY_INTERFACE)
 
 
+def one_global(side, sign):
+    """A bigraph whose one name is the global ``g``, on ``side`` with
+    polarity ``sign``; a point is linked to an edge."""
+    iface = LocalInterface.of(({"g"}, set()) if sign == "+" else (set(), {"g"}))
+    inner, outer = ((iface, EMPTY_INTERFACE) if side == "inner"
+                    else (EMPTY_INTERFACE, iface))
+    point = {("inner", "+"): InnerName(0, "g"),
+             ("outer", "-"): OuterName(0, "g")}.get((side, sign))
+    link = {point: Edge(1)} if point else {}
+    return Bigraph(EMPTY_SIGNATURE, inner, outer, {}, set(link and [1]), {},
+                   {}, link)
+
+
+@pytest.mark.parametrize("side", ["inner", "outer"])
+@pytest.mark.parametrize("first, second", itertools.product("+-", repeat=2))
+def test_a_shared_global_name_leaves_the_tensor_undefined(side, first, second):
+    ops = [identity(LocalInterface.of((set(), set()), ({"g"}, {"h"}))),
+           one_global(side, first), identity(EMPTY_INTERFACE),
+           one_global(side, second)]
+    assert all(validate(b) == [] for b in ops)
+    with pytest.raises(LdbError, match=r"global name 'g' is shared by "
+                                       r"operands 2 and 4$"):
+        tensor(*ops)
+    with pytest.raises(LdbError, match="operands 1 and 2$"):
+        tensor_fold(ops[3], ops[1])
+
+
+def test_a_name_global_on_one_side_of_each_operand_is_no_clash():
+    out = tensor(one_global("inner", "+"), one_global("outer", "+"))
+    assert out.inner.plus(0) == out.outer.plus(0) == {"g"}
+    assert validate(out) == []
+
+
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 @pytest.mark.parametrize("stage", ["environment", "stubs", "composite"])
 def test_export_matches_golden_bytes(stage, fmt, data_dir, tmp_path):
@@ -94,46 +118,23 @@ def test_export_matches_golden_bytes(stage, fmt, data_dir, tmp_path):
 
 
 def test_assembly_checks_a_linear_number_of_names(monkeypatch):
-    """Doubling the services at most ~doubles the name checks; a pairwise
-    fold that re-checks every interface built so far quadruples them."""
-    calls = [0]
-    original = interfaces.check_name
+    """Doubling the services at most ~doubles the names held by the
+    interfaces assembly builds; a pairwise fold, which builds an interface
+    for every partial product, quadruples them."""
+    held = [0]
+    original = LocalInterface.__post_init__
 
-    def counting(text):
-        calls[0] += 1
-        return original(text)
+    def counting(self):
+        original(self)
+        held[0] += sum(len(p) + len(m) for p, m in self.localities)
 
-    monkeypatch.setattr(interfaces, "check_name", counting)
-    monkeypatch.setattr(bigraph, "check_name", counting)
+    monkeypatch.setattr(LocalInterface, "__post_init__", counting)
     counts = []
     for n in (60, 120):
         model = gen_model(random.Random(34), max_networks=6, max_volumes=4,
                           n_services=n)
-        calls[0] = 0
+        held[0] = 0
         assemble(model)
-        counts.append(calls[0])
-    assert counts[0] > 0
-    assert counts[1] / counts[0] <= 2.2, counts
-
-
-def test_shared_global_names_are_tagged_in_linear_probes(monkeypatch):
-    """Doubling the operands that share one global name at most ~doubles
-    the name-set lookups; searching each tag tower from ~1 quadruples
-    them."""
-    probes = [0]
-
-    class CountingSet(set):
-        def __contains__(self, item):
-            probes[0] += 1
-            return super().__contains__(item)
-
-    monkeypatch.setattr(interfaces, "set", CountingSet, raising=False)
-    X = LocalInterface.of(({"g"}, set()))
-    counts = []
-    for n in (200, 400):
-        probes[0] = 0
-        out = tensor(*[identity(X)] * n)
-        counts.append(probes[0])
-    assert out.outer.plus(0) == {"g", *(f"g~{k}" for k in range(1, 400))}
+        counts.append(held[0])
     assert counts[0] > 0
     assert counts[1] / counts[0] <= 2.2, counts

@@ -1,20 +1,44 @@
-"""Every function the benchmark's tracer wraps still exists under its name,
-so renaming one fails here and not only in the benchmark's own tests."""
+"""Every function the benchmark's tracer wraps still exists under its name
+and sits on the path it measures, so renaming or bypassing one fails here
+and not only in the benchmark's own tests."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from ldbig.cli import main
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _traced():
+def _load():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _traced():
+    tracer = _load()
     return tracer.SPANNED + tracer.COUNTED
+
+
+def _bindings():
+    """Every function bound in an ldbig module, and every method the
+    tracer wraps, by where it is bound."""
+    out = {(name, attr): value
+           for name, module in sys.modules.items()
+           if name == "ldbig" or name.startswith("ldbig.")
+           for attr, value in vars(module).items() if callable(value)}
+    for module, qualname in _traced():
+        if "." in qualname:
+            cls_name, attr = qualname.split(".")
+            cls = getattr(sys.modules[f"ldbig.{module}"], cls_name)
+            out[(cls, attr)] = vars(cls)[attr]
+    return out
 
 
 @pytest.mark.parametrize("module, qualname", _traced())
@@ -23,3 +47,19 @@ def test_traced_name_resolves(module, qualname):
     for part in qualname.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_the_traced_product_runs_under_tensor(data_dir, capsys):
+    before = _bindings()
+    tracer = _load().Tracer()
+    tracer.install()
+    try:
+        assert main(["validate", str(data_dir / "wordpress.yml")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    parents = [tracer.spans[parent][0]
+               for name, _, _, parent in tracer.spans
+               if name == "interfaces.juxtapose_with_renames" and parent >= 0]
+    assert "algebra.tensor" in parents
+    assert _bindings() == before
