@@ -205,47 +205,66 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
 
 # -- support equivalence ----------------------------------------------------
 
-def node_maps(b: Bigraph, image: Bigraph, order: tuple[int, ...],
-              candidates: dict, fits=None):
-    """Yield each injective map ``phi`` of ``order`` (nodes of ``b``,
-    parents first) into their ``candidates`` (nodes of ``image``) in which
-    a node under a mapped node lands under that node's image, and
-    ``fits(u, w, phi)`` holds for each node u mapped to w, given the map of
-    the nodes before u.
+def node_maps(b: Bigraph, image: Bigraph, kind: dict, image_kind: dict,
+              fits=None):
+    """Yield each injective map ``phi`` of ``place_order(b)`` into the nodes
+    of ``image`` that keeps kinds (``kind[u] == image_kind[phi[u]]``) and
+    places: a node under a mapped node lands under that node's image, and
+    the later nodes under a root of ``b`` land beside the image of that
+    root's first node.  ``fits(u, w, phi)`` must hold for each node u
+    mapped to w, given the map of the nodes before u.
 
+    The nodes of ``image`` are grouped once by kind and by (kind, parent),
+    in ``image_kind``'s order, and each node of ``b`` draws from one group.
     The search keeps its own stack, so ``b`` may nest to any depth.  The
     yielded dict is the search's state: use it before resuming.
     """
+    order = place_order(b)
+    ids: dict = {}  # each kind of b as a small int, so group keys hash fast
+    # per node: its kind, and the node whose image (``up``: whose image's
+    # parent) it lands under once that node is mapped; else anywhere
+    draws = []
+    first: dict = {}  # per root of b, its first node
+    for u in order:
+        k, p = ids.setdefault(kind[u], len(ids)), b.node_parent.get(u)
+        if isinstance(p, Root):
+            draws.append((k, first.setdefault(p.index, u), True))
+        else:
+            draws.append((k, p, False))
+    image_parent = image.node_parent.get
+    groups: dict = {}  # kind i: its nodes; (i, p): those of them under p
+    for w, k in image_kind.items():
+        i = ids.get(k)
+        if i is not None:
+            groups.setdefault(i, []).append(w)
+            groups.setdefault((i, image_parent(w)), []).append(w)
     phi: dict[int, int] = {}
     used: set[int] = set()
     if not order:
         yield phi
         return
-    parents = [b.node_parent.get(u) for u in order]
-    image_parent = image.node_parent.get
-    stack = [iter(candidates[order[0]])]  # per level, the candidates left
-    wants = [None]  # per level, its parent's image if mapped
+    stack = [iter(groups.get(draws[0][0], ()))]  # per level, candidates left
     while stack:
         i = len(stack) - 1
-        u, want = order[i], wants[i]
+        u = order[i]
         if u in phi:
             used.discard(phi.pop(u))
         for w in stack[i]:
-            if w in used or want is not None and image_parent(w) != want:
-                continue
-            if fits is None or fits(u, w, phi):
+            if w not in used and (fits is None or fits(u, w, phi)):
                 break
         else:
             stack.pop()
-            wants.pop()
             continue
         phi[u] = w
         used.add(w)
         if i + 1 == len(order):
             yield phi
-        else:
-            stack.append(iter(candidates[order[i + 1]]))
-            wants.append(phi.get(parents[i + 1]))
+            continue
+        k, at, up = draws[i + 1]
+        place = phi.get(at)
+        if place is not None:
+            k = (k, image_parent(place) if up else place)
+        stack.append(iter(groups.get(k, ())))
 
 
 def _fingerprints(b: Bigraph) -> dict:
@@ -331,10 +350,5 @@ def is_isomorphic(b1: Bigraph, b2: Bigraph) -> bool:
     if Counter(fp1.values()) != Counter(fp2.values()):
         return False
 
-    by_key: dict = {}
-    for w, key in fp2.items():
-        by_key.setdefault(key, []).append(w)
-    classes = {v: by_key[key] for v, key in fp1.items()}
-    # the classes fix root parents; the search keeps the rest
-    return any(_verify_iso(b1, b2, phi)
-               for phi in node_maps(b1, b2, place_order(b1), classes))
+    # the fingerprints fix root parents; the search keeps the rest
+    return any(_verify_iso(b1, b2, phi) for phi in node_maps(b1, b2, fp1, fp2))

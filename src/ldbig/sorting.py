@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import node_maps, place_order
+from .algebra import node_maps
 from .bigraph import Bigraph, Edge, InnerName, Port, Root
 from .errors import SignatureMismatch
 
@@ -125,26 +125,10 @@ def find_matches(pattern: Pattern, host: Bigraph) -> list[Occurrence]:
         raise SignatureMismatch(
             f"pattern {pattern.name!r} uses a different signature")
 
-    by_control: dict = {}
-    for w, ctrl in host.nodes.items():
-        by_control.setdefault(ctrl, []).append(w)
-    order = place_order(pb)
-    candidates = {u: sorted(by_control.get(pb.nodes[u], [])) for u in order}
-    first = {}  # per pattern root, its first node in the order fixes the anchor
-    for u in order:
-        pp = pb.node_parent.get(u)
-        if isinstance(pp, Root):
-            first.setdefault(pp.index, u)
-
     def fits(u: int, w: int, node_map: dict[int, int]) -> bool:
-        pp = pb.node_parent.get(u)
-        if isinstance(pp, Root):
-            hp = host.node_parent.get(w)
-            if pattern.anchor_at_roots and not isinstance(hp, Root):
-                return False
-            anchor = first[pp.index]
-            if anchor != u and hp != host.node_parent.get(node_map[anchor]):
-                return False
+        if pattern.anchor_at_roots and isinstance(pb.node_parent.get(u), Root) \
+                and not isinstance(host.node_parent.get(w), Root):
+            return False
         # partial link screen; the full conditions run at the leaf
         for k in range(pb.nodes[u].plus):
             lp = pb.link.get(Port(u, k))
@@ -159,7 +143,7 @@ def find_matches(pattern: Pattern, host: Bigraph) -> list[Occurrence]:
         return True
 
     occs = (verify_occurrence(pb, host, node_map, pattern.anchor_at_roots)
-            for node_map in node_maps(pb, host, order, candidates, fits))
+            for node_map in node_maps(pb, host, pb.nodes, host.nodes, fits))
     return sorted((o for o in occs if o is not None), key=lambda o: o.node_map)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from ldbig import (
     LocalInterface, OuterName, Root, Signature, compose, identity,
     is_isomorphic, relabel, tensor, validate,
 )
-from ldbig.errors import InterfaceMismatch
+from ldbig.errors import InterfaceMismatch, LdbError
 from genrandom import gen_chain, gen_signature
 
 SIG = Signature(fixed=(Control("A", 1, 1), Control("B", 0, 1)))
@@ -65,6 +66,57 @@ def test_compose_chases_through_the_shared_interface():
     out = compose(b2, b1)
     assert out.link == {InnerName(1, "x"): InnerName(1, "w")}
     assert validate(out) == []
+
+
+
+WIDTH_1 = LocalInterface.of((set(), set()), (set(), set()))
+SHARED = LocalInterface.of((set(), set()), ({"x"}, {"y"}))
+OWN_A = LocalInterface.of((set(), set()), ({"a"}, set()))
+OWN_Z = LocalInterface.of((set(), set()), (set(), {"z"}))
+
+
+def _names(inner, outer, link) -> Bigraph:
+    """No nodes; each site that has a root of the same index sits in it."""
+    sites = range(1, min(inner.width, outer.width) + 1)
+    return Bigraph(SIG, inner, outer, {}, set(), {s: Root(s) for s in sites},
+                   {}, link)
+
+
+@pytest.mark.parametrize("b2, b1, clause, message", [
+    # b2's inner interface has a site that b2 never places
+    pytest.param(_names(WIDTH_1, EMPTY_INTERFACE, {}),
+                 Bigraph(SIG, EMPTY_INTERFACE, WIDTH_1,
+                         {1: Control("B", 0, 1)}, set(), {}, {1: Root(1)}, {}),
+                 "parent", "b2 has no site 1", id="missing site"),
+    pytest.param(_names(SHARED, WIDTH_1, {}),
+                 _names(OWN_A, SHARED, {InnerName(1, "a"): OuterName(1, "x")}),
+                 "link-total",
+                 f"shared name {OuterName(1, 'x')} has no link in b2",
+                 id="no link in b2"),
+    pytest.param(_names(SHARED, OWN_Z, {OuterName(1, "z"): InnerName(1, "y")}),
+                 _names(OWN_A, SHARED, {}),
+                 "link-total",
+                 f"shared name {InnerName(1, 'y')} has no link in b1",
+                 id="no link in b1"),
+    # x passes down through b2 to y, and y back up through b1 to x
+    pytest.param(_names(SHARED, WIDTH_1,
+                        {InnerName(1, "x"): InnerName(1, "y")}),
+                 _names(OWN_A, SHARED, {InnerName(1, "a"): OuterName(1, "x"),
+                                        OuterName(1, "y"): OuterName(1, "x")}),
+                 "passthrough",
+                 "link chase through the shared interface did not terminate",
+                 id="link cycle"),
+])
+def test_compose_rejects_ill_formed_operands(b2, b1, clause, message):
+    """Each pair breaks one well-formedness clause, and ``compose`` says so.
+
+    Well-formed operands cannot make the link cycle.  To enter it, a point
+    must reach a name that passes straight through the other operand, and
+    ``validate``'s pass-through clause allows such a name only one point:
+    the name that passes through.  Here b1's x has two, a and y."""
+    assert {v.clause for v in validate(b1) + validate(b2)} == {clause}
+    with pytest.raises(LdbError, match=re.escape(message)):
+        compose(b2, b1)
 
 
 def test_compose_refreshes_colliding_support():

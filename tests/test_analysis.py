@@ -5,7 +5,8 @@ import pytest
 from ldbig import (
     EMPTY_INTERFACE, Bigraph, Control, LocalInterface, Root, SecurityOrder,
     Signature, assemble, build_flow_graph, check_links,
-    check_security, find_leaks, identity, parse_order_file, transitive_closure,
+    check_security, find_leaks, identity, parse_compose, parse_order_file,
+    transitive_closure,
 )
 from ldbig.analysis import FlowGraph, FlowNode, _owners
 from ldbig.composefile import ComposeModel, ServiceSpec
@@ -278,6 +279,35 @@ def test_bfs_prefers_containers_then_names():
         arcs=frozenset({(a, c2), (a, c1), (c1, b), (c2, b)}))
     (leak,) = find_leaks(flow, SecurityOrder.of(("a", "b")))
     assert leak.path == (a, c1, b)  # c1 before c2: lexicographic tie-break
+
+
+
+TIED = """\
+version: '2'
+services:
+  s1: {image: x, networks: [h, z], volumes: ['a:/data']}
+  s2: {image: x, networks: [z, l], volumes: ['a:/data']}
+networks: {h: {}, z: {}, l: {}}
+volumes: {a: {}}
+"""
+
+
+def test_tied_witnesses_prefer_containers_then_kind_then_name():
+    """The README's tie-break: among successors, containers first, then by
+    kind, then by name.  In both graphs below, name order alone would pick
+    the other tied path, through the volume named ``a``."""
+    h, z, l = (FlowNode("network", n) for n in "hzl")
+    s1, s2 = FlowNode("container", "s1"), FlowNode("container", "s2")
+    # s1 reaches s2 through network z and through volume a
+    (leak,) = check_security(assemble(parse_compose(TIED)),
+                             SecurityOrder.of(("h", "l")))
+    assert leak.path == (h, s1, z, s2, l)
+    # a hand-made graph: h reaches l through container z or volume a
+    cz, a = FlowNode("container", "z"), FlowNode("volume", "a")
+    flow = FlowGraph(nodes=frozenset({h, l, cz, a}),
+                     arcs=frozenset({(h, a), (h, cz), (a, l), (cz, l)}))
+    (leak,) = find_leaks(flow, SecurityOrder.of(("h", "l")))
+    assert leak.path == (h, cz, l)
 
 
 def test_leaks_match_reachability_oracle():

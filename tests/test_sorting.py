@@ -258,3 +258,96 @@ def _wildcarded_node(sig, control) -> Pattern:
     for k in range(control.plus):
         b.connect(Port(v, k), OuterName(1, f"w{k}"))
     return Pattern("one-node", b.build())
+
+
+def _counting(monkeypatch):
+    """Count the complete maps ``find_matches`` hands to the leaf check."""
+    from ldbig import sorting
+    calls = [0]
+    check = sorting.verify_occurrence
+
+    def counted(*args):
+        calls[0] += 1
+        return check(*args)
+
+    monkeypatch.setattr(sorting, "verify_occurrence", counted)
+    return calls
+
+
+def _siblings() -> Pattern:
+    """A network and a volume side by side under one pattern root, with no
+    container above them; their ports reach wildcard outer names."""
+    outer = LocalInterface.of((set(), set()), ({"x", "y"}, set()))
+    b = BigraphBuilder(default_signature(), outer=outer)
+    for name, link in (("network", "x"), ("volume", "y")):
+        b.connect(Port(b.node(name, parent=Root(1)), 0), OuterName(1, link))
+    return Pattern("siblings", b.build())
+
+
+def test_root_level_siblings_agree_with_bruteforce_on_random_hosts():
+    rng = random.Random(64)
+    sig = default_signature()
+    pattern = _siblings()
+    found = apart = 0
+    for _ in range(80):
+        host = gen_host(rng, sig, max_nodes=8)
+        ours = {o.node_map for o in find_matches(pattern, host)}
+        assert ours == matches_bruteforce(pattern.bigraph, host)
+        pairs = sum(c.name == "network" for c in host.nodes.values()) * \
+            sum(c.name == "volume" for c in host.nodes.values())
+        found += len(ours)
+        apart += pairs > len(ours)
+    # some pairs sit side by side and some do not
+    assert found > 10 and apart > 10
+
+
+def test_root_level_siblings_are_drawn_from_the_anchors_place(
+        wordpress_composite, monkeypatch):
+    calls = _counting(monkeypatch)
+    occs = find_matches(_siblings(), wordpress_composite)
+    assert occs and calls[0] == len(occs)
+    assert {o.node_map for o in occs} == \
+        matches_bruteforce(_siblings().bigraph, wordpress_composite)
+
+
+P = Control("P", 1, 1)
+
+
+def _row(inner: LocalInterface, outer: LocalInterface, link: dict) -> Bigraph:
+    """P nodes side by side under root 1, one per port in ``link``, with the
+    edges ``link`` reaches; site 1, if ``inner`` has one, sits beside them."""
+    nodes = {p.node: P for p in link if isinstance(p, Port)}
+    edges = {t.ident for t in link.values() if isinstance(t, Edge)}
+    return Bigraph(Signature(fixed=(P,)), inner, outer, nodes, edges,
+                   {s: Root(1) for s in range(1, inner.width + 1)},
+                   {v: Root(1) for v in nodes}, link)
+
+
+NO_NAMES = LocalInterface.of((set(), set()), (set(), set()))
+INNER_I = LocalInterface.of((set(), set()), (set(), {"i"}))
+OUTER_O = LocalInterface.of((set(), set()), ({"o"}, set()))
+
+
+@pytest.mark.parametrize("pattern, host, occurrences", [
+    # the pattern's port reaches inner name i; host node 1 reaches an edge
+    pytest.param(_row(INNER_I, NO_NAMES, {Port(1, 0): InnerName(1, "i")}),
+                 _row(INNER_I, NO_NAMES, {Port(1, 0): Edge(9),
+                                          Port(2, 0): InnerName(1, "i")}),
+                 {((1, 2),)}, id="inner name"),
+    # pattern node 2 reaches node 1's port; only host maps that keep it pass
+    pytest.param(_row(NO_NAMES, OUTER_O, {Port(1, 0): OuterName(1, "o"),
+                                          Port(2, 0): Port(1, 0)}),
+                 _row(NO_NAMES, OUTER_O, {Port(1, 0): OuterName(1, "o"),
+                                          Port(2, 0): Port(1, 0),
+                                          Port(3, 0): Port(2, 0)}),
+                 {((1, 1), (2, 2)), ((1, 2), (2, 3))}, id="mapped port"),
+])
+def test_the_link_screen_cuts_every_failing_leaf(pattern, host, occurrences,
+                                                  monkeypatch):
+    assert validate(pattern) == [] and validate(host) == []
+    calls = _counting(monkeypatch)
+    occs = find_matches(Pattern("p", pattern), host)
+    assert {o.node_map for o in occs} == occurrences == \
+        matches_bruteforce(pattern, host)
+    # without the screen, the search reaches leaves the leaf check rejects
+    assert calls[0] == len(occs)
