@@ -46,10 +46,9 @@ class FlowGraph:
         out: dict[FlowNode, list[FlowNode]] = {}
         for src, dst in self.arcs:
             out.setdefault(src, []).append(dst)
-        # deterministic expansion: containers first, then by kind and name
-        return {src: tuple(sorted(dsts, key=lambda n: (
-                    n.kind != "container", n.kind, n.name)))
-                for src, dsts in out.items()}
+        # deterministic expansion: a FlowNode sorts by kind, then name, and
+        # "container" sorts before "network" and "volume"
+        return {src: tuple(sorted(dsts)) for src, dsts in out.items()}
 
     def successors(self, node: FlowNode) -> tuple[FlowNode, ...]:
         return self._adjacency.get(node, ())

@@ -7,6 +7,7 @@ Exit codes: 0 no findings, 1 findings, 2 input or parse errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -199,6 +200,11 @@ def _run(args) -> Report:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     report = ok()  # stands for an export whose reader left mid-document
+    # one pass over one file makes almost no cyclic garbage, so the cyclic
+    # collector would only rescan the growing model; the caller's state
+    # comes back however the pass ends
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         report = _run(args)
         if args.command != "export" or report.status != "ok":
@@ -210,6 +216,9 @@ def main(argv=None) -> int:
         # the reader closed stdout (``| head``): send the rest, and the
         # flush at exit, to devnull rather than end in a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    finally:
+        if collecting:
+            gc.enable()
     return report.exit_code
 
 

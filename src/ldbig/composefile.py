@@ -175,9 +175,18 @@ def _container_spec(name: str, svc: ServiceSpec) -> ContainerSpec:
                          svc.container_ports())
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """The safe loader, rejecting a key repeated within one mapping (merged
-    ``<<`` keys may still be overridden)."""
+# libyaml's parser and composer when PyYAML was built with them, else the
+# pure-Python ones; the constructor is PyYAML's Python code either way
+_BaseLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+# libyaml's composer recurses in C once per level and ignores Python's
+# recursion limit, so a deeper document is refused before it is composed
+_MAX_DEPTH = 1000
+
+
+class _UniqueKeys:
+    """Mixed into a safe loader: reject a key repeated within one mapping
+    (merged ``<<`` keys may still be overridden)."""
 
     def construct_mapping(self, node, deep=False):
         own = node.value  # merging deletes the << entries from this list
@@ -195,16 +204,42 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return mapping
 
 
+class _UniqueKeyLoader(_UniqueKeys, _BaseLoader):
+    """The loader ``parse_compose`` reads with."""
+
+
+def _check_depth(text: str) -> None:
+    """Refuse a first document nested more than ``_MAX_DEPTH`` collections
+    deep, walking its parse events only as far as the cap.  A syntax error
+    ends the walk silently: the load reports it as it would unguarded, and
+    composes no deeper than the walk went."""
+    depth = 0
+    try:
+        for event in yaml.parse(text, Loader=_BaseLoader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_DEPTH:
+                    raise ComposeSyntaxError("malformed YAML: nested too deeply")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+            elif isinstance(event, yaml.DocumentEndEvent):
+                return  # a second document is the load's error to report
+    except yaml.YAMLError:
+        pass
+
+
 def parse_compose(text: str) -> ComposeModel:
     """Parse and validate a docker-compose document in the supported subset."""
     try:
+        _check_depth(text)
         doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.MarkedYAMLError as exc:
         line = exc.problem_mark.line + 1 if exc.problem_mark else None
         raise ComposeSyntaxError(f"malformed YAML: {exc.problem}", line=line) from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:
+        # libyaml reads UTF-8, which cannot encode a lone surrogate
         raise ComposeSyntaxError(f"malformed YAML: {exc}") from exc
-    except RecursionError as exc:  # the composer recurses once per level
+    except RecursionError as exc:  # the pure composer recurses once per level
         raise ComposeSyntaxError("malformed YAML: nested too deeply") from exc
 
     if not isinstance(doc, dict):

@@ -2,10 +2,11 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ldbig import assemble, parse_compose
+from ldbig import assemble, composefile, parse_compose
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,3 +29,19 @@ def wordpress_composite(wordpress_model):
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA
+
+
+@pytest.fixture(params=["libyaml", "pure"])
+def yaml_loader(request, monkeypatch) -> str:
+    """Run the test on libyaml's loader and on PyYAML's pure-Python one,
+    whichever ``parse_compose`` picked at import."""
+    if request.param == "libyaml":
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML was built without libyaml")
+        base = yaml.CSafeLoader
+    else:
+        base = yaml.SafeLoader
+    monkeypatch.setattr(composefile, "_BaseLoader", base)
+    monkeypatch.setattr(composefile, "_UniqueKeyLoader",
+                        type("UniqueKeyLoader", (composefile._UniqueKeys, base), {}))
+    return request.param

@@ -1,11 +1,14 @@
 import random
+import subprocess
+import sys
 
 import pytest
+import yaml
 
 from ldbig import (
-    InnerName, OuterName, Port, VolumeMount, assemble, census, container_stub,
-    compose, environment_bigraph, is_isomorphic, parse_compose, tensor,
-    validate,
+    InnerName, OuterName, Port, VolumeMount, assemble, census, composefile,
+    container_stub, compose, environment_bigraph, is_isomorphic,
+    parse_compose, tensor, validate,
 )
 from ldbig.composefile import (
     ComposeModel, NetworkDecl, ServiceSpec, VolumeDecl,
@@ -127,6 +130,127 @@ def test_repeated_keys_rejected_with_their_line():
     assert parse_compose(merged).services["b"].image == "y"
     with pytest.raises(ComposeSyntaxError, match="duplicate key 'image'"):
         parse_compose(merged + "    image: z\n")
+
+
+# -- libyaml and the pure-Python loader ---------------------------------------
+
+MERGED = MINIMAL.replace("app:", "app: &base") \
+    + "  b:\n    <<: *base\n    image: y\n"
+
+
+@pytest.mark.parametrize("with_libyaml", [True, False])
+def test_the_loader_follows_pyyamls_build(with_libyaml):
+    if with_libyaml and not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+    probe = (f"import yaml; yaml.__with_libyaml__ = {with_libyaml}; "
+             "from ldbig import composefile; "
+             "print(composefile._UniqueKeyLoader.__mro__[2].__name__)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env={"PYTHONPATH": ":".join(sys.path)})
+    assert out.stdout == ("CSafeLoader\n" if with_libyaml else "SafeLoader\n")
+
+
+def test_both_loaders_read_accepted_documents_alike(yaml_loader,
+                                                    wordpress_text):
+    default = ServiceSpec(image="busybox", networks=("default",))
+    assert parse_compose(MINIMAL).services == {"app": default}
+    assert parse_compose(MERGED).services == {
+        "app": default, "b": ServiceSpec(image="y", networks=("default",))}
+    m = parse_compose(wordpress_text)
+    assert list(m.services) == ["wp", "db", "pma"]
+    assert m.services["pma"].links == (("db", "mysql"),)
+    assert m.volumes["datavolume"].external
+
+
+@pytest.mark.parametrize("text, line, key", [
+    pytest.param(MINIMAL + "    image: other\n", 6, "image", id="service key"),
+    pytest.param(MINIMAL + "services:\n  b:\n    image: y\n", 6, "services",
+                 id="top-level key"),
+    pytest.param(MERGED + "    image: z\n", 9, "image", id="after a merge"),
+])
+def test_both_loaders_reject_repeated_keys_at_their_line(yaml_loader, text,
+                                                         line, key):
+    with pytest.raises(ComposeSyntaxError) as err:
+        parse_compose(text)
+    assert str(err.value) == f"malformed YAML: found duplicate key {key!r}"
+    assert err.value.line == line
+
+
+# each loader's own words and line mark for the same broken text
+@pytest.mark.parametrize("text, libyaml, pure", [
+    pytest.param("services: [what\n  :",
+                 (2, "did not find expected ',' or ']'"),
+                 (2, "expected ',' or ']', but got ':'"), id="open flow"),
+    pytest.param("a: [1\n  b",
+                 (3, "did not find expected ',' or ']'"),
+                 (2, "expected ',' or ']', but got '<stream end>'"),
+                 id="unclosed flow"),
+    # the composer's error comes first, though a syntax error follows it
+    pytest.param("a: *nosuch\nb: [\n", (1, "found undefined alias"),
+                 (1, "found undefined alias 'nosuch'"), id="undefined alias"),
+    # a second document is refused, however deep it nests
+    pytest.param("a: 1\n---\nb: " + "[" * 2000,
+                 (2, "but found another document"),
+                 (2, "but found another document"), id="two documents"),
+])
+def test_malformed_yaml_keeps_each_loaders_line_mark(yaml_loader, text,
+                                                     libyaml, pure):
+    line, problem = libyaml if yaml_loader == "libyaml" else pure
+    with pytest.raises(ComposeSyntaxError) as err:
+        parse_compose(text)
+    assert (err.value.line, str(err.value)) == (line,
+                                                f"malformed YAML: {problem}")
+
+
+def test_a_tab_after_a_colon_divides_the_loaders(yaml_loader):
+    text = "services:\n  app:\n    image:\tbusybox\n"
+    if yaml_loader == "libyaml":
+        assert parse_compose(text).services["app"].image == "busybox"
+        return
+    with pytest.raises(ComposeSyntaxError) as err:
+        parse_compose(text)
+    assert str(err.value) == \
+        "malformed YAML: found character '\\t' that cannot start any token"
+    assert err.value.line == 3
+
+
+def test_a_lone_surrogate_is_malformed_yaml(yaml_loader):
+    text = MINIMAL.replace("busybox", "busy\ud800box")
+    problem = ("'utf-8' codec can't encode character '\\ud800'"
+               if yaml_loader == "libyaml" else
+               "unacceptable character #xd800")
+    with pytest.raises(ComposeSyntaxError) as err:
+        parse_compose(text)
+    assert str(err.value).startswith(f"malformed YAML: {problem}")
+
+
+@pytest.mark.parametrize("yaml_loader", ["libyaml"], indirect=True)
+def test_the_cap_allows_1000_levels_and_no_more(yaml_loader):
+    # the top mapping is the first level
+    with pytest.raises(ComposeSyntaxError,
+                       match="^services: expected a mapping$"):
+        parse_compose("services: " + "[" * 999 + "]" * 999)
+    with pytest.raises(ComposeSyntaxError,
+                       match="^malformed YAML: nested too deeply$"):
+        parse_compose("services: " + "[" * 1000 + "]" * 1000)
+
+
+def test_the_depth_walk_stops_at_the_cap(yaml_loader, monkeypatch):
+    drawn = []
+    parse = yaml.parse
+
+    def counted(*args, **kwargs):
+        for event in parse(*args, **kwargs):
+            drawn.append(event)
+            yield event
+
+    monkeypatch.setattr(yaml, "parse", counted)
+    # the walk alone, so that a broken cap fails here, not in libyaml
+    with pytest.raises(ComposeSyntaxError,
+                       match="^malformed YAML: nested too deeply$"):
+        composefile._check_depth("a: " + "[" * 5_000 + "\n")
+    # stream, document, the top mapping, its key, then 1,000 sequences
+    assert len(drawn) == 4 + 1000
 
 
 def test_duplicate_host_port_rejected():
