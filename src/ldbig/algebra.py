@@ -297,6 +297,16 @@ def _fingerprints(b: Bigraph) -> dict:
     return out
 
 
+def _off_nodes(b: Bigraph) -> set[int]:
+    """The ids b's maps name that are no node of b (``validate`` reports
+    them); a node map leaves them as they are."""
+    off = {x.node for x in (*b.link, *b.link.values()) if isinstance(x, Port)}
+    off.update(b.node_parent, (p for p in (*b.node_parent.values(),
+                                           *b.site_parent.values())
+                               if isinstance(p, int)))
+    return off - b.nodes.keys()
+
+
 def _mapped_point(phi: dict[int, int], p):
     return Port(phi[p.node], p.index) if isinstance(p, Port) else p
 
@@ -340,15 +350,18 @@ def is_isomorphic(b1: Bigraph, b2: Bigraph) -> bool:
     bijection commuting with the parent and link maps, fixing both
     interfaces name-for-name.  Node attributes are not compared.
     """
-    if b1.inner != b2.inner or b1.outer != b2.outer:
-        return False
-    if len(b1.nodes) != len(b2.nodes) or len(b1.edges) != len(b2.edges):
-        return False
-    if len(b1.link) != len(b2.link):
+    sizes = [(len(b.edges), len(b.link), len(b.node_parent), len(b.site_parent))
+             for b in (b1, b2)]
+    if b1.inner != b2.inner or b1.outer != b2.outer or sizes[0] != sizes[1]:
         return False
     fp1, fp2 = _fingerprints(b1), _fingerprints(b2)
     if Counter(fp1.values()) != Counter(fp2.values()):
         return False
+    off = _off_nodes(b1)
+    if off != _off_nodes(b2):
+        return False
 
-    # the fingerprints fix root parents; the search keeps the rest
-    return any(_verify_iso(b1, b2, phi) for phi in node_maps(b1, b2, fp1, fp2))
+    # the fingerprints fix root parents, the search the rest; off ids stay
+    fixed = {x: x for x in off}
+    return any(_verify_iso(b1, b2, {**fixed, **phi} if fixed else phi)
+               for phi in node_maps(b1, b2, fp1, fp2))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .interfaces import LocalInterface, EMPTY_INTERFACE, check_name
+from .interfaces import LocalInterface, EMPTY_INTERFACE
 
 
 # Frozen dataclasses, not NamedTuples: equality must be class-sensitive
@@ -94,7 +94,6 @@ class Control:
     minus: int
 
     def __post_init__(self):
-        check_name(self.name)
         if self.plus < 0 or self.minus < 0:
             raise ValueError("port counts must be non-negative")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import yaml
+from yaml.composer import Composer
 
 from .algebra import compose, identity, tensor
 from .bigraph import Bigraph, BigraphBuilder, InnerName, OuterName, Root, validate
@@ -175,18 +176,11 @@ def _container_spec(name: str, svc: ServiceSpec) -> ContainerSpec:
                          svc.container_ports())
 
 
-# libyaml's parser and composer when PyYAML was built with them, else the
-# pure-Python ones; the constructor is PyYAML's Python code either way
-_BaseLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-
-# libyaml's composer recurses in C once per level and ignores Python's
-# recursion limit, so a deeper document is refused before it is composed
-_MAX_DEPTH = 1000
-
-
-class _UniqueKeys:
-    """Mixed into a safe loader: reject a key repeated within one mapping
-    (merged ``<<`` keys may still be overridden)."""
+class _Composer(Composer):
+    """Mixed in before a safe loader: PyYAML's Python composer builds the
+    nodes from the loader's events (ahead of libyaml's composer), and a key
+    repeated within one mapping is rejected (merged ``<<`` keys may still
+    be overridden)."""
 
     def construct_mapping(self, node, deep=False):
         own = node.value  # merging deletes the << entries from this list
@@ -204,34 +198,25 @@ class _UniqueKeys:
         return mapping
 
 
-class _UniqueKeyLoader(_UniqueKeys, _BaseLoader):
-    """The loader ``parse_compose`` reads with."""
+def _loader(base):
+    """``_Composer`` over the events of ``base``: libyaml's C parser in
+    ``yaml.CSafeLoader``, PyYAML's Python one in ``yaml.SafeLoader``."""
+
+    class Loader(_Composer, base):
+        def __init__(self, stream):
+            base.__init__(self, stream)
+            Composer.__init__(self)
+
+    return Loader
 
 
-def _check_depth(text: str) -> None:
-    """Refuse a first document nested more than ``_MAX_DEPTH`` collections
-    deep, walking its parse events only as far as the cap.  A syntax error
-    ends the walk silently: the load reports it as it would unguarded, and
-    composes no deeper than the walk went."""
-    depth = 0
-    try:
-        for event in yaml.parse(text, Loader=_BaseLoader):
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > _MAX_DEPTH:
-                    raise ComposeSyntaxError("malformed YAML: nested too deeply")
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
-            elif isinstance(event, yaml.DocumentEndEvent):
-                return  # a second document is the load's error to report
-    except yaml.YAMLError:
-        pass
+_UniqueKeyLoader = _loader(yaml.CSafeLoader if yaml.__with_libyaml__
+                           else yaml.SafeLoader)
 
 
 def parse_compose(text: str) -> ComposeModel:
     """Parse and validate a docker-compose document in the supported subset."""
     try:
-        _check_depth(text)
         doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.MarkedYAMLError as exc:
         line = exc.problem_mark.line + 1 if exc.problem_mark else None
@@ -239,7 +224,7 @@ def parse_compose(text: str) -> ComposeModel:
     except (yaml.YAMLError, UnicodeEncodeError) as exc:
         # libyaml reads UTF-8, which cannot encode a lone surrogate
         raise ComposeSyntaxError(f"malformed YAML: {exc}") from exc
-    except RecursionError as exc:  # the pure composer recurses once per level
+    except RecursionError as exc:  # the composer recurses once per level
         raise ComposeSyntaxError("malformed YAML: nested too deeply") from exc
 
     if not isinstance(doc, dict):

@@ -74,7 +74,8 @@ def _control_to_json(c: Control) -> dict:
 
 
 def _control_from_json(data: dict, path: str) -> Control:
-    return _at(path, Control, _field(data, "name", str, path),
+    return _at(path, Control,
+               _at(path, check_name, _field(data, "name", str, path)),
                _field(data, "plus", int, path),
                _field(data, "minus", int, path))
 

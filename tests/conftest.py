@@ -41,7 +41,6 @@ def yaml_loader(request, monkeypatch) -> str:
         base = yaml.CSafeLoader
     else:
         base = yaml.SafeLoader
-    monkeypatch.setattr(composefile, "_BaseLoader", base)
     monkeypatch.setattr(composefile, "_UniqueKeyLoader",
-                        type("UniqueKeyLoader", (composefile._UniqueKeys, base), {}))
+                        composefile._loader(base))
     return request.param

@@ -22,9 +22,9 @@ from model_reference import flow_arcs, unreachable_links
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def run_cli(*args, cwd=None, **env):
+def run_cli(*args, cwd=None, launch=("-m", "ldbig"), **env):
     return subprocess.run(
-        [sys.executable, "-m", "ldbig", *args],
+        [sys.executable, *launch, *args],
         capture_output=True, text=True,
         env={"PATH": "", "LDBIG_COLOR": "never",
              "PYTHONPATH": ":".join(sys.path), **env},
@@ -301,17 +301,23 @@ def test_names_shared_across_kinds_are_accepted_by_every_command(
     assert build_flow_graph(composite).arcs == flow_arcs(model)
 
 
+# the CLI as ``python -m ldbig`` runs it, but on PyYAML's pure-Python loader
+PURE_CLI = ("import sys, yaml; yaml.__with_libyaml__ = False; "
+            "from ldbig.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
 def test_deeply_nested_yaml_is_an_input_error(tmp_path):
-    # in a child process: libyaml's composer, unguarded, crashes the
-    # interpreter with a segmentation fault on this file
+    # in a child process, through libyaml's events and then the pure parser's:
+    # a crash in either would not take the test run with it
     deep = tmp_path / "deep.yml"
     deep.write_text("a: " + "[" * 100_000 + "\n")
-    out = run_cli("validate", str(deep), "--json")
-    assert out.returncode == 2  # a signal would make it negative
-    assert "Traceback" not in out.stderr
-    report = Report.from_json(json.loads(out.stdout))
-    assert report.findings[0].message == \
-        f"{deep}: malformed YAML: nested too deeply"
+    for launch in (("-m", "ldbig"), ("-c", PURE_CLI)):
+        out = run_cli("validate", str(deep), "--json", launch=launch)
+        assert out.returncode == 2  # a signal would make it negative
+        assert "Traceback" not in out.stderr
+        report = Report.from_json(json.loads(out.stdout))
+        assert report.findings[0].message == \
+            f"{deep}: malformed YAML: nested too deeply"
 
 
 def test_both_loaders_give_the_same_reports(yaml_loader, data_dir, tmp_path,

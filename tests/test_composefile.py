@@ -144,10 +144,34 @@ def test_the_loader_follows_pyyamls_build(with_libyaml):
         pytest.skip("PyYAML was built without libyaml")
     probe = (f"import yaml; yaml.__with_libyaml__ = {with_libyaml}; "
              "from ldbig import composefile; "
-             "print(composefile._UniqueKeyLoader.__mro__[2].__name__)")
+             "loader = composefile._UniqueKeyLoader; "
+             "print(loader.get_event.__qualname__, "
+             "loader.get_single_node.__qualname__)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env={"PYTHONPATH": ":".join(sys.path)})
-    assert out.stdout == ("CSafeLoader\n" if with_libyaml else "SafeLoader\n")
+    # libyaml's events or the pure parser's, composed in Python either way
+    source = "CParser" if with_libyaml else "Parser"
+    assert out.stdout == f"{source}.get_event Composer.get_single_node\n"
+
+
+def test_each_document_is_parsed_once(yaml_loader, monkeypatch,
+                                      wordpress_text):
+    events = len(list(yaml.parse(wordpress_text)))
+    drawn = []
+
+    class Counted(composefile._UniqueKeyLoader):
+        def get_event(self):
+            drawn.append(None)
+            return super().get_event()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second pass over the document")
+
+    monkeypatch.setattr(composefile, "_UniqueKeyLoader", Counted)
+    for name in ("parse", "compose", "scan"):
+        monkeypatch.setattr(yaml, name, refuse)
+    assert list(parse_compose(wordpress_text).services) == ["wp", "db", "pma"]
+    assert len(drawn) == events
 
 
 def test_both_loaders_read_accepted_documents_alike(yaml_loader,
@@ -186,7 +210,7 @@ def test_both_loaders_reject_repeated_keys_at_their_line(yaml_loader, text,
                  (2, "expected ',' or ']', but got '<stream end>'"),
                  id="unclosed flow"),
     # the composer's error comes first, though a syntax error follows it
-    pytest.param("a: *nosuch\nb: [\n", (1, "found undefined alias"),
+    pytest.param("a: *nosuch\nb: [\n", (1, "found undefined alias 'nosuch'"),
                  (1, "found undefined alias 'nosuch'"), id="undefined alias"),
     # a second document is refused, however deep it nests
     pytest.param("a: 1\n---\nb: " + "[" * 2000,
@@ -224,33 +248,14 @@ def test_a_lone_surrogate_is_malformed_yaml(yaml_loader):
     assert str(err.value).startswith(f"malformed YAML: {problem}")
 
 
-@pytest.mark.parametrize("yaml_loader", ["libyaml"], indirect=True)
-def test_the_cap_allows_1000_levels_and_no_more(yaml_loader):
-    # the top mapping is the first level
+def test_the_recursion_limit_is_the_one_depth_ceiling(yaml_loader):
+    # the composer recurses once per level, on either loader's events
     with pytest.raises(ComposeSyntaxError,
                        match="^services: expected a mapping$"):
-        parse_compose("services: " + "[" * 999 + "]" * 999)
+        parse_compose("services: " + "[" * 300 + "]" * 300)
     with pytest.raises(ComposeSyntaxError,
                        match="^malformed YAML: nested too deeply$"):
-        parse_compose("services: " + "[" * 1000 + "]" * 1000)
-
-
-def test_the_depth_walk_stops_at_the_cap(yaml_loader, monkeypatch):
-    drawn = []
-    parse = yaml.parse
-
-    def counted(*args, **kwargs):
-        for event in parse(*args, **kwargs):
-            drawn.append(event)
-            yield event
-
-    monkeypatch.setattr(yaml, "parse", counted)
-    # the walk alone, so that a broken cap fails here, not in libyaml
-    with pytest.raises(ComposeSyntaxError,
-                       match="^malformed YAML: nested too deeply$"):
-        composefile._check_depth("a: " + "[" * 5_000 + "\n")
-    # stream, document, the top mapping, its key, then 1,000 sequences
-    assert len(drawn) == 4 + 1000
+        parse_compose("services: " + "[" * 100_000 + "]" * 100_000)
 
 
 def test_duplicate_host_port_rejected():

@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from ldbig import (
-    Bigraph, BigraphBuilder, Control, LocalInterface, OuterName, Port, Root,
-    Signature, assemble, is_isomorphic, relabel,
+    Bigraph, BigraphBuilder, Control, Edge, InnerName, LocalInterface,
+    OuterName, Port, Root, Signature, assemble, default_signature,
+    is_isomorphic, relabel, validate,
 )
 from genrandom import gen_chain, gen_model, gen_signature, retarget_one_link
 from oracles import iso_bruteforce
@@ -116,3 +119,102 @@ def test_large_composite_against_relabelled_and_retargeted_copies():
                    {e: 5000 - e for e in b.edges})
     assert is_isomorphic(b, copy)
     assert not is_isomorphic(b, retarget_one_link(copy))
+
+
+# -- leaf rejections: bigraphs without nodes, linked through names ------------
+
+NAMES = LocalInterface.of(({"x", "y"}, set()))
+TO = LocalInterface.of(({"o", "p"}, set()))
+
+
+def names_only(edges, link):
+    return Bigraph(SIG, NAMES, TO, {}, edges, {}, {}, link)
+
+
+IN_X, IN_Y = InnerName(0, "x"), InnerName(0, "y")
+OUT_O, OUT_P = OuterName(0, "o"), OuterName(0, "p")
+
+
+@pytest.mark.parametrize("b1, b2", [
+    # an edge of b1 meets a name of b2
+    pytest.param(names_only({1}, {IN_X: Edge(1)}),
+                 names_only({1}, {IN_X: OUT_O}), id="edge against a name"),
+    # two edges of b1 onto the one edge of b2, and the other way round
+    pytest.param(names_only({1, 2}, {IN_X: Edge(1), IN_Y: Edge(2)}),
+                 names_only({1, 2}, {IN_X: Edge(1), IN_Y: Edge(1)}),
+                 id="two edges onto one"),
+    pytest.param(names_only({1, 2}, {IN_X: Edge(1), IN_Y: Edge(1)}),
+                 names_only({1, 2}, {IN_X: Edge(1), IN_Y: Edge(2)}),
+                 id="one edge onto two"),
+    pytest.param(names_only(set(), {IN_X: OUT_O}),
+                 names_only(set(), {IN_X: OUT_P}), id="another name"),
+    # every point of b1 is linked alike in b2, which links one more
+    pytest.param(names_only({1}, {}), names_only({1}, {IN_X: Edge(1)}),
+                 id="one link more"),
+    pytest.param(names_only({1, 2}, {IN_X: Edge(1)}),
+                 names_only({1}, {IN_X: Edge(1)}), id="an idle edge more"),
+])
+def test_each_leaf_rejection_decides(b1, b2):
+    assert not iso_bruteforce(b1, b2)
+    assert not is_isomorphic(b1, b2)
+    assert is_isomorphic(b1, b1) and is_isomorphic(b2, b2)
+
+
+def test_a_port_onto_the_other_twin_breaks_isomorphism():
+    # each of two twin targets holds a source; the sources link to their own
+    # parents in one bigraph and across in the other, so every node keeps
+    # its fingerprint and only the port targets at the leaf differ
+    sig = Signature(fixed=(Control("T", 0, 1), Control("S", 1, 0)))
+    built = []
+    for across in (False, True):
+        b = BigraphBuilder(sig, outer=LocalInterface.of((set(), set()),
+                                                        (set(), set())))
+        targets = [b.node("T", parent=Root(1)) for _ in range(2)]
+        for i, t in enumerate(targets):
+            s = b.node("S", parent=t)
+            b.connect(Port(s, 0), Port(targets[(i + across) % 2], 0))
+        built.append(b.build())
+    assert not iso_bruteforce(*built)
+    assert not is_isomorphic(*built)
+    assert is_isomorphic(built[1], built[1])
+
+
+# -- ids off the nodes: answers for malformed bigraphs ------------------------
+
+def test_a_port_on_no_node_is_its_own_image():
+    b = Bigraph(default_signature(), LocalInterface.of(), LocalInterface.of(),
+                {}, {1}, {}, {}, {Port(99, 0): Edge(1)})
+    assert [v.clause for v in validate(b)] == ["link-domain"]
+    assert is_isomorphic(b, b)
+    moved = Bigraph(b.signature, b.inner, b.outer, {}, {1}, {}, {},
+                    {Port(98, 0): Edge(1)})
+    assert not is_isomorphic(b, moved)
+
+
+ROOTED = LocalInterface.of(({"o"}, set()), (set(), set()))
+K = Control("K", 1, 0)
+
+
+def rooted(nodes, node_parent, link, site_parent=None):
+    return Bigraph(Signature(fixed=(K,)), LocalInterface.of(), ROOTED,
+                   dict.fromkeys(nodes, K), set(), site_parent or {},
+                   node_parent, link)
+
+
+@pytest.mark.parametrize("b1, b2", [
+    # node 1 onto node 2 would send b1's dangling port 2:0 onto b2's
+    # real one, and leave b2's dangling 3:0 unmatched
+    pytest.param(
+        rooted({1}, {1: Root(1)}, {Port(1, 0): OUT_O, Port(2, 0): OUT_O}),
+        rooted({2}, {2: Root(1)}, {Port(2, 0): OUT_O, Port(3, 0): OUT_O}),
+        id="a dangling id that is a node of the other"),
+    pytest.param(rooted((), {}, {Port(5, 0): OUT_O}),
+                 rooted((), {5: Root(1)}, {Port(5, 0): OUT_O}),
+                 id="a parent more for a dangling id"),
+    pytest.param(rooted((), {}, {}), rooted((), {}, {}, {1: Root(1)}),
+                 id="a site beyond the inner interface"),
+])
+def test_malformed_pairs_get_one_answer_both_ways(b1, b2):
+    assert not is_isomorphic(b1, b2)
+    assert not is_isomorphic(b2, b1)
+    assert is_isomorphic(b1, b1) and is_isomorphic(b2, b2)

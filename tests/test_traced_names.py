@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ldbig import assemble, parse_compose
 from ldbig.cli import main
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -63,3 +64,21 @@ def test_the_traced_product_runs_under_tensor(data_dir, capsys):
                if name == "interfaces.juxtapose_with_renames" and parent >= 0]
     assert "algebra.tensor" in parents
     assert _bindings() == before
+
+
+def test_names_are_checked_where_they_are_read_and_not_again(data_dir):
+    text = (data_dir / "wordpress.yml").read_text(encoding="utf-8")
+    model = parse_compose(text)
+    counts = []
+    for stage in (lambda: parse_compose(text), lambda: assemble(model)):
+        tracer = _load().Tracer()
+        tracer.install()
+        try:
+            stage()
+        finally:
+            tracer.uninstall()
+        counts.append(tracer.counts["interfaces.check_name"])
+    # the reader checks each name once: 2 + 1 declared networks and volumes,
+    # 3 services, 2 links, 2 mounted volumes and 4 joined networks; building
+    # the composite, with a process control per container, checks none again
+    assert counts == [14, 0]
