@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import yaml
-from yaml.composer import Composer
 
 from .algebra import compose, identity, tensor
 from .bigraph import Bigraph, BigraphBuilder, InnerName, OuterName, Root, validate
@@ -24,6 +23,7 @@ from .errors import (
     ComposeSyntaxError, DanglingReference, LdbError, UnsupportedKey,
 )
 from .interfaces import LocalInterface, EMPTY_INTERFACE, check_name
+from .yamlload import load
 
 __all__ = [
     "ServiceSpec", "NetworkDecl", "VolumeDecl",
@@ -176,56 +176,20 @@ def _container_spec(name: str, svc: ServiceSpec) -> ContainerSpec:
                          svc.container_ports())
 
 
-class _Composer(Composer):
-    """Mixed in before a safe loader: PyYAML's Python composer builds the
-    nodes from the loader's events (ahead of libyaml's composer), and a key
-    repeated within one mapping is rejected (merged ``<<`` keys may still
-    be overridden)."""
-
-    def construct_mapping(self, node, deep=False):
-        own = node.value  # merging deletes the << entries from this list
-        count = len(own)
-        mapping = super().construct_mapping(node, deep=deep)
-        if len(mapping) < count or node.value is not own:
-            seen = set()
-            for key_node, _ in own:
-                key = self.construct_object(key_node)  # already constructed
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", node.start_mark,
-                        f"found duplicate key {key!r}", key_node.start_mark)
-                seen.add(key)
-        return mapping
-
-
-def _loader(base):
-    """``_Composer`` over the events of ``base``: libyaml's C parser in
-    ``yaml.CSafeLoader``, PyYAML's Python one in ``yaml.SafeLoader``."""
-
-    class Loader(_Composer, base):
-        def __init__(self, stream):
-            base.__init__(self, stream)
-            Composer.__init__(self)
-
-    return Loader
-
-
-_UniqueKeyLoader = _loader(yaml.CSafeLoader if yaml.__with_libyaml__
-                           else yaml.SafeLoader)
+# the events parse_compose reads: libyaml's parser when PyYAML has it
+_EventSource = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def parse_compose(text: str) -> ComposeModel:
     """Parse and validate a docker-compose document in the supported subset."""
     try:
-        doc = yaml.load(text, Loader=_UniqueKeyLoader)
+        doc = load(text, _EventSource)
     except yaml.MarkedYAMLError as exc:
         line = exc.problem_mark.line + 1 if exc.problem_mark else None
         raise ComposeSyntaxError(f"malformed YAML: {exc.problem}", line=line) from exc
     except (yaml.YAMLError, UnicodeEncodeError) as exc:
         # libyaml reads UTF-8, which cannot encode a lone surrogate
         raise ComposeSyntaxError(f"malformed YAML: {exc}") from exc
-    except RecursionError as exc:  # the composer recurses once per level
-        raise ComposeSyntaxError("malformed YAML: nested too deeply") from exc
 
     if not isinstance(doc, dict):
         raise ComposeSyntaxError("top level must be a mapping")
@@ -240,8 +204,12 @@ def parse_compose(text: str) -> ComposeModel:
         raise UnsupportedKey("version", f"unsupported version {version!r} "
                              "(this tool reads the version 2 subset)")
 
-    networks = {name: NetworkDecl(driver=body.get("driver"))
-                for name, body in _declarations(doc, "networks", "driver")}
+    networks: dict[str, NetworkDecl] = {}
+    for name, body in _declarations(doc, "networks", "driver"):
+        driver = body.get("driver")
+        if driver is not None:
+            _require_str(driver, f"networks.{name}.driver")
+        networks[name] = NetworkDecl(driver=driver)
     volumes: dict[str, VolumeDecl] = {}
     for name, body in _declarations(doc, "volumes", "external"):
         external = body.get("external", False)

@@ -152,7 +152,8 @@ def bigraph_from_json(data: dict, path: str = "bigraph") -> Bigraph:
     signature = _at(where, Signature,
                     tuple(_control_from_json(c, w)
                           for w, c in _each(sig, "controls", dict, where)),
-                    frozenset(t for _, t in _each(sig, "parametric", str, where)))
+                    frozenset(_at(w, check_name, t)
+                              for w, t in _each(sig, "parametric", str, where)))
     nodes, node_parent, attrs = {}, {}, {}
     for where, entry in _each(data, "nodes", dict, path):
         v = _field(entry, "id", int, where)

@@ -33,14 +33,13 @@ def data_dir() -> Path:
 
 @pytest.fixture(params=["libyaml", "pure"])
 def yaml_loader(request, monkeypatch) -> str:
-    """Run the test on libyaml's loader and on PyYAML's pure-Python one,
-    whichever ``parse_compose`` picked at import."""
+    """Run the test on the events of libyaml's parser and of PyYAML's
+    pure-Python one, whichever ``parse_compose`` picked at import."""
     if request.param == "libyaml":
         if not yaml.__with_libyaml__:
             pytest.skip("PyYAML was built without libyaml")
-        base = yaml.CSafeLoader
+        source = yaml.CSafeLoader
     else:
-        base = yaml.SafeLoader
-    monkeypatch.setattr(composefile, "_UniqueKeyLoader",
-                        composefile._loader(base))
+        source = yaml.SafeLoader
+    monkeypatch.setattr(composefile, "_EventSource", source)
     return request.param

@@ -6,7 +6,8 @@ node maps, transitive closure by boolean matrix powers, reachability by a
 dense closure, a node's root by walking up its parents, leak witnesses by
 one breadth-first search per ordered pair that rescans every arc at each
 step, the tensor product by a pairwise fold that copies and relabels at
-every step.  Keep them dumb.
+every step, a YAML document by PyYAML's own composer and safe constructor.
+Keep them dumb.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import yaml
+from yaml.composer import Composer
 
 from ldbig import Bigraph, Edge, InnerName, OuterName, Port, Root, relabel
 from ldbig.analysis import FlowNode, Violation
@@ -298,3 +301,37 @@ def tensor_fold(*bigraphs: Bigraph) -> Bigraph:
     for b in bigraphs[1:]:
         out = pair(out, b)
     return out
+
+
+class _UniqueKeyComposer(Composer):
+    """Mixed in before a safe loader: PyYAML's Python composer builds the
+    nodes from the loader's events, and a key repeated within one mapping
+    is rejected (merged ``<<`` keys may still be overridden)."""
+
+    def construct_mapping(self, node, deep=False):
+        own = node.value  # merging deletes the << entries from this list
+        count = len(own)
+        mapping = super().construct_mapping(node, deep=deep)
+        if len(mapping) < count or node.value is not own:
+            seen = set()
+            for key_node, _ in own:
+                key = self.construct_object(key_node)  # already constructed
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return mapping
+
+
+def yaml_load_reference(text: str, source):
+    """``yaml.load`` with the repeated-key check: PyYAML's composer builds a
+    node graph from the events of the loader class ``source``, recursing
+    once per level, and ``SafeConstructor`` walks that graph again."""
+
+    class Loader(_UniqueKeyComposer, source):
+        def __init__(self, stream):
+            source.__init__(self, stream)
+            Composer.__init__(self)
+
+    return yaml.load(text, Loader=Loader)

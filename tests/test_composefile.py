@@ -16,6 +16,7 @@ from ldbig.composefile import (
 from ldbig.errors import (
     ComposeSyntaxError, DanglingReference, UnsupportedKey,
 )
+from ldbig.yamlload import MAX_DEPTH
 from genrandom import gen_model, permute_services
 
 
@@ -142,16 +143,22 @@ MERGED = MINIMAL.replace("app:", "app: &base") \
 def test_the_loader_follows_pyyamls_build(with_libyaml):
     if with_libyaml and not yaml.__with_libyaml__:
         pytest.skip("PyYAML was built without libyaml")
+    # PyYAML's composer and mapping constructor refuse to run, so the
+    # values come from the events alone, merge and repeated-key check too
     probe = (f"import yaml; yaml.__with_libyaml__ = {with_libyaml}; "
-             "from ldbig import composefile; "
-             "loader = composefile._UniqueKeyLoader; "
-             "print(loader.get_event.__qualname__, "
-             "loader.get_single_node.__qualname__)")
+             "from ldbig import composefile, parse_compose\n"
+             "def refuse(*args, **kwargs): raise AssertionError(args)\n"
+             "yaml.composer.Composer.compose_node = refuse\n"
+             "yaml.constructor.SafeConstructor.construct_mapping = refuse\n"
+             "print(composefile._EventSource.get_event.__qualname__)\n"
+             f"print(parse_compose({MERGED!r}).services['b'].image)\n"
+             "try: parse_compose('a: 1\\na: 2\\n')\n"
+             "except Exception as exc: print(exc)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env={"PYTHONPATH": ":".join(sys.path)})
-    # libyaml's events or the pure parser's, composed in Python either way
     source = "CParser" if with_libyaml else "Parser"
-    assert out.stdout == f"{source}.get_event Composer.get_single_node\n"
+    assert out.stdout == (f"{source}.get_event\ny\n"
+                          "malformed YAML: found duplicate key 'a'\n")
 
 
 def test_each_document_is_parsed_once(yaml_loader, monkeypatch,
@@ -159,7 +166,7 @@ def test_each_document_is_parsed_once(yaml_loader, monkeypatch,
     events = len(list(yaml.parse(wordpress_text)))
     drawn = []
 
-    class Counted(composefile._UniqueKeyLoader):
+    class Counted(composefile._EventSource):
         def get_event(self):
             drawn.append(None)
             return super().get_event()
@@ -167,7 +174,7 @@ def test_each_document_is_parsed_once(yaml_loader, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("a second pass over the document")
 
-    monkeypatch.setattr(composefile, "_UniqueKeyLoader", Counted)
+    monkeypatch.setattr(composefile, "_EventSource", Counted)
     for name in ("parse", "compose", "scan"):
         monkeypatch.setattr(yaml, name, refuse)
     assert list(parse_compose(wordpress_text).services) == ["wp", "db", "pma"]
@@ -216,6 +223,15 @@ def test_both_loaders_reject_repeated_keys_at_their_line(yaml_loader, text,
     pytest.param("a: 1\n---\nb: " + "[" * 2000,
                  (2, "but found another document"),
                  (2, "but found another document"), id="two documents"),
+    # an alias inside the collection it names, and a set, which PyYAML read
+    pytest.param("services: {}\na: &x [1, *x]\n",
+                 (2, "found recursive alias 'x'"),
+                 (2, "found recursive alias 'x'"), id="recursive alias"),
+    pytest.param("services: {}\na: !!set {b, c}\n",
+                 (2, "could not determine a constructor for the tag "
+                     "'tag:yaml.org,2002:set'"),
+                 (2, "could not determine a constructor for the tag "
+                     "'tag:yaml.org,2002:set'"), id="set"),
 ])
 def test_malformed_yaml_keeps_each_loaders_line_mark(yaml_loader, text,
                                                      libyaml, pure):
@@ -248,14 +264,22 @@ def test_a_lone_surrogate_is_malformed_yaml(yaml_loader):
     assert str(err.value).startswith(f"malformed YAML: {problem}")
 
 
-def test_the_recursion_limit_is_the_one_depth_ceiling(yaml_loader):
-    # the composer recurses once per level, on either loader's events
+def test_nesting_is_capped_at_max_depth(yaml_loader):
+    # one check on the builder's stack, the top mapping counted as the first
+    deepest = "services: " + "[" * (MAX_DEPTH - 1) + "]" * (MAX_DEPTH - 1)
     with pytest.raises(ComposeSyntaxError,
                        match="^services: expected a mapping$"):
-        parse_compose("services: " + "[" * 300 + "]" * 300)
-    with pytest.raises(ComposeSyntaxError,
-                       match="^malformed YAML: nested too deeply$"):
-        parse_compose("services: " + "[" * 100_000 + "]" * 100_000)
+        parse_compose(deepest)
+    # a value nested to the cap still fits an error message
+    image = "[" * (MAX_DEPTH - 3) + "]" * (MAX_DEPTH - 3)
+    with pytest.raises(ComposeSyntaxError, match=r"^a\.image: expected a "
+                       r"non-empty string, got \[\[\["):
+        parse_compose(f"services:\n  a:\n    image: {image}\n")
+    for depth in (MAX_DEPTH, 100_000):
+        with pytest.raises(ComposeSyntaxError) as err:
+            parse_compose("services: " + "[" * depth + "]" * depth)
+        assert (str(err.value), err.value.line) == \
+            ("malformed YAML: nested too deeply", None)
 
 
 def test_duplicate_host_port_rejected():
@@ -310,6 +334,9 @@ services:
                  "volumes: {p_8080: {external: true}}\n",
                  "volumes.p_8080: clashes with the outer name of published "
                  "port 8080", id="external volume and host port"),
+    pytest.param(MINIMAL + "networks: {n: {driver: [1, {b: c}]}}\n",
+                 "networks.n.driver: expected a non-empty string, "
+                 "got [1, {'b': 'c'}]", id="network driver"),
 ])
 def test_rejections_name_their_entry(text, message):
     with pytest.raises(ComposeSyntaxError) as err:

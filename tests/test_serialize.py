@@ -129,6 +129,12 @@ def test_name_format_rejected():
      "non-negative"),
     ({"signature": {"controls": [control(), control()]}},
      "patterns[0].bigraph.signature: duplicate control 'container'"),
+    ({"signature": {"parametric": ["a b", ""]}},
+     "patterns[0].bigraph.signature.parametric[0]: name may not contain "
+     "whitespace: 'a b'"),
+    ({"signature": {"parametric": ["process", ""]}},
+     "patterns[0].bigraph.signature.parametric[1]: name must be a "
+     "non-empty string, got ''"),
 ])
 def test_reader_rejections_name_their_path(bigraph, message):
     with pytest.raises(ValueError) as caught:

@@ -1,0 +1,235 @@
+"""The event builder behind ``parse_compose`` gives what PyYAML's composer
+and safe constructor give (``oracles.yaml_load_reference``): equal values
+with equal key order, or the same problem at the same line, on libyaml's
+events and on the pure parser's. It differs by design on two documents
+only: an alias inside the collection it names, and a collection tagged
+``!!set``, ``!!omap``, ``!!pairs`` or another scalar tag, which it
+refuses."""
+
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import ldbig
+from ldbig.yamlload import load
+from oracles import yaml_load_reference
+
+DATA = Path(__file__).parent / "data"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+SOURCES = [pytest.param(yaml.SafeLoader, id="pure"),
+           pytest.param(yaml.CSafeLoader, id="libyaml", marks=pytest.mark.skipif(
+               not yaml.__with_libyaml__,
+               reason="PyYAML was built without libyaml"))]
+
+# tags SafeConstructor builds scalars or sets with, refused on collections
+_REFUSED = {tag for tag in yaml.SafeLoader.yaml_constructors
+            if tag not in (None, "tag:yaml.org,2002:seq",
+                           "tag:yaml.org,2002:map")}
+
+
+def _outcome(read, text, source):
+    """The value's repr (types, key order and shared objects show in it),
+    or the error: PyYAML's problem and line, or any other exception."""
+    try:
+        return "value", repr(read(text, source))
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        return "error", exc.problem, mark.line if mark else None
+    except Exception as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+def _refused_by_design(outcome) -> bool:
+    if outcome[0] != "error":
+        return False
+    problem = outcome[1]
+    if problem.startswith("found recursive alias "):
+        return True
+    prefix = "could not determine a constructor for the tag "
+    return problem.startswith(prefix) \
+        and problem[len(prefix):].strip("'") in _REFUSED
+
+
+def _agree(text, source):
+    built = _outcome(load, text, source)
+    if _refused_by_design(built):
+        return
+    assert built == _outcome(yaml_load_reference, text, source), text
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_every_data_file_reads_as_before(source):
+    paths = sorted(p for p in DATA.rglob("*") if p.is_file())
+    assert len(paths) > 10
+    for path in paths:
+        _agree(path.read_text(encoding="utf-8"), source)
+
+
+@pytest.fixture(scope="module")
+def benchmark_stacks(tmp_path_factory):
+    """The compose file of every seed-1 stack of the three compose
+    workloads, as the benchmark writes them."""
+    import sys
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    texts = []
+    for name in ("fleet-small", "monolith-large", "lattice-deep"):
+        directory = tmp_path_factory.mktemp(name)
+        workloads.build(name, 1, directory, ldbig)
+        texts += [p.read_text(encoding="utf-8")
+                  for p in sorted(directory.glob("*.yml"))]
+    return texts
+
+
+class _Replay(yaml.constructor.SafeConstructor, yaml.resolver.Resolver):
+    """A safe loader whose events are ``events``, parsed beforehand, so
+    that both readers take the same events from one pass of a parser."""
+
+    events: list = []
+
+    def __init__(self, stream):
+        yaml.constructor.SafeConstructor.__init__(self)
+        yaml.resolver.Resolver.__init__(self)
+        self._left = self.events[::-1]
+
+    def check_event(self, *choices):
+        return bool(self._left) and (not choices
+                                     or isinstance(self._left[-1], choices))
+
+    def peek_event(self):
+        return self._left[-1]
+
+    def get_event(self):
+        return self._left.pop()
+
+    def dispose(self):
+        pass
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_every_benchmark_stack_reads_as_before(source, benchmark_stacks,
+                                               monkeypatch):
+    assert len(benchmark_stacks) == 40 + 6 + 12
+    for text in benchmark_stacks:
+        monkeypatch.setattr(_Replay, "events",
+                            list(yaml.parse(text, Loader=source)))
+        _agree(text, _Replay)
+
+
+# -- small documents ------------------------------------------------------
+
+_SCALARS = st.sampled_from([
+    "x", "y", "1", "0x1f", "true", "null", "~", "''", "1.5", ".nan",
+    "2001-12-14", "=", "'<<'", '"q"', "!!str 1", "!!int 7", "!!int z",
+    "!!bool yes", "!!float 2", "!!null ''", "!!binary aGk=", "!!binary '@'",
+    "!foo a", "!!seq x", "!!map y", "!!set z", "!!timestamp 2001-01-01",
+    "*c", "[*a, *b]", "{x: 7}",
+] + ["x", "y", "1", "*a", "*b"] * 4)
+# few distinct keys, so that keys repeat and merges meet own keys
+_KEYS = st.sampled_from(["x", "y", "x", "y", "1", "true", "=", "<<", "<<",
+                         "'<<'", "!!int z", "*a", "*b", "[x]"])
+_PROPS = st.tuples(
+    st.sampled_from([""] * 10 + ["&c "]),
+    st.sampled_from([""] * 20 + ["!!seq ", "!!map ", "!!set ", "!!omap ",
+                                 "!foo "])).map("".join)
+# the anchors *a and *b name, defined before the rest of a document
+_PREAMBLES = st.tuples(
+    st.sampled_from(["", "p: &a {x: 1, y: 2}\n", "p: &a [x, {y: 1}]\n",
+                     "p: &a =\n", "p: &a {=: 3}\n"]),
+    st.sampled_from(["", "q: &b {x: 3, z: 4}\n", "q: &b !!int z\n",
+                     "q: &b {<<: {x: 5}, y: 6}\n"])).map("".join)
+
+
+def _nodes():
+    """Node trees: ("leaf", text), or ("seq", props, items, flow) and
+    ("map", props, [(key, value)], flow) in flow or block style."""
+    leaf = _SCALARS.map(lambda t: ("leaf", t))
+    key = _KEYS.map(lambda t: ("leaf", t))
+
+    def grow(children):
+        return st.one_of(
+            st.tuples(st.just("seq"), _PROPS, st.lists(children, max_size=3),
+                      st.booleans()),
+            st.tuples(st.just("map"), _PROPS, st.lists(
+                st.tuples(st.one_of(key, key, key, children), children),
+                max_size=4), st.booleans()))
+
+    return st.recursive(leaf, grow, max_leaves=8)
+
+
+def _flow(node) -> str:
+    if node[0] == "leaf":
+        return node[1]
+    _, props, body, _ = node
+    if node[0] == "seq":
+        return props + "[" + ", ".join(_flow(n) for n in body) + "]"
+    return props + "{" + ", ".join(f"{_flow(k)} : {_flow(v)}"
+                                   for k, v in body) + "}"
+
+
+def _block(node, indent) -> str:
+    """``node`` as the value after a key or a dash, in its style (a
+    collection without entries in flow style)."""
+    if node[0] == "leaf" or node[3] or not node[2]:
+        return " " + _flow(node) + "\n"
+    _, props, body, _ = node
+    pad = " " * indent
+    lines = [" " + props.strip() + "\n" if props.strip() else "\n"]
+    if node[0] == "seq":
+        lines += [f"{pad}-{_block(n, indent + 2)}" for n in body]
+    else:
+        lines += [f"{pad}{_flow(k)} :{_block(v, indent + 2)}"
+                  for k, v in body]
+    return "".join(lines)
+
+
+@st.composite
+def documents(draw):
+    """A block mapping: anchors, then the entries of a drawn mapping or
+    one entry holding a drawn node; now and then a second document."""
+    root = draw(_nodes())
+    body = root[2] if root[0] == "map" and not root[3] else [
+        (("leaf", "w"), root)]
+    text = draw(_PREAMBLES) + "".join(f"{_flow(k)} :{_block(v, 2)}"
+                                      for k, v in body)
+    if draw(st.integers(0, 9)) == 9:
+        text += "---\nz: 1\n"
+    return text
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@settings(max_examples=75, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=documents())
+def test_small_documents_read_as_before(source, text):
+    _agree(text, source)
+
+
+# cases the strategy reaches only now and then
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("text", [
+    # merges: earlier list entries win, own keys override, errors keep marks
+    "x: &a {k: 1, j: 2}\ny: &b {k: 3, z: 4}\nm: {<<: [*a, *b], q: 1}\n"
+    "n: {<<: *a, k: 9}",
+    "x: &a [1]\nm: {<<: *a}", "m: {<<: 1}", "m: {<<: [{a: 1}, 2]}",
+    "x: &s {a: 1, <<: 3}\ny: {<<: *s}", "{<<: !foo {a: 1}}", "[<<]",
+    # `=` keys, also through an alias reached before or after the key
+    "{=: 1}", "a: =", "{&e =: 1, x: *e}", "{a: {&e =: 1}, b: *e}",
+    "{a: {&e =: 1}, b: [*e]}", "{a: &e =, *e : 1}",
+    # the constructor's breadth-first order decides between two errors
+    "{a: {b: 1, b: 2}, a: 3}",
+    "{a: {b: {z: !!int w, c: &x {d: !!int q}}}, e: *x}",
+    "{a: [&x !!int q], b: *x}", "{[a]: 1, a: !!int x}", "{!!seq x : 1}",
+    "a: !!seq {b: 1}", "a: !!map [1]", "a: !!seq x", "a: !foo [1]",
+    "{1: a, true: b}", "a: &x 1\nb: &x 2", "", "---\n", "abc", "!!int x",
+    # a merge source no value keeps, whose dict is freed before the end
+    "w : !!set\n  -\n    << :\n      x : x\n      x : x\n",
+])
+def test_tricky_documents_read_as_before(source, text):
+    _agree(text, source)
