@@ -18,6 +18,9 @@ __all__ = ["compose", "tensor", "identity", "relabel", "is_isomorphic",
            "place_order", "node_maps"]
 
 
+_NAMES = (InnerName, OuterName)
+
+
 def relabel(b: Bigraph, node_map: dict[int, int] | None = None,
             edge_map: dict[int, int] | None = None) -> Bigraph:
     """Rename support identifiers; both maps must be injective."""
@@ -50,11 +53,10 @@ def relabel(b: Bigraph, node_map: dict[int, int] | None = None,
 
 def _support_disjoint(b1: Bigraph, b2: Bigraph) -> Bigraph:
     """Relabel b2 so its node/edge ids avoid b1's (refresh on collision)."""
-    ids1 = set(b1.nodes) | set(b1.edges)
-    ids2 = set(b2.nodes) | set(b2.edges)
-    if not ids1 & ids2:
+    ids2 = b2.nodes.keys() | b2.edges
+    if b1.nodes.keys().isdisjoint(ids2) and b1.edges.isdisjoint(ids2):
         return b2
-    offset = max(ids1 | ids2, default=0)
+    offset = max(ids2 | b1.nodes.keys() | b1.edges)
     return relabel(b2, {v: v + offset for v in b2.nodes},
                    {e: e + offset for e in b2.edges})
 
@@ -98,22 +100,28 @@ def compose(b2: Bigraph, b1: Bigraph) -> Bigraph:
         return parent
 
     site_parent = {s: through(p) for s, p in b1.site_parent.items()}
-    node_parent = {v: through(p) for v, p in b1.node_parent.items()}
+    node_parent = {v: through(p) if isinstance(p, Root) else p
+                   for v, p in b1.node_parent.items()}
     node_parent.update(b2.node_parent)
 
     # Chasing: a b1 target that is an outer name is a shared-interface name,
     # i.e. a point of b2; a b2 target that is an inner name is a point of b1.
+    # Those points are looked up by (locality, text).
     limit = len(b1.link) + len(b2.link) + 2
+    into2 = {(p.locality, p.text): t for p, t in b2.link.items()
+             if isinstance(p, InnerName)}
+    into1 = {(p.locality, p.text): t for p, t in b1.link.items()
+             if isinstance(p, OuterName)}
 
     def chase(side: int, val):
         for _ in range(limit):
             if side == 1 and isinstance(val, OuterName):
-                nxt = b2.link.get(InnerName(val.locality, val.text))
+                nxt = into2.get((val.locality, val.text))
                 if nxt is None:
                     raise LdbError(f"shared name {val} has no link in b2")
                 side, val = 2, nxt
             elif side == 2 and isinstance(val, InnerName):
-                nxt = b1.link.get(OuterName(val.locality, val.text))
+                nxt = into1.get((val.locality, val.text))
                 if nxt is None:
                     raise LdbError(f"shared name {val} has no link in b1")
                 side, val = 1, nxt
@@ -124,10 +132,10 @@ def compose(b2: Bigraph, b1: Bigraph) -> Bigraph:
     link = {}
     for p, t in b1.link.items():
         if isinstance(p, (InnerName, Port)):
-            link[p] = chase(1, t)
+            link[p] = chase(1, t) if isinstance(t, OuterName) else t
     for p, t in b2.link.items():
         if isinstance(p, (OuterName, Port)):
-            link[p] = chase(2, t)
+            link[p] = chase(2, t) if isinstance(t, InnerName) else t
 
     attrs = {**b1.node_attrs, **b2.node_attrs}
     return Bigraph(signature, b1.inner, b2.outer,
@@ -159,43 +167,65 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
     d_in = d_out = 0        # sites and roots so far
 
     for b in bigraphs:
-        if b.signature != signature:
+        if b.signature is not signature and b.signature != signature:
             signature = signature.union(b.signature)
         ids = b.nodes.keys() | b.edges
         offset = 0
-        if any(i in nodes or i in edges for i in ids):
+        if not (nodes.keys().isdisjoint(ids) and edges.isdisjoint(ids)):
             offset = max(top, max(ids))
-        nm = {v: v + offset for v in b.nodes}
-        em = {e: e + offset for e in b.edges}
         if ids:
             top = max(top, max(ids) + offset)
+        nm = em = None  # without a collision, ids and entries naming them stay
+        if offset:
+            nm = {v: v + offset for v in b.nodes}
+            em = {e: e + offset for e in b.edges}
 
         def place(p):
-            return Root(p.index + d_out) if isinstance(p, Root) else nm.get(p, p)
+            if isinstance(p, Root):
+                return Root(p.index + d_out)
+            return nm.get(p, p) if offset else p
 
         def ref(x):
             # global names are disjoint across operands, so stay as they are
-            if isinstance(x, Port):
-                return Port(nm.get(x.node, x.node), x.index)
-            if isinstance(x, Edge):
-                return Edge(em.get(x.ident, x.ident))
-            if isinstance(x, InnerName) and x.locality:
-                return InnerName(x.locality + d_in, x.text)
-            if isinstance(x, OuterName) and x.locality:
-                return OuterName(x.locality + d_out, x.text)
+            if isinstance(x, OuterName):
+                return OuterName(x.locality + d_out, x.text) if x.locality else x
+            if isinstance(x, InnerName):
+                return InnerName(x.locality + d_in, x.text) if x.locality else x
+            if offset:
+                if isinstance(x, Port):
+                    return Port(nm.get(x.node, x.node), x.index)
+                if isinstance(x, Edge):
+                    return Edge(em.get(x.ident, x.ident))
             return x
 
-        for v, c in b.nodes.items():
-            nodes[nm[v]] = c
-        edges.update(em.values())
         for s, p in b.site_parent.items():
             site_parent[s + d_in] = place(p)
-        for v, p in b.node_parent.items():
-            node_parent[nm.get(v, v)] = place(p)
-        for p, t in b.link.items():
-            link[ref(p)] = ref(t)
-        for v, a in b.node_attrs.items():
-            attrs[nm.get(v, v)] = a
+        if offset:
+            for v, c in b.nodes.items():
+                nodes[nm[v]] = c
+            edges.update(em.values())
+            for v, p in b.node_parent.items():
+                node_parent[nm.get(v, v)] = place(p)
+            for v, a in b.node_attrs.items():
+                attrs[nm.get(v, v)] = a
+        else:
+            nodes.update(b.nodes)
+            edges.update(b.edges)
+            node_parent.update(b.node_parent)
+            if d_out:
+                for v, p in b.node_parent.items():
+                    if isinstance(p, Root):
+                        node_parent[v] = place(p)
+            attrs.update(b.node_attrs)
+        if offset:
+            for p, t in b.link.items():
+                link[ref(p)] = ref(t)
+        elif d_in or d_out:  # only localized names move
+            for p, t in b.link.items():
+                link[ref(p) if isinstance(p, _NAMES) else p] = (
+                    ref(t) if isinstance(t, _NAMES) else t)
+        else:
+            link.update(b.link)
         d_in += b.inner.width
         d_out += b.outer.width
 

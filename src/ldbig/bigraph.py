@@ -314,19 +314,26 @@ def _invert(parent: dict) -> dict:
 
 
 def validate(b: Bigraph) -> list[Violation]:
-    """Check every well-formedness clause; an empty list means ok."""
-    out: list[Violation] = []
+    """Check every well-formedness clause; an empty list means ok.
 
-    if set(b.nodes) & {e for e in b.edges}:
-        shared = sorted(set(b.nodes) & set(b.edges))
-        out.append(Violation("support", f"ids {shared}",
+    Clauses are reported in a fixed order, and within one clause by node,
+    site or point; only the faults found are sorted."""
+    out: list[Violation] = []
+    nodes, node_parent, link = b.nodes, b.node_parent, b.link
+
+    shared = nodes.keys() & b.edges
+    if shared:
+        out.append(Violation("support", f"ids {sorted(shared)}",
                              "node and edge identifiers overlap"))
 
-    for v, ctrl in sorted(b.nodes.items()):
-        if not b.signature.admits(ctrl):
-            out.append(Violation("control", f"node {v}",
-                                 f"control {ctrl.name}:({ctrl.plus}+,{ctrl.minus}-) "
-                                 "not in signature"))
+    admits = b.signature.admits
+    if not all(map(admits, {id(c): c for c in nodes.values()}.values())):
+        for v, ctrl in sorted(nodes.items()):
+            if not admits(ctrl):
+                out.append(Violation(
+                    "control", f"node {v}",
+                    f"control {ctrl.name}:({ctrl.plus}+,{ctrl.minus}-) "
+                    "not in signature"))
 
     # parent map: totality and range
     sites = set(range(1, b.inner.width + 1))
@@ -340,7 +347,7 @@ def validate(b: Bigraph) -> list[Violation]:
                 out.append(Violation("parent", f"{kind} {key}",
                                      f"unknown root {parent.index}"))
         elif isinstance(parent, int):
-            if parent not in b.nodes:
+            if parent not in nodes:
                 out.append(Violation("parent", f"{kind} {key}",
                                      f"unknown node {parent}"))
         else:
@@ -349,61 +356,100 @@ def validate(b: Bigraph) -> list[Violation]:
 
     for s in sorted(sites):
         check_parent("site", s, b.site_parent.get(s))
-    for s in sorted(set(b.site_parent) - sites):
+    for s in sorted(b.site_parent.keys() - sites):
         out.append(Violation("parent", f"site {s}", "not a site of the inner interface"))
-    for v in sorted(b.nodes):
-        check_parent("node", v, b.node_parent.get(v))
-    for v in sorted(set(b.node_parent) - set(b.nodes)):
+    # a node under a node or a known root is fine; check_parent words the rest
+    odd = [v for v, p in node_parent.items()
+           if not (p in nodes if type(p) is int
+                   else type(p) is Root and p.index in roots)]
+    for v in sorted(nodes.keys() - (node_parent.keys() - odd)):
+        check_parent("node", v, node_parent.get(v))
+    for v in sorted(node_parent.keys() - nodes.keys()):
         out.append(Violation("parent", f"node {v}", "not a node of this bigraph"))
 
-    for v in sorted(b.nodes):
-        if v in b.node_parent and b.node_region(v) is None:
-            out.append(Violation("forest", f"node {v}",
-                                 "never reaches a root (cycle or dangling parent)"))
+    root_of = b._places()[1]
+    for v in sorted(v for v in node_parent.keys() & nodes.keys()
+                    if root_of.get(v) is None):
+        out.append(Violation("forest", f"node {v}",
+                             "never reaches a root (cycle or dangling parent)"))
 
-    # link map: totality, targets, locality
-    points = b.points()
-    for p in sorted(points - set(b.link), key=str):
-        out.append(Violation("link-total", str(p), "point has no link"))
-    for p in sorted(set(b.link) - points, key=str):
-        out.append(Violation("link-domain", str(p), "not a point of this bigraph"))
+    # link map: totality, targets, locality. The keys are the points when
+    # each is one and there are as many as points; else the point set says
+    # which are missing and which are not points
+    inner, outer = b.inner.localities, b.outer.localities
+    linked = link.items()
+    if (len(link) != sum(len(p) for p, _ in inner) + sum(len(m) for _, m in outer)
+            + sum(c.plus for c in nodes.values())
+            or not all(map(_is_point(b), link))):
+        points = b.points()
+        for p in sorted(points - link.keys(), key=str):
+            out.append(Violation("link-total", str(p), "point has no link"))
+        for p in sorted(link.keys() - points, key=str):
+            out.append(Violation("link-domain", str(p), "not a point of this bigraph"))
+        linked = [(p, link[p]) for p in link.keys() & points]
 
-    for p in sorted(set(b.link) & points, key=str):
-        target = b.link[p]
-        if not b.is_link(target):
-            out.append(Violation("link-target", str(p),
-                                 f"target {target} is not a link of this bigraph"))
+    faults = []           # (point, violation): at most one per point
+    preimage: dict[Link, int] = {}   # points per inner or outer name target
+    for p, target in linked:
+        kind = type(target)
+        if kind is InnerName or kind is OuterName:
+            preimage[target] = preimage.get(target, 0) + 1
+        if kind is Edge:
+            if target.ident in b.edges:
+                continue
+        elif b.is_link(target):
+            lp, lt = b.region_of(p), b.region_of(target)
+            # an unresolvable region is already reported via forest/parent;
+            # a link is reachable from its own region or, when global, from
+            # all; a global point crossing into one region would break
+            # composition
+            if lp is not None and lt is not None and lt != 0 and lp != lt:
+                faults.append((p, Violation(
+                    "link-locality", str(p),
+                    f"point in region {lp} targets {target} in region {lt}")))
             continue
-        if isinstance(target, Edge):
-            continue
-        lp, lt = b.region_of(p), b.region_of(target)
-        if lp is None or lt is None:
-            continue  # unresolvable region already reported via forest/parent
-        # a link is reachable from its own region or, when global, from all;
-        # a global point crossing into one region would break composition
-        if lt != 0 and lp != lt:
-            out.append(Violation("link-locality", str(p),
-                                 f"point in region {lp} targets {target} in region {lt}"))
+        faults.append((p, Violation(
+            "link-target", str(p),
+            f"target {target} is not a link of this bigraph")))
+    faults.sort(key=lambda fault: str(fault[0]))
+    out.extend(v for _, v in faults)
 
     # pass-through names must have exactly one point
-    preimage: dict[Link, int] = {}
-    for p in points:
-        t = b.link.get(p)
-        if t is not None:
-            preimage[t] = preimage.get(t, 0) + 1
     # inner names are points when positive, outer names when negative
     for cls, localities, side in (
-            (InnerName, b.inner.localities, "inner"),
-            (OuterName, [(m, p) for p, m in b.outer.localities], "outer")):
+            (InnerName, inner, "inner"),
+            (OuterName, [(m, p) for p, m in outer], "outer")):
         for i, (sources, targets) in enumerate(localities):
-            hit = {b.link[cls(i, t)] for t in sources if cls(i, t) in b.link}
-            for x in sorted(hit, key=str):
-                if (isinstance(x, cls) and x.locality == i
-                        and x.text in targets and preimage.get(x, 0) != 1):
-                    out.append(Violation("passthrough", str(x),
-                                         f"{preimage.get(x, 0)} points target "
-                                         f"a pass-through {side} name"))
+            hit = {link[cls(i, t)] for t in sources if cls(i, t) in link}
+            bad = [x for x in hit
+                   if isinstance(x, cls) and x.locality == i
+                   and x.text in targets and preimage.get(x, 0) != 1]
+            for x in sorted(bad, key=str):
+                out.append(Violation("passthrough", str(x),
+                                     f"{preimage.get(x, 0)} points target "
+                                     f"a pass-through {side} name"))
     return out
+
+
+def _is_point(b: Bigraph):
+    """A test that says yes only of a point of ``b``: a node's source port,
+    a positive inner name or a negative outer name."""
+    nodes, inner, outer = b.nodes, b.inner.localities, b.outer.localities
+
+    def is_point(p) -> bool:
+        kind = type(p)
+        if kind is Port:
+            ctrl = nodes.get(p.node)
+            return (ctrl is not None and type(p.index) is int
+                    and 0 <= p.index < ctrl.plus)
+        if kind is InnerName or kind is OuterName:
+            i = p.locality
+            if type(i) is not int or not 0 <= i < len(inner if kind is InnerName else outer):
+                return False
+            return p.text in (inner[i][0] if kind is InnerName else outer[i][1])
+        return False
+
+    return is_point
 
 
 class BigraphBuilder:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .algebra import compose, identity, tensor
-from .bigraph import Bigraph, BigraphBuilder, InnerName, OuterName, Root, validate
+from .bigraph import Bigraph, Edge, InnerName, OuterName, Root, validate
 from .containers import (
     CONTAINER, NETWORK, VOLUME, ContainerSpec, VolumeMount, build_container,
     default_signature, handle,
@@ -287,9 +287,23 @@ def parse_compose(text: str) -> ComposeModel:
                         networks=networks, volumes=volumes)
 
 
-def environment_bigraph(model: ComposeModel) -> Bigraph:
+def _containers(model: ComposeModel) -> list:
+    """Each service's container spec and its tagged (consumed, offered)
+    names, in service order: computed once per assembly, then read by the
+    environment and by every stub."""
+    specs = [_container_spec(name, svc) for name, svc in model.services.items()]
+    return [(spec, spec.names()) for spec in specs]
+
+
+def environment_bigraph(model: ComposeModel, *, containers=None,
+                        offset: int = 0) -> Bigraph:
     """The context bigraph: one root, one site per service, link wiring for
-    aliases, shared networks, volumes and published-port renaming."""
+    aliases, shared networks, volumes and published-port renaming.
+
+    Its edges are numbered ``offset + 1`` on; ``containers`` is
+    ``_containers(model)``, when the caller has it."""
+    if containers is None:
+        containers = _containers(model)
     order = list(model.services)
     site_of = {name: i + 1 for i, name in enumerate(order)}
 
@@ -297,13 +311,12 @@ def environment_bigraph(model: ComposeModel) -> Bigraph:
     localities = [(frozenset(), frozenset())]
     net_users: dict[str, list[str]] = {}
     vol_users: dict[str, list[str]] = {}
-    for name in order:
-        svc = model.services[name]
-        localities.append(_container_spec(name, svc).names())
-        for net in svc.networks:
-            net_users.setdefault(net, []).append(name)
-        for vol in dict.fromkeys(v.name for v in svc.volumes):
-            vol_users.setdefault(vol, []).append(name)
+    for spec, names in containers:
+        localities.append(names)
+        for net in spec.networks:
+            net_users.setdefault(net, []).append(spec.name)
+        for vol in dict.fromkeys(v.name for v in spec.volumes):
+            vol_users.setdefault(vol, []).append(spec.name)
     inner = LocalInterface(tuple(localities))
 
     outer_plus = {v for v, decl in model.volumes.items() if decl.external}
@@ -312,18 +325,23 @@ def environment_bigraph(model: ComposeModel) -> Bigraph:
     outer = LocalInterface.of((frozenset(), frozenset()),
                               (outer_plus, outer_minus))
 
-    b = BigraphBuilder(default_signature(), inner=inner, outer=outer)
-    for name in order:
-        b.site(site_of[name], parent=Root(1))
+    root = Root(1)
+    site_parent = {site_of[name]: root for name in order}
+    edges: list[int] = []
+    link: dict = {}
+
+    def edge() -> Edge:
+        edges.append(offset + len(edges) + 1)
+        return Edge(edges[-1])
 
     # one edge per network in use joins the attached services' network names
     for net in model.networks:
         users = net_users.get(net)
         if not users:
             continue
-        e = b.edge()
+        e = edge()
         for n in users:
-            b.connect(InnerName(site_of[n], handle(NETWORK, net)), e)
+            link[InnerName(site_of[n], handle(NETWORK, net))] = e
 
     # volumes: external ones surface on the outer interface, others close
     for vol, decl in model.volumes.items():
@@ -331,40 +349,63 @@ def environment_bigraph(model: ComposeModel) -> Bigraph:
         inner_vol = handle(VOLUME, vol)
         if decl.external:
             for n in users:
-                b.connect(InnerName(site_of[n], inner_vol), OuterName(1, vol))
+                link[InnerName(site_of[n], inner_vol)] = OuterName(1, vol)
         elif users:
-            e = b.edge()
+            e = edge()
             for n in users:
-                b.connect(InnerName(site_of[n], inner_vol), e)
+                link[InnerName(site_of[n], inner_vol)] = e
 
     # link aliases target the linked service's identity handle
     for name in order:
         for target, alias in model.services[name].links:
-            b.connect(InnerName(site_of[name], handle("link", alias)),
-                      InnerName(site_of[target], handle(CONTAINER, target)))
+            link[InnerName(site_of[name], handle("link", alias))] = InnerName(
+                site_of[target], handle(CONTAINER, target))
 
     # published ports: the outer host-port name reaches the container port
     for name in order:
         for host, container in model.services[name].ports:
-            b.connect(OuterName(1, handle("port", host)),
-                      InnerName(site_of[name], handle("port", container)))
+            link[OuterName(1, handle("port", host))] = InnerName(
+                site_of[name], handle("port", container))
 
-    return b.build()
+    return Bigraph(default_signature(), inner, outer, {}, edges, site_parent,
+                   {}, link)
 
 
-def container_stub(name: str, model: ComposeModel) -> Bigraph:
+def container_stub(name: str, model: ComposeModel, *, container=None,
+                   offset: int = 0) -> Bigraph:
     """The canonical container bigraph for one service: one process consuming
     the link aliases and offering the container ports, one network node per
-    attached network, one volume node per mount."""
+    attached network, one volume node per mount.
+
+    Its nodes are numbered ``offset + 1`` on; ``container`` is the
+    service's entry of ``_containers(model)``, when the caller has it."""
     if name not in model.services:
         raise KeyError(f"no service {name!r} in the model")
-    return build_container(_container_spec(name, model.services[name]))
+    if container is None:
+        return build_container(_container_spec(name, model.services[name]),
+                               offset=offset)
+    spec, names = container
+    return build_container(spec, names=names, offset=offset)
 
 
-def stub_block(model: ComposeModel) -> Bigraph:
+def stub_block(model: ComposeModel, *, containers=None) -> Bigraph:
     """The tensor of all container stubs in service order; with no services,
-    the identity on the empty interface."""
-    stubs = [container_stub(name, model) for name in model.services]
+    the identity on the empty interface.
+
+    Each stub is numbered as the tensor's refresh would shift it: past the
+    largest id so far or past its own size, whichever is larger, so that
+    the tensor finds no id twice and shifts none."""
+    if containers is None:
+        containers = _containers(model)
+    stubs = []
+    top = 0
+    for container in containers:
+        spec = container[0]
+        size = 2 + len(spec.networks) + len(spec.volumes)  # its node count
+        offset = max(top, size) if stubs else 0
+        stubs.append(container_stub(spec.name, model, container=container,
+                                    offset=offset))
+        top = offset + size
     if not stubs:
         return identity(EMPTY_INTERFACE, default_signature())
     return tensor(*stubs)
@@ -373,11 +414,15 @@ def stub_block(model: ComposeModel) -> Bigraph:
 def assemble(model: ComposeModel) -> Bigraph:
     """Compose the environment over the tensor of all container stubs.
 
-    The pipeline's one well-formedness check: an ill-formed composite raises
-    LdbError, which the CLI reports as an input error.
+    The environment's edges are numbered past the block's largest node id,
+    the shift that ``compose`` would give them, so ``compose`` shifts
+    nothing. The pipeline's one well-formedness check: an ill-formed
+    composite raises LdbError, which the CLI reports as an input error.
     """
-    env = environment_bigraph(model)
-    block = stub_block(model)
+    containers = _containers(model)
+    block = stub_block(model, containers=containers)
+    env = environment_bigraph(model, containers=containers,
+                              offset=max(block.nodes, default=0))
     result = compose(env, block)
     problems = validate(result)
     if problems:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .bigraph import (
-    Bigraph, BigraphBuilder, Control, OuterName, Port, Root, Signature,
-)
-from .interfaces import LocalInterface
+from .bigraph import Bigraph, Control, OuterName, Port, Root, Signature
+from .interfaces import EMPTY_INTERFACE, LocalInterface
 
 __all__ = [
     "CONTAINER", "PROCESS", "REQUEST", "NETWORK", "VOLUME",
@@ -50,6 +49,15 @@ _SIGNATURE = Signature(
     fixed=(Control(CONTAINER, 0, 1), Control(REQUEST, 1, 1),
            Control(NETWORK, 1, 1), Control(VOLUME, 1, 1)),
     parametric=frozenset({PROCESS}))
+_CONTROLS = {c.name: c for c in _SIGNATURE.fixed}
+_NO_NAMES = (frozenset(), frozenset())
+
+
+@lru_cache(maxsize=None)
+def _process(plus: int, minus: int) -> Control:
+    """The process control of one arity, built once (a Control is
+    immutable)."""
+    return Control(PROCESS, plus, minus)
 
 
 def default_signature() -> Signature:
@@ -88,29 +96,40 @@ class ContainerSpec:
                            handle(CONTAINER, self.name)]))
 
 
-def build_container(spec: ContainerSpec) -> Bigraph:
-    """Build the container bigraph for ``spec``."""
-    outer = LocalInterface.of((frozenset(), frozenset()), spec.names())
-    b = BigraphBuilder(default_signature(), outer=outer)
-    box = b.node(CONTAINER, parent=Root(1), name=spec.name)
-    b.connect(OuterName(1, handle(CONTAINER, spec.name)), Port(box, 0))
+def build_container(spec: ContainerSpec, *, names=None,
+                    offset: int = 0) -> Bigraph:
+    """Build the container bigraph for ``spec``: the container, its
+    networks, its volumes and its process are nodes ``offset + 1`` on, in
+    that order. ``names`` is ``spec.names()``, when the caller has it."""
+    outer = LocalInterface.of(_NO_NAMES, spec.names() if names is None else names)
+    box = offset + 1
+    nodes = {box: _CONTROLS[CONTAINER]}
+    parent = {box: Root(1)}
+    attrs = {box: {"name": spec.name}}
+    link = {OuterName(1, handle(CONTAINER, spec.name)): Port(box, 0)}
+    v = box
     for name in spec.networks:
-        v = b.node(NETWORK, parent=box, name=name)
-        b.connect(Port(v, 0), OuterName(1, handle(NETWORK, name)))
+        v += 1
+        nodes[v], parent[v], attrs[v] = _CONTROLS[NETWORK], box, {"name": name}
+        link[Port(v, 0)] = OuterName(1, handle(NETWORK, name))
     for mount in spec.volumes:
+        v += 1
         # the attribute keeps its old key so that exported documents do not
         # change; it holds the mount point inside the container
-        v = b.node(VOLUME, parent=box, name=mount.name,
-                   read_only=mount.read_only, host_path=mount.path)
-        b.connect(Port(v, 0), OuterName(1, handle(VOLUME, mount.name)))
+        nodes[v], parent[v] = _CONTROLS[VOLUME], box
+        attrs[v] = {"name": mount.name, "read_only": mount.read_only,
+                    "host_path": mount.path}
+        link[Port(v, 0)] = OuterName(1, handle(VOLUME, mount.name))
 
-    proc = b.node(PROCESS, parent=box, plus=len(spec.consumes),
-                  minus=len(spec.offers))
+    proc = v + 1
+    nodes[proc] = _process(len(spec.consumes), len(spec.offers))
+    parent[proc] = box
     for k, alias in enumerate(spec.consumes):
-        b.connect(Port(proc, k), OuterName(1, handle("link", alias)))
+        link[Port(proc, k)] = OuterName(1, handle("link", alias))
     for k, port in enumerate(spec.offers):
-        b.connect(OuterName(1, handle("port", port)), Port(proc, k))
-    return b.build()
+        link[OuterName(1, handle("port", port))] = Port(proc, k)
+    return Bigraph(_SIGNATURE, EMPTY_INTERFACE, outer, nodes, (), {}, parent,
+                   link, attrs)
 
 
 def census(b: Bigraph) -> Counter:

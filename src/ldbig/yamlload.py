@@ -11,7 +11,9 @@ resolved by the loader and built by the loader's own constructors, an
 alias gives the same object, ``<<`` merges a mapping or a list of mappings
 (earlier list entries win, merged keys come first and may be overridden),
 an ``=`` key reads as ``'='``, and only one document is read. Each error
-keeps PyYAML's problem and mark. The constructor builds nodes breadth
+keeps PyYAML's problem and mark; where a scalar constructor raises no YAML
+error (``!!bool x`` raises ``KeyError``), a ``ConstructorError`` at the
+scalar's mark takes its place. The constructor builds nodes breadth
 first, so when a document holds several construction errors the one it
 meets first is not always the first in the text; ``_first_fault`` walks
 the built values in that order to raise the same one.
@@ -39,6 +41,7 @@ __all__ = ["MAX_DEPTH", "load"]
 # composer stopped at about 492, and a repr of a value this deep still works
 MAX_DEPTH = 500
 
+_YAML_TAG = "tag:yaml.org,2002:"
 _STR = "tag:yaml.org,2002:str"
 _SEQ = "tag:yaml.org,2002:seq"
 _MAP = "tag:yaml.org,2002:map"
@@ -82,10 +85,20 @@ def _mark(node):
 def _construct(loader, node, construct=None):
     """What the loader's constructor makes of ``node``: a value, or the
     ``_Fault`` it raises. Any exception is kept, as PyYAML raises it only
-    where its constructor reaches the node."""
+    where its constructor reaches the node; one that is no YAML error (a
+    scalar its tag cannot read, as ``!!bool x``) becomes one at the
+    scalar's mark."""
     try:
         value = (construct or loader.construct_object)(node)
+    except yaml.YAMLError as exc:
+        return _Fault(exc, node.tag)
     except Exception as exc:
+        if type(node) is ScalarNode:
+            error = ConstructorError(
+                None, None, f"invalid {node.tag.replace(_YAML_TAG, '!!')} "
+                f"value {node.value!r}", node.start_mark)
+            error.__cause__ = exc
+            exc = error
         return _Fault(exc, node.tag)
     queued = loader.state_generators
     if queued:   # a collection constructor: it yields first and fills later

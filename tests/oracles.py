@@ -6,8 +6,9 @@ node maps, transitive closure by boolean matrix powers, reachability by a
 dense closure, a node's root by walking up its parents, leak witnesses by
 one breadth-first search per ordered pair that rescans every arc at each
 step, the tensor product by a pairwise fold that copies and relabels at
-every step, a YAML document by PyYAML's own composer and safe constructor.
-Keep them dumb.
+every step, assembly by that fold over stubs numbered from 1, well-formedness
+by building and sorting every point, a YAML document by PyYAML's own
+composer and safe constructor. Keep them dumb.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ import numpy as np
 import yaml
 from yaml.composer import Composer
 
-from ldbig import Bigraph, Edge, InnerName, OuterName, Port, Root, relabel
+from ldbig import (
+    EMPTY_INTERFACE, Bigraph, Edge, InnerName, OuterName, Port, Root,
+    WellFormednessViolation, compose, container_stub, default_signature,
+    environment_bigraph, identity, relabel,
+)
 from ldbig.analysis import FlowNode, Violation
 from ldbig.interfaces import juxtapose
 
@@ -300,6 +305,115 @@ def tensor_fold(*bigraphs: Bigraph) -> Bigraph:
     out = bigraphs[0]
     for b in bigraphs[1:]:
         out = pair(out, b)
+    return out
+
+
+def assemble_reference(model):
+    """The composite as assembly built it before stubs were numbered where
+    they are built: every stub numbered from 1, the stubs folded pairwise
+    (each step refreshing the right operand's ids on collision), and the
+    environment, whose edges are numbered from 1, refreshed by ``compose``."""
+    stubs = [container_stub(name, model) for name in model.services]
+    block = (tensor_fold(*stubs) if stubs
+             else identity(EMPTY_INTERFACE, default_signature()))
+    result = compose(environment_bigraph(model), block)
+    assert validate_reference(result) == []
+    return result
+
+
+def validate_reference(b: Bigraph) -> list[WellFormednessViolation]:
+    """``validate`` as it was before it sorted only what it reports: it
+    builds every point, sorts them all by ``str`` and counts the preimage of
+    every link. Kept verbatim, so a report's order is pinned."""
+    Violation = WellFormednessViolation
+    out: list[Violation] = []
+
+    if set(b.nodes) & {e for e in b.edges}:
+        shared = sorted(set(b.nodes) & set(b.edges))
+        out.append(Violation("support", f"ids {shared}",
+                             "node and edge identifiers overlap"))
+
+    for v, ctrl in sorted(b.nodes.items()):
+        if not b.signature.admits(ctrl):
+            out.append(Violation("control", f"node {v}",
+                                 f"control {ctrl.name}:({ctrl.plus}+,{ctrl.minus}-) "
+                                 "not in signature"))
+
+    # parent map: totality and range
+    sites = set(range(1, b.inner.width + 1))
+    roots = set(range(1, b.outer.width + 1))
+
+    def check_parent(kind, key, parent):
+        if parent is None:
+            out.append(Violation("parent", f"{kind} {key}", "no parent"))
+        elif isinstance(parent, Root):
+            if parent.index not in roots:
+                out.append(Violation("parent", f"{kind} {key}",
+                                     f"unknown root {parent.index}"))
+        elif isinstance(parent, int):
+            if parent not in b.nodes:
+                out.append(Violation("parent", f"{kind} {key}",
+                                     f"unknown node {parent}"))
+        else:
+            out.append(Violation("parent", f"{kind} {key}",
+                                 f"bad parent {parent!r}"))
+
+    for s in sorted(sites):
+        check_parent("site", s, b.site_parent.get(s))
+    for s in sorted(set(b.site_parent) - sites):
+        out.append(Violation("parent", f"site {s}", "not a site of the inner interface"))
+    for v in sorted(b.nodes):
+        check_parent("node", v, b.node_parent.get(v))
+    for v in sorted(set(b.node_parent) - set(b.nodes)):
+        out.append(Violation("parent", f"node {v}", "not a node of this bigraph"))
+
+    for v in sorted(b.nodes):
+        if v in b.node_parent and b.node_region(v) is None:
+            out.append(Violation("forest", f"node {v}",
+                                 "never reaches a root (cycle or dangling parent)"))
+
+    # link map: totality, targets, locality
+    points = b.points()
+    for p in sorted(points - set(b.link), key=str):
+        out.append(Violation("link-total", str(p), "point has no link"))
+    for p in sorted(set(b.link) - points, key=str):
+        out.append(Violation("link-domain", str(p), "not a point of this bigraph"))
+
+    for p in sorted(set(b.link) & points, key=str):
+        target = b.link[p]
+        if not b.is_link(target):
+            out.append(Violation("link-target", str(p),
+                                 f"target {target} is not a link of this bigraph"))
+            continue
+        if isinstance(target, Edge):
+            continue
+        lp, lt = b.region_of(p), b.region_of(target)
+        if lp is None or lt is None:
+            continue  # unresolvable region already reported via forest/parent
+        # a link is reachable from its own region or, when global, from all;
+        # a global point crossing into one region would break composition
+        if lt != 0 and lp != lt:
+            out.append(Violation("link-locality", str(p),
+                                 f"point in region {lp} targets {target} in region {lt}"))
+
+    # pass-through names must have exactly one point
+    preimage: dict = {}
+    for p in points:
+        t = b.link.get(p)
+        if t is not None:
+            preimage[t] = preimage.get(t, 0) + 1
+    # inner names are points when positive, outer names when negative
+    for cls, localities, side in (
+            (InnerName, b.inner.localities, "inner"),
+            (OuterName, [(m, p) for p, m in b.outer.localities], "outer")):
+        for i, (sources, targets) in enumerate(localities):
+            hit = {b.link[cls(i, t)] for t in sources if cls(i, t) in b.link}
+            for x in sorted(hit, key=str):
+                if (isinstance(x, cls) and x.locality == i
+                        and x.text in targets and preimage.get(x, 0) != 1):
+                    out.append(Violation("passthrough", str(x),
+                                         f"{preimage.get(x, 0)} points target "
+                                         f"a pass-through {side} name"))
     return out
 
 

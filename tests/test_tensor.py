@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ldbig import (
-    EMPTY_INTERFACE, Bigraph, Edge, InnerName, LocalInterface, OuterName,
+    EMPTY_INTERFACE, Bigraph, Edge, InnerName, LocalInterface, OuterName, Root,
     assemble, container_stub, dumps, identity, stub_block, tensor, validate,
 )
 from ldbig.bigraph import EMPTY_SIGNATURE
@@ -68,6 +68,17 @@ def test_stub_block_equals_the_fold_of_its_stubs():
         model = gen_model(rng, max_services=12)
         stubs = [container_stub(name, model) for name in model.services]
         assert_same(stub_block(model), tensor_fold(*stubs))
+
+
+def test_names_shift_past_the_sites_of_an_operand_without_roots():
+    # ill-formed (its site has no root to sit under), but still an operand
+    sited = Bigraph(EMPTY_SIGNATURE, LocalInterface.of((set(), set()), ({"a"}, set())),
+                    EMPTY_INTERFACE, {}, set(), {1: Root(1)}, {},
+                    {InnerName(1, "a"): Edge(1)})
+    named = identity(LocalInterface.of((set(), set()), ({"b"}, set())))
+    out = tensor(sited, named)
+    assert_same(out, tensor_fold(sited, named))
+    assert out.link[InnerName(2, "b")] == OuterName(1, "b")
 
 
 def test_no_operands_give_the_unit():
