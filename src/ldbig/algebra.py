@@ -18,9 +18,6 @@ __all__ = ["compose", "tensor", "identity", "relabel", "is_isomorphic",
            "place_order", "node_maps"]
 
 
-_NAMES = (InnerName, OuterName)
-
-
 def relabel(b: Bigraph, node_map: dict[int, int] | None = None,
             edge_map: dict[int, int] | None = None) -> Bigraph:
     """Rename support identifiers; both maps must be injective."""
@@ -100,8 +97,7 @@ def compose(b2: Bigraph, b1: Bigraph) -> Bigraph:
         return parent
 
     site_parent = {s: through(p) for s, p in b1.site_parent.items()}
-    node_parent = {v: through(p) if isinstance(p, Root) else p
-                   for v, p in b1.node_parent.items()}
+    node_parent = {v: through(p) for v, p in b1.node_parent.items()}
     node_parent.update(b2.node_parent)
 
     # Chasing: a b1 target that is an outer name is a shared-interface name,
@@ -132,10 +128,10 @@ def compose(b2: Bigraph, b1: Bigraph) -> Bigraph:
     link = {}
     for p, t in b1.link.items():
         if isinstance(p, (InnerName, Port)):
-            link[p] = chase(1, t) if isinstance(t, OuterName) else t
+            link[p] = chase(1, t)
     for p, t in b2.link.items():
         if isinstance(p, (OuterName, Port)):
-            link[p] = chase(2, t) if isinstance(t, InnerName) else t
+            link[p] = chase(2, t)
 
     attrs = {**b1.node_attrs, **b2.node_attrs}
     return Bigraph(signature, b1.inner, b2.outer,
@@ -167,7 +163,7 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
     d_in = d_out = 0        # sites and roots so far
 
     for b in bigraphs:
-        if b.signature is not signature and b.signature != signature:
+        if b.signature != signature:
             signature = signature.union(b.signature)
         ids = b.nodes.keys() | b.edges
         offset = 0
@@ -175,15 +171,13 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
             offset = max(top, max(ids))
         if ids:
             top = max(top, max(ids) + offset)
-        nm = em = None  # without a collision, ids and entries naming them stay
+        nm = em = {}  # without a collision, ids and entries naming them stay
         if offset:
             nm = {v: v + offset for v in b.nodes}
             em = {e: e + offset for e in b.edges}
 
         def place(p):
-            if isinstance(p, Root):
-                return Root(p.index + d_out)
-            return nm.get(p, p) if offset else p
+            return Root(p.index + d_out) if isinstance(p, Root) else nm.get(p, p)
 
         def ref(x):
             # global names are disjoint across operands, so stay as they are
@@ -204,26 +198,17 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
             for v, c in b.nodes.items():
                 nodes[nm[v]] = c
             edges.update(em.values())
-            for v, p in b.node_parent.items():
-                node_parent[nm.get(v, v)] = place(p)
             for v, a in b.node_attrs.items():
                 attrs[nm.get(v, v)] = a
         else:
             nodes.update(b.nodes)
             edges.update(b.edges)
-            node_parent.update(b.node_parent)
-            if d_out:
-                for v, p in b.node_parent.items():
-                    if isinstance(p, Root):
-                        node_parent[v] = place(p)
             attrs.update(b.node_attrs)
-        if offset:
+        for v, p in b.node_parent.items():
+            node_parent[nm.get(v, v)] = place(p)
+        if offset or d_in or d_out:
             for p, t in b.link.items():
                 link[ref(p)] = ref(t)
-        elif d_in or d_out:  # only localized names move
-            for p, t in b.link.items():
-                link[ref(p) if isinstance(p, _NAMES) else p] = (
-                    ref(t) if isinstance(t, _NAMES) else t)
         else:
             link.update(b.link)
         d_in += b.inner.width

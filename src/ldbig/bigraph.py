@@ -11,6 +11,7 @@ the position (key = point, value = link).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 from .interfaces import LocalInterface, EMPTY_INTERFACE
@@ -380,7 +381,7 @@ def validate(b: Bigraph) -> list[Violation]:
     linked = link.items()
     if (len(link) != sum(len(p) for p, _ in inner) + sum(len(m) for _, m in outer)
             + sum(c.plus for c in nodes.values())
-            or not all(map(_is_point(b), link))):
+            or not all(map(partial(_is_point, b), link))):
         points = b.points()
         for p in sorted(points - link.keys(), key=str):
             out.append(Violation("link-total", str(p), "point has no link"))
@@ -431,25 +432,24 @@ def validate(b: Bigraph) -> list[Violation]:
     return out
 
 
-def _is_point(b: Bigraph):
-    """A test that says yes only of a point of ``b``: a node's source port,
-    a positive inner name or a negative outer name."""
-    nodes, inner, outer = b.nodes, b.inner.localities, b.outer.localities
-
-    def is_point(p) -> bool:
-        kind = type(p)
-        if kind is Port:
-            ctrl = nodes.get(p.node)
-            return (ctrl is not None and type(p.index) is int
-                    and 0 <= p.index < ctrl.plus)
-        if kind is InnerName or kind is OuterName:
-            i = p.locality
-            if type(i) is not int or not 0 <= i < len(inner if kind is InnerName else outer):
-                return False
-            return p.text in (inner[i][0] if kind is InnerName else outer[i][1])
+def _is_point(b: Bigraph, p) -> bool:
+    """Whether ``p`` is a point of ``b``: a node's source port, a positive
+    inner name or a negative outer name. A point whose index or locality is
+    no plain int gets no, and ``validate`` then builds the point set."""
+    kind = type(p)
+    if kind is Port:
+        ctrl = b.nodes.get(p.node)
+        return (ctrl is not None and type(p.index) is int
+                and 0 <= p.index < ctrl.plus)
+    if kind is InnerName:
+        side, localities = 0, b.inner.localities
+    elif kind is OuterName:
+        side, localities = 1, b.outer.localities
+    else:
         return False
-
-    return is_point
+    i = p.locality
+    return (type(i) is int and 0 <= i < len(localities)
+            and p.text in localities[i][side])
 
 
 class BigraphBuilder:

@@ -300,8 +300,8 @@ def environment_bigraph(model: ComposeModel, *, containers=None,
     """The context bigraph: one root, one site per service, link wiring for
     aliases, shared networks, volumes and published-port renaming.
 
-    Its edges are numbered ``offset + 1`` on; ``containers`` is
-    ``_containers(model)``, when the caller has it."""
+    Its edges are numbered ``offset + 1`` on. ``containers`` holds each
+    service's (spec, tagged names), when the caller has them."""
     if containers is None:
         containers = _containers(model)
     order = list(model.services)
@@ -377,8 +377,8 @@ def container_stub(name: str, model: ComposeModel, *, container=None,
     the link aliases and offering the container ports, one network node per
     attached network, one volume node per mount.
 
-    Its nodes are numbered ``offset + 1`` on; ``container`` is the
-    service's entry of ``_containers(model)``, when the caller has it."""
+    Its nodes are numbered ``offset + 1`` on. ``container`` is the
+    service's (spec, tagged names), when the caller has them."""
     if name not in model.services:
         raise KeyError(f"no service {name!r} in the model")
     if container is None:
@@ -394,7 +394,8 @@ def stub_block(model: ComposeModel, *, containers=None) -> Bigraph:
 
     Each stub is numbered as the tensor's refresh would shift it: past the
     largest id so far or past its own size, whichever is larger, so that
-    the tensor finds no id twice and shifts none."""
+    the tensor finds no id twice and shifts none. ``containers`` holds each
+    service's (spec, tagged names), when the caller has them."""
     if containers is None:
         containers = _containers(model)
     stubs = []

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bigraph import Bigraph, Control, OuterName, Port, Root, Signature
 from .interfaces import EMPTY_INTERFACE, LocalInterface
@@ -51,13 +50,6 @@ _SIGNATURE = Signature(
     parametric=frozenset({PROCESS}))
 _CONTROLS = {c.name: c for c in _SIGNATURE.fixed}
 _NO_NAMES = (frozenset(), frozenset())
-
-
-@lru_cache(maxsize=None)
-def _process(plus: int, minus: int) -> Control:
-    """The process control of one arity, built once (a Control is
-    immutable)."""
-    return Control(PROCESS, plus, minus)
 
 
 def default_signature() -> Signature:
@@ -122,7 +114,7 @@ def build_container(spec: ContainerSpec, *, names=None,
         link[Port(v, 0)] = OuterName(1, handle(VOLUME, mount.name))
 
     proc = v + 1
-    nodes[proc] = _process(len(spec.consumes), len(spec.offers))
+    nodes[proc] = Control(PROCESS, len(spec.consumes), len(spec.offers))
     parent[proc] = box
     for k, alias in enumerate(spec.consumes):
         link[Port(proc, k)] = OuterName(1, handle("link", alias))
