@@ -49,7 +49,6 @@ _SIGNATURE = Signature(
            Control(NETWORK, 1, 1), Control(VOLUME, 1, 1)),
     parametric=frozenset({PROCESS}))
 _CONTROLS = {c.name: c for c in _SIGNATURE.fixed}
-_NO_NAMES = (frozenset(), frozenset())
 
 
 def default_signature() -> Signature:
@@ -93,7 +92,9 @@ def build_container(spec: ContainerSpec, *, names=None,
     """Build the container bigraph for ``spec``: the container, its
     networks, its volumes and its process are nodes ``offset + 1`` on, in
     that order. ``names`` is ``spec.names()``, when the caller has it."""
-    outer = LocalInterface.of(_NO_NAMES, spec.names() if names is None else names)
+    if names is None:
+        names = spec.names()
+    outer = LocalInterface.of((frozenset(), frozenset()), names)
     box = offset + 1
     nodes = {box: _CONTROLS[CONTAINER]}
     parent = {box: Root(1)}

@@ -85,9 +85,9 @@ def _mark(node):
 def _construct(loader, node, construct=None):
     """What the loader's constructor makes of ``node``: a value, or the
     ``_Fault`` it raises. Any exception is kept, as PyYAML raises it only
-    where its constructor reaches the node; one that is no YAML error (a
-    scalar its tag cannot read, as ``!!bool x``) becomes one at the
-    scalar's mark."""
+    where its constructor reaches the node. A scalar constructor's
+    exception that is no YAML error (``!!bool x`` raises ``KeyError``)
+    becomes one at the scalar's mark."""
     try:
         value = (construct or loader.construct_object)(node)
     except yaml.YAMLError as exc:

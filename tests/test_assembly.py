@@ -12,13 +12,11 @@ import random
 import sys
 from pathlib import Path
 
-import pytest
-
 import ldbig
-from ldbig import algebra, composefile
 from ldbig import (
-    Bigraph, Control, Edge, InnerName, OuterName, Port, Root, assemble,
-    environment_bigraph, parse_compose, stub_block, validate,
+    Bigraph, Control, Edge, InnerName, OuterName, Port, Root, algebra,
+    assemble, composefile, environment_bigraph, parse_compose, stub_block,
+    validate,
 )
 from genrandom import gen_bigraph, gen_interface, gen_model, gen_signature
 from oracles import assemble_reference, validate_reference

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from ldbig import (
-    EMPTY_INTERFACE, Bigraph, Edge, InnerName, LocalInterface, OuterName, Root,
-    assemble, container_stub, dumps, identity, stub_block, tensor, validate,
+    EMPTY_INTERFACE, Bigraph, Edge, InnerName, LocalInterface, OuterName,
+    Root, assemble, container_stub, dumps, identity, stub_block, tensor,
+    validate,
 )
 from ldbig.bigraph import EMPTY_SIGNATURE
 from ldbig.errors import LdbError
@@ -72,9 +73,9 @@ def test_stub_block_equals_the_fold_of_its_stubs():
 
 def test_names_shift_past_the_sites_of_an_operand_without_roots():
     # ill-formed (its site has no root to sit under), but still an operand
-    sited = Bigraph(EMPTY_SIGNATURE, LocalInterface.of((set(), set()), ({"a"}, set())),
-                    EMPTY_INTERFACE, {}, set(), {1: Root(1)}, {},
-                    {InnerName(1, "a"): Edge(1)})
+    sites = LocalInterface.of((set(), set()), ({"a"}, set()))
+    sited = Bigraph(EMPTY_SIGNATURE, sites, EMPTY_INTERFACE, {}, {1},
+                    {1: Root(1)}, {}, {InnerName(1, "a"): Edge(1)})
     named = identity(LocalInterface.of((set(), set()), ({"b"}, set())))
     out = tensor(sited, named)
     assert_same(out, tensor_fold(sited, named))
