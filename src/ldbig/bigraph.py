@@ -379,9 +379,9 @@ def validate(b: Bigraph) -> list[Violation]:
     # which are missing and which are not points
     inner, outer = b.inner.localities, b.outer.localities
     linked = link.items()
-    if (len(link) != sum(len(p) for p, _ in inner) + sum(len(m) for _, m in outer)
-            + sum(c.plus for c in nodes.values())
-            or not all(map(partial(_is_point, b), link))):
+    n_points = (sum(len(p) for p, _ in inner) + sum(len(m) for _, m in outer)
+                + sum(c.plus for c in nodes.values()))
+    if len(link) != n_points or not all(map(partial(_is_point, b), link)):
         points = b.points()
         for p in sorted(points - link.keys(), key=str):
             out.append(Violation("link-total", str(p), "point has no link"))

@@ -392,9 +392,10 @@ def stub_block(model: ComposeModel, *, containers=None) -> Bigraph:
     """The tensor of all container stubs in service order; with no services,
     the identity on the empty interface.
 
-    Each stub is numbered as the tensor's refresh would shift it: past the
-    largest id so far or past its own size, whichever is larger, so that
-    the tensor finds no id twice and shifts none. ``containers`` holds each
+    Each stub is numbered as the tensor's refresh would shift it: the
+    first from 1, each later one past the largest id so far or past its
+    own size, whichever is larger, so that the tensor finds no id twice
+    and shifts none. ``containers`` holds each
     service's (spec, tagged names), when the caller has them."""
     if containers is None:
         containers = _containers(model)

@@ -397,7 +397,7 @@ def validate_reference(b: Bigraph) -> list[WellFormednessViolation]:
                                  f"point in region {lp} targets {target} in region {lt}"))
 
     # pass-through names must have exactly one point
-    preimage: dict = {}
+    preimage: dict[Link, int] = {}
     for p in points:
         t = b.link.get(p)
         if t is not None:
