@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -21,7 +20,7 @@ from .composefile import assemble, environment_bigraph, parse_compose, \
 from .errors import ComposeSyntaxError, CyclicOrder, LdbError, \
     SignatureMismatch, UnknownNetwork
 from .report import Finding, Report, input_error, ok, violations
-from .serialize import dumps, patterns_from_json, to_dot
+from .serialize import dumps, json_text, patterns_from_json, to_dot
 from .sorting import check_sorting
 
 
@@ -40,7 +39,7 @@ def _paint(text: str, code: str, stream) -> str:
 
 def _print_report(report: Report, as_json: bool):
     if as_json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        print(json_text(report.to_json()))
         return
     if report.status == "ok":
         print(_paint("ok", "32", sys.stdout) + ": no findings")

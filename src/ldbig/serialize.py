@@ -5,7 +5,8 @@ parents and attributes, edges, site placement and the full link map; importing
 it reproduces the bigraph exactly (same identifiers); a document of the wrong
 shape raises ValueError naming the offending entry by its path.  DOT output
 renders the place hierarchy as nested clusters and the link map as directed
-arcs.
+arcs.  Every indented JSON text the package writes, exports and reports alike,
+comes from ``json_text`` (defined in ``jsontext``).
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from .bigraph import (
     validate,
 )
 from .interfaces import LocalInterface, check_name
+from .jsontext import json_text
 from .sorting import Pattern
 
 __all__ = [
-    "bigraph_to_json", "bigraph_from_json", "dumps", "loads",
+    "bigraph_to_json", "bigraph_from_json", "dumps", "json_text", "loads",
     "patterns_from_json", "to_dot",
 ]
 
@@ -173,7 +175,7 @@ def bigraph_from_json(data: dict, path: str = "bigraph") -> Bigraph:
 
 
 def dumps(b: Bigraph) -> str:
-    return json.dumps(bigraph_to_json(b), indent=2, sort_keys=True)
+    return json_text(bigraph_to_json(b))
 
 
 def loads(text: str) -> Bigraph:

@@ -1,5 +1,6 @@
 """Assembly against the recipe it replaced, ``validate`` against its
-verbatim old self on reports with several faults, and assembly's growth.
+verbatim old self on reports with several faults, the error an ill-formed
+composite raises, and the growth of assembly and of its JSON export.
 
 ``assemble`` numbers each stub where it is built and the environment past
 the block, so neither the tensor's nor ``compose``'s refresh fires.
@@ -8,16 +9,22 @@ the two must agree byte for byte.
 """
 
 import collections
+import json
 import random
 import sys
 from pathlib import Path
 
+import pytest
+
 import ldbig
 from ldbig import (
     Bigraph, Control, Edge, InnerName, OuterName, Port, Root, algebra,
-    assemble, composefile, environment_bigraph, parse_compose, stub_block,
-    validate,
+    assemble, composefile, environment_bigraph, parse_compose, serialize,
+    stub_block, validate,
 )
+from ldbig.bigraph import Violation
+from ldbig.cli import main
+from ldbig.errors import LdbError
 from genrandom import gen_bigraph, gen_interface, gen_model, gen_signature
 from oracles import assemble_reference, validate_reference
 from test_tensor import assert_same
@@ -91,6 +98,20 @@ def test_neither_refresh_fires_inside_assembly(monkeypatch):
         assemble(model)
     assemble(_monolith(200))
     assert max(seen) == 200 and 2 in seen
+
+
+def test_an_ill_formed_composite_is_an_input_error(monkeypatch, capsys,
+                                                  wordpress_model, data_dir):
+    fault = Violation("parent", "node 99", "no parent")
+    monkeypatch.setattr(composefile, "validate", lambda b: [fault])
+    message = "assembled bigraph is not well-formed: [parent] node 99: no parent"
+    with pytest.raises(LdbError) as caught:
+        assemble(wordpress_model)
+    assert str(caught.value) == message
+    compose = str(data_dir / "wordpress.yml")
+    assert main(["validate", compose, "--json"]) == 2
+    (finding,) = json.loads(capsys.readouterr().out)["findings"]
+    assert finding["message"] == f"{compose}: {message}"
 
 
 # -- validate ------------------------------------------------------------------
@@ -214,12 +235,23 @@ def _lines(run) -> collections.Counter:
     return counts
 
 
-def test_assembly_grows_linearly_in_every_function():
-    small, large = (_lines(lambda m=_monolith(n): assemble(m))
-                    for n in (100, 200))
+def _superlinear(run) -> dict:
+    """The functions whose lines executed in ``run(model)`` grow more than
+    ``BOUND`` times from a 100- to a 200-service monolith, each named with
+    both counts."""
+    small, large = (_lines(lambda m=_monolith(n): run(m)) for n in (100, 200))
     assert sum(small.values()) > 0
-    over = {f"{getattr(code, 'co_qualname', code.co_name)} ({Path(code.co_filename).name}:"
+    return {f"{getattr(code, 'co_qualname', code.co_name)} ({Path(code.co_filename).name}:"
             f"{code.co_firstlineno})": (small[code], lines)
             for code, lines in large.items()
             if lines >= FLOOR and lines > BOUND * small[code]}
+
+
+def test_assembly_grows_linearly_in_every_function():
+    over = _superlinear(assemble)
+    assert not over, f"lines at 100 and 200 services: {over}"
+
+
+def test_json_export_grows_linearly_in_every_function():
+    over = _superlinear(lambda model: serialize.dumps(assemble(model)))
     assert not over, f"lines at 100 and 200 services: {over}"

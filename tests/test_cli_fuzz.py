@@ -95,11 +95,13 @@ def _compose_commands(compose: Path):
     yield ["export", str(compose), "--format", "json", "--json"]
 
 
-def _codes_on_compose(text: str) -> set[int]:
+def _codes_on_compose(text: str) -> dict[str, int]:
+    """The exit code of each subcommand on the document ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         compose = Path(tmp) / "stack.yml"
         compose.write_text(text, encoding="utf-8")
-        return {_check_contract(argv) for argv in _compose_commands(compose)}
+        return {argv[0]: _check_contract(argv)
+                for argv in _compose_commands(compose)}
 
 
 def _code_on_patterns(text: str) -> int:
@@ -118,7 +120,7 @@ def test_any_compose_edit_keeps_the_contract():
     def edit(data):
         path = data.draw(st.sampled_from(list(_paths(WORDPRESS))))
         text = yaml.safe_dump(_replaced(WORDPRESS, path, data.draw(values)))
-        if 2 not in _codes_on_compose(text):
+        if 2 not in _codes_on_compose(text).values():
             # an accepted document: its flow verdicts match the model's
             assert_agree(parse_compose(text))
             compared.append(path)
@@ -127,10 +129,54 @@ def test_any_compose_edit_keeps_the_contract():
     assert compared
 
 
+# explicit scalar tags on texts they can and cannot read, anchors, aliases
+# and merges
+TAGS = ["!!bool", "!!int", "!!float", "!!null", "!!timestamp", "!!binary"]
+tag_texts = st.sampled_from(["x", "0", "0x1f", "1.5", ".inf", "yes", "~", "''",
+                             "2001-12-14", "2001-12-14t21:59:43.10-05:00",
+                             "aGk=", "a=b"]) \
+    | st.text(alphabet="ab019.-:+=T ", max_size=8)
+tagged = st.builds("{} {}".format, st.sampled_from(TAGS), tag_texts)
+ANCHORS = st.sampled_from(["a", "b"])
+aliases = st.sampled_from(["*a", "*a", "*b"])
+MERGES = st.sampled_from(["*a", "*a", "*b", "[*a, *b]", "{}", "{image: x}"])
+yaml_tokens = (tagged | aliases | MERGES.map("<<: {}".format)
+               | st.builds("&{} {}".format, ANCHORS, tagged))
+
+
 @FUZZ
-@given(st.integers(0, len(WORDPRESS_TEXT)), st.text(max_size=6))
+@given(st.integers(0, len(WORDPRESS_TEXT)), st.text(max_size=6) | yaml_tokens)
 def test_any_compose_text_keeps_the_contract(cut, insert):
     _codes_on_compose(WORDPRESS_TEXT[:cut] + insert + WORDPRESS_TEXT[cut:])
+
+
+@FUZZ
+@given(st.data())
+def test_tags_anchors_and_merges_keep_the_contract(data):
+    """Up to three wordpress lines edited, the first anchored as ``a``: a
+    value tagged, anchored or replaced by an alias; a mapping anchored, or
+    merged into."""
+    lines = WORDPRESS_TEXT.splitlines()
+    rows = sorted(data.draw(st.sets(st.sampled_from(range(len(lines))),
+                                    min_size=1, max_size=3)))
+    merges = {}
+    for i in rows:
+        key, _, value = lines[i].partition(":")
+        anchor = "a" if i == rows[0] else data.draw(ANCHORS)
+        if value:  # a key and its value
+            anchored = st.builds(f"&{anchor} {{}}".format,
+                                 tagged | st.just(value.strip()))
+            value = data.draw(anchored if i == rows[0]
+                              else tagged | aliases | anchored)
+            lines[i] = f"{key}: {value}"
+        elif i == rows[0] or data.draw(st.booleans()):  # opens a mapping
+            lines[i] += f" &{anchor}"
+        else:
+            indent = " " * (len(key) - len(key.lstrip()) + 2)
+            merges[i] = f"{indent}<<: {data.draw(MERGES)}"
+    text = "".join(line + "\n" + (merges[i] + "\n" if i in merges else "")
+                   for i, line in enumerate(lines))
+    assert _codes_on_compose(text)["validate"] in (0, 2)
 
 
 @FUZZ
@@ -156,7 +202,7 @@ def test_broken_compose_documents_exit_2(data):
         keyed = [i for i, line in enumerate(lines) if ":" in line]
         i = data.draw(st.sampled_from(keyed))
         text = "".join(lines[:i + 1] + lines[i:])
-    assert _codes_on_compose(text) == {2}
+    assert set(_codes_on_compose(text).values()) == {2}
 
 
 @FUZZ

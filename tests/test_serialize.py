@@ -1,14 +1,19 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldbig import (
     assemble, bigraph_from_json, bigraph_to_json, build_container, dumps,
     environment_bigraph, is_isomorphic, loads, parse_compose,
     patterns_from_json, to_dot,
 )
+from ldbig.serialize import json_text
 from genrandom import gen_chain, gen_container_spec
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def test_round_trip_is_exact(wordpress_composite):
@@ -140,3 +145,79 @@ def test_reader_rejections_name_their_path(bigraph, message):
     with pytest.raises(ValueError) as caught:
         patterns_from_json(pattern_file(**bigraph))
     assert str(caught.value) == message
+
+
+# -- json_text against json.dumps ---------------------------------------------
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# quotes, backslashes, non-ASCII and control characters, and the text of a
+# boundary between two records
+texts = st.text(alphabet='ab"\\\x00\x1f\n\t},{ \u00e9\u2603\U0001f600', max_size=6) \
+    | st.just("},\n  {")
+scalars = (st.none() | st.booleans() | st.integers()
+           | st.integers(-10 ** 30, 10 ** 30) | st.floats() | st.just(-0.0)
+           | texts)
+records = st.dictionaries(texts, scalars, min_size=1, max_size=6)
+trees = st.recursive(
+    scalars | records,
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(texts, inner, max_size=6)
+                   # record lists, alone or mixed with empty dicts and with
+                   # dicts holding nested values
+                   | st.lists(records | st.just({})
+                              | st.dictionaries(texts, inner, max_size=2),
+                              max_size=6)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(trees)
+def test_json_text_is_json_dumps(value):
+    assert json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a", 2.5: "b"}, {True: "a", False: "b"}, {None: "a"},
+    {1: [1], 2.5: {"x": 1}, float("nan"): [2, 3]}, {None: [1, 2]},
+    {1: 1, 2: 2, 3: 3, 4: 4, 5: 5}, [{1: "a"}, {2: "b"}],
+], ids=["joined", "bool", "null", "nested", "nested-null", "encoded",
+        "records"])
+def test_json_text_converts_keys_as_json_dumps(value):
+    assert json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, {"a": {1}}, [1, {2}], [{"a": 1}, {"b": {3}}],
+    [{"a": 1, "b": 2, "c": 3, "d": 4, "e": {5}}], {"a": [b"x"]},
+    {(1, 2): "a"}, {"a": {(1, 2): "b"}}, {"a": 1, 2: "b"},
+])
+def test_json_text_raises_what_json_dumps_raises(value):
+    with pytest.raises(TypeError) as expected:
+        _dumps(value)
+    with pytest.raises(TypeError) as caught:
+        json_text(value)
+    assert str(caught.value) == str(expected.value)
+
+
+def test_json_text_writes_a_list_nested_5000_deep():
+    n = 5000
+    value = []
+    for _ in range(n - 1):
+        value = [value]
+    text = json_text(value)  # json.dumps raises RecursionError here
+    # line i opens a list at indent 2i, the innermost list is empty, and
+    # the closings come back out
+    assert len(text) == 2 * n * n
+    assert text.count("\n") == 2 * (n - 1)
+    assert text.startswith("[\n  [\n    [\n") and text.endswith("\n    ]\n  ]\n]")
+    assert f"\n{'  ' * (n - 2)}[\n{'  ' * (n - 1)}[]\n{'  ' * (n - 2)}]\n" in text
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_json_text_writes_the_golden_documents(golden):
+    text = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert json_text(json.loads(text)) + "\n" == text
