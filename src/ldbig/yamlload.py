@@ -10,18 +10,23 @@ It keeps what PyYAML's composer and ``SafeConstructor`` do: scalars are
 resolved by the loader and built by the loader's own constructors, an
 alias gives the same object, ``<<`` merges a mapping or a list of mappings
 (earlier list entries win, merged keys come first and may be overridden),
-an ``=`` key reads as ``'='``, and only one document is read. Each error
-keeps PyYAML's problem and mark; where a scalar constructor raises no YAML
-error (``!!bool x`` raises ``KeyError``), a ``ConstructorError`` at the
-scalar's mark takes its place. The constructor builds nodes breadth
-first, so when a document holds several construction errors the one it
-meets first is not always the first in the text; ``_first_fault`` walks
-the built values in that order to raise the same one.
+a key tagged ``!!value`` (``=``) reads as its own text, and only one
+document is read.
 
-Two documents PyYAML reads are refused: an alias to a collection that is
-still open (``a: &x [*x]``), and a collection tagged other than ``!!seq``
-or ``!!map`` (``!!set``, ``!!omap``, ``!!pairs``), which gets the
-constructor's "could not determine a constructor" error.
+A composer error (an undefined or duplicate anchor, a second document) is
+raised where it is met. Every construction error is kept as it is found,
+and once the document has ended the one whose mark comes first in the text
+is raised, with PyYAML's words; where a scalar constructor raises no YAML
+error (``!!bool x`` raises ``KeyError``), a ``ConstructorError`` at the
+scalar's mark takes its place. PyYAML's constructor builds breadth first,
+so on a document with several errors it may report a later one.
+
+Documents PyYAML reads that are refused: an alias to a collection that is
+still open (``a: &x [*x]``); a collection tagged other than its kind's own
+tag, also where it is only a merge source (``!!set``, ``!!omap``,
+``!foo``, ``{<<: !!seq {a: 1}}``); a key repeated within a merge source;
+and an anchored ``=``, which PyYAML reads as ``'='`` or refuses depending
+on the order it constructs in.
 """
 
 from __future__ import annotations
@@ -52,30 +57,29 @@ _OPEN = object()   # the value of an anchor whose collection is still open
 
 
 class _Frame:
-    """A collection, open and then closed: its node kind, start mark,
-    anchor and, unless its tag is its kind's own, that tag. ``flat`` holds
-    each child's value followed by its node (a ``_Frame``, or the start
-    mark of a scalar); ``odd`` says a child needs ``_close_mapping``."""
+    """A collection, open and then closed: its node kind, start mark and
+    anchor. ``flat`` holds each child's value followed by its node (a
+    ``_Frame``, or the start mark of a scalar); ``odd`` says a key of a
+    mapping is ``<<`` or unhashable."""
 
-    __slots__ = ("kind", "mark", "anchor", "tag", "flat", "odd", "value")
+    __slots__ = ("kind", "mark", "anchor", "flat", "odd", "value")
 
-    def __init__(self, kind, mark, anchor, tag):
-        self.kind, self.mark, self.anchor, self.tag = kind, mark, anchor, tag
+    def __init__(self, kind, mark, anchor):
+        self.kind, self.mark, self.anchor = kind, mark, anchor
         self.flat = []
         self.odd = False
         self.value = None
 
 
 class _Fault:
-    """A node the constructor raises ``error`` on: when it first reaches
-    the node or, if ``deferred``, when its queued generator runs. An ``=``
-    key's node reads as ``'='`` once a mapping holding it is flattened."""
+    """The value of a scalar the constructor raises ``error`` on, of an
+    anchored ``=`` or of a recursive alias. A ``<<`` is one, with the merge
+    tag, whose error counts only where it is not a key."""
 
-    __slots__ = ("error", "tag", "deferred", "healed")
+    __slots__ = ("error", "tag")
 
-    def __init__(self, error, tag, deferred=False):
-        self.error, self.tag, self.deferred = error, tag, deferred
-        self.healed = False
+    def __init__(self, error, tag):
+        self.error, self.tag = error, tag
 
 
 def _mark(node):
@@ -84,174 +88,68 @@ def _mark(node):
 
 def _construct(loader, node, construct=None):
     """What the loader's constructor makes of ``node``: a value, or the
-    ``_Fault`` it raises. Any exception is kept, as PyYAML raises it only
-    where its constructor reaches the node. A scalar constructor's
-    exception that is no YAML error (``!!bool x`` raises ``KeyError``)
-    becomes one at the scalar's mark."""
+    ``_Fault`` it raises, its queued generator run at once. An exception
+    that is no YAML error (``!!bool x`` raises ``KeyError``) becomes one at
+    the node's mark."""
     try:
         value = (construct or loader.construct_object)(node)
+        queued = loader.state_generators
+        if queued:   # a collection constructor: it yields first and fills later
+            for _ in queued.pop():
+                pass
+        return value
     except yaml.YAMLError as exc:
         return _Fault(exc, node.tag)
     except Exception as exc:
-        if type(node) is ScalarNode:
-            error = ConstructorError(
-                None, None, f"invalid {node.tag.replace(_YAML_TAG, '!!')} "
-                f"value {node.value!r}", node.start_mark)
-            error.__cause__ = exc
-            exc = error
-        return _Fault(exc, node.tag)
-    queued = loader.state_generators
-    if queued:   # a collection constructor: it yields first and fills later
-        try:
-            for _ in queued.pop():
-                pass
-        except Exception as exc:
-            return _Fault(exc, node.tag, deferred=True)
-    return value
+        error = ConstructorError(
+            None, None, f"invalid {node.tag.replace(_YAML_TAG, '!!')} "
+            f"value {node.value!r}", node.start_mark)
+        error.__cause__ = exc
+        return _Fault(error, node.tag)
 
 
-def _tag_fault(loader, frame):
-    """The fault of a collection tagged other than its kind's own tag."""
-    node = (MappingNode if frame.kind is _MAPPING else SequenceNode)(
-        frame.tag, [], frame.mark, None)
-    if frame.tag in (_SEQ, _MAP):
-        return _construct(loader, node)   # the other kind's constructor
-    return _construct(loader, node, loader.construct_undefined)
-
-
-def _hashable(key) -> bool:
-    """Whether the constructed key is hashable (a deferred fault constructs
-    as an empty collection first)."""
-    if type(key) is _Fault:
-        return not key.deferred
-    return type(key) is not dict and type(key) is not list
-
-
-def _dict_key(key):
-    return "=" if type(key) is _Fault and key.tag == _VALUE else key
-
-
-def _entries(frame, irregular):
-    """A closed mapping's entries as its constructor processes them:
-    (key, value, key mark), merged entries first."""
-    record = irregular.get(id(frame.value))
-    if record is None:
-        return [(k, v, None) for k, v in frame.value.items()]
-    return record[3]
-
-
-def _merge(merged, node, mark, irregular):
-    """Extend ``merged`` with what the ``<<`` value ``node`` brings, as
-    ``SafeConstructor.flatten_mapping`` does; return its error, if any."""
+def _merged(node, mark, faults):
+    """The entries the ``<<`` value ``node`` brings, as
+    ``SafeConstructor.flatten_mapping`` orders them (earlier list entries
+    win); its errors go to ``faults``."""
     if type(node) is not _Frame:
-        return ConstructorError(
+        faults.append(ConstructorError(
             "while constructing a mapping", mark, "expected a mapping or list "
-            "of mappings for merging, but found scalar", node)
-    items = [node] if node.kind is _MAPPING else node.flat[1::2]
-    sources = []
-    for item in items:
-        if type(item) is not _Frame or item.kind is not _MAPPING:
+            "of mappings for merging, but found scalar", node))
+        return []
+    entries = []
+    for item in reversed([node] if node.kind is _MAPPING else node.flat[1::2]):
+        if type(item) is _Frame and item.kind is _MAPPING:
+            entries += item.value.items()
+        else:
             kind = item.kind if type(item) is _Frame else "scalar"
-            return ConstructorError(
+            faults.append(ConstructorError(
                 "while constructing a mapping", mark,
-                f"expected a mapping for merging, but found {kind}", _mark(item))
-        record = irregular.get(id(item.value))
-        if record is not None and record[2] is not None:
-            return record[2]
-        sources.append(_entries(item, irregular))
-    for entries in reversed(sources):   # earlier list entries win
-        merged.extend(entries)
-    return None
+                f"expected a mapping for merging, but found {kind}", _mark(item)))
+    return entries
 
 
-def _close_mapping(frame, irregular):
-    """The dict of a mapping that merges, repeats a key, has an unhashable
-    or ``=`` key or holds a fault. Unless its entries are its dict's items,
-    ``irregular`` records (the dict, which keeps its id from being reused,
-    start mark, merge error, entries, repeated-key error) under its id.
-    Also says whether the mapping holds an error."""
+def _close_mapping(frame, faults):
+    """The dict of a mapping that merges, repeats a key or has an
+    unhashable key: merged entries first, own keys overriding them. Its
+    errors go to ``faults``."""
     flat = frame.flat
-    merged, own = [], []
-    merge_error = None
+    merged, own = [], {}
     for i in range(0, len(flat), 4):
         key, key_node, value, node = flat[i:i + 4]
         if type(key) is _Fault and key.tag == _MERGE:
-            if merge_error is None:
-                merge_error = _merge(merged, node, frame.mark, irregular)
+            merged += _merged(node, frame.mark, faults)
+            continue
+        if type(key) is dict or type(key) is list:
+            problem = "found unhashable key"
+        elif key in own:
+            problem = f"found duplicate key {key!r}"
         else:
-            own.append((key, value, _mark(key_node)))
-    entries = merged + own
-    mapping = {_dict_key(k): v for k, v, _ in entries if _hashable(k)}
-    seen = set()
-    repeated = None
-    for key, _, key_mark in own:
-        if not _hashable(key):
+            own[key] = value
             continue
-        key = _dict_key(key)
-        if key in seen:
-            repeated = ConstructorError(
-                "while constructing a mapping", frame.mark,
-                f"found duplicate key {key!r}", key_mark)
-            break
-        seen.add(key)
-    unhashable = not all(_hashable(k) for k, _, _ in entries)
-    bad = merge_error is not None or repeated is not None or unhashable
-    if bad or merged or any(type(k) is _Fault and k.tag == _VALUE
-                            for k, _, _ in own):
-        irregular[id(mapping)] = (mapping, frame.mark, merge_error, entries,
-                                  repeated)
-    return mapping, bad
-
-
-def _first_fault(root, irregular):
-    """Raise the error the constructor meets first, reaching the values in
-    its order: breadth first, each mapping's merge error, then its entries
-    (key, hashability, value), then its repeated key. Without one, return
-    ``root`` with each healed ``=`` node read as ``'='``."""
-    reached = set()
-    queue = []
-
-    def reach(x):
-        if type(x) is _Fault:
-            if x.healed:
-                return "="
-            if not x.deferred:
-                raise x.error
-        elif type(x) is not dict and type(x) is not list:
-            return x
-        if id(x) not in reached:
-            reached.add(id(x))
-            queue.append(x)
-        return x
-
-    root = reach(root)
-    for x in queue:   # grows while it is read
-        if type(x) is _Fault:
-            raise x.error
-        if type(x) is list:
-            for i, v in enumerate(x):
-                w = reach(v)
-                if w is not v:
-                    x[i] = w
-            continue
-        _, mark, merge_error, entries, repeated = irregular.get(id(x)) or (
-            x, None, None, [(k, v, None) for k, v in x.items()], None)
-        if merge_error is not None:
-            raise merge_error
-        for k, _, _ in entries:   # flattening retags every `=` key as str
-            if type(k) is _Fault and k.tag == _VALUE:
-                k.healed = True
-        for k, v, key_mark in entries:
-            reach(k)
-            if not _hashable(k):
-                raise ConstructorError("while constructing a mapping", mark,
-                                       "found unhashable key", key_mark)
-            w = reach(v)
-            if w is not v and x.get(_dict_key(k)) is v:
-                x[_dict_key(k)] = w
-        if repeated is not None:
-            raise repeated
-    return root
+        faults.append(ConstructorError("while constructing a mapping",
+                                       frame.mark, problem, _mark(key_node)))
+    return dict([*merged, *own.items()])
 
 
 def _define(anchors, anchor, event):
@@ -272,9 +170,8 @@ def _build(loader):
     get, resolve = loader.get_event, loader.resolve
     plain, quoted = {}, {}   # the tag of each scalar seen, by its text
     anchors = {}      # name -> (value, node)
-    irregular = {}    # see _close_mapping
-    faulty = False    # whether some value holds an error
-    doc = _Frame("document", None, None, None)
+    faults = []       # every construction error, as it is found
+    doc = _Frame("document", None, None)
     stack = [doc]
     frame, top = doc, doc.flat
     while True:
@@ -288,18 +185,14 @@ def _build(loader):
                 tag = tags.get(value)
                 if tag is None:
                     tag = tags[value] = resolve(ScalarNode, value, implicit)
-            if tag != _STR:
-                key = frame.kind is _MAPPING and not len(top) & 3
-                if tag == _VALUE and key and event.anchor is None:
-                    value = "="   # flattening retags an `=` key as str
-                else:
-                    value = _construct(loader, ScalarNode(
-                        tag, value, event.start_mark, event.end_mark,
-                        style=event.style))
-                    if type(value) is _Fault:
-                        frame.odd = True
-                        faulty = faulty or not key or tag != _MERGE
             node = event.start_mark
+            if tag == _VALUE and event.anchor is not None:
+                value = _Fault(ConstructorError(
+                    None, None, "found an anchored '='", node), tag)
+            elif tag != _STR and (tag != _VALUE or frame.kind is not _MAPPING
+                                  or len(top) & 3):   # a `!!value` key is str
+                value = _construct(loader, ScalarNode(
+                    tag, value, node, event.end_mark, style=event.style))
             if event.anchor is not None:
                 _define(anchors, event.anchor, event)
                 anchors[event.anchor] = (value, node)
@@ -313,8 +206,12 @@ def _build(loader):
             tag = event.tag
             if tag is None or tag == "!":
                 tag = resolve(node_class, None, event.implicit)
-            frame = _Frame(kind, event.start_mark, event.anchor,
-                           None if tag == own_tag else tag)
+            if tag != own_tag:   # the other kind's constructor, or none
+                faults.append(_construct(
+                    loader, node_class(tag, [], event.start_mark, None),
+                    None if tag in (_SEQ, _MAP) else loader.construct_undefined,
+                ).error)
+            frame = _Frame(kind, event.start_mark, event.anchor)
             if frame.anchor is not None:
                 _define(anchors, frame.anchor, event)
                 anchors[frame.anchor] = (_OPEN, frame)
@@ -332,19 +229,13 @@ def _build(loader):
                 except TypeError:   # an unhashable key
                     node.odd = True
                 if node.odd or len(value) << 2 != len(flat):
-                    value, bad = _close_mapping(node, irregular)
-                    faulty = faulty or bad
+                    value = _close_mapping(node, faults)
                 node.flat = None   # merges read a mapping's value
             node.value = value
-            if node.tag is not None:
-                value = _tag_fault(loader, node)
-                faulty = True
             if node.anchor is not None:
                 anchors[node.anchor] = (value, node)
             frame = stack[-1]
             top = frame.flat
-            if type(value) is _Fault:
-                frame.odd = True
         elif cls is AliasEvent:
             try:
                 value, node = anchors[event.anchor]
@@ -352,12 +243,17 @@ def _build(loader):
                 raise ComposerError(None, None, "found undefined alias "
                                     f"{event.anchor!r}", event.start_mark) from None
             if value is _OPEN:
-                raise ComposerError(None, None, "found recursive alias "
-                                    f"{event.anchor!r}", event.start_mark)
-            if type(value) is _Fault:
-                frame.odd = faulty = True
+                node = event.start_mark
+                value = _Fault(ComposerError(None, None, "found recursive alias "
+                                             f"{event.anchor!r}", node), None)
         else:   # document end
             break
+        if type(value) is _Fault:
+            if value.tag == _MERGE and frame.kind is _MAPPING \
+                    and not len(top) & 3:
+                frame.odd = True
+            else:
+                faults.append(value.error)
         top.append(value)
         top.append(node)
     root, node = doc.flat
@@ -367,7 +263,10 @@ def _build(loader):
                             _mark(node), "but found another document",
                             event.start_mark)
     loader.get_event()
-    return _first_fault(root, irregular) if faulty else root
+    if faults:
+        raise min(faults, key=lambda e: (e.problem_mark.line,
+                                         e.problem_mark.column))
+    return root
 
 
 def load(text, source):

@@ -1,6 +1,7 @@
 """Assembly against the recipe it replaced, ``validate`` against its
 verbatim old self on reports with several faults, the error an ill-formed
-composite raises, and the growth of assembly and of its JSON export.
+composite raises, and the growth of parsing, of assembly and of its JSON
+export.
 
 ``assemble`` numbers each stub where it is built and the environment past
 the block, so neither the tensor's nor ``compose``'s refresh fires.
@@ -41,14 +42,17 @@ def _models():
         yield gen_model(rng, max_services=12, max_networks=6, max_volumes=5)
 
 
-def _monolith(n):
+def _monolith_text(n):
     sys.path.insert(0, str(BENCH))
     try:
         import generate
     finally:
         sys.path.remove(str(BENCH))
-    return parse_compose(generate.compose_yaml(
-        generate.monolith_stack(random.Random(1), 0, n)))
+    return generate.compose_yaml(generate.monolith_stack(random.Random(1), 0, n))
+
+
+def _monolith(n):
+    return parse_compose(_monolith_text(n))
 
 
 def _agrees(model):
@@ -235,11 +239,11 @@ def _lines(run) -> collections.Counter:
     return counts
 
 
-def _superlinear(run) -> dict:
-    """The functions whose lines executed in ``run(model)`` grow more than
+def _superlinear(run, make=_monolith) -> dict:
+    """The functions whose lines executed in ``run(make(n))`` grow more than
     ``BOUND`` times from a 100- to a 200-service monolith, each named with
     both counts."""
-    small, large = (_lines(lambda m=_monolith(n): run(m)) for n in (100, 200))
+    small, large = (_lines(lambda m=make(n): run(m)) for n in (100, 200))
     assert sum(small.values()) > 0
     return {f"{getattr(code, 'co_qualname', code.co_name)} ({Path(code.co_filename).name}:"
             f"{code.co_firstlineno})": (small[code], lines)
@@ -254,4 +258,9 @@ def test_assembly_grows_linearly_in_every_function():
 
 def test_json_export_grows_linearly_in_every_function():
     over = _superlinear(lambda model: serialize.dumps(assemble(model)))
+    assert not over, f"lines at 100 and 200 services: {over}"
+
+
+def test_parsing_grows_linearly_in_every_function(yaml_loader):
+    over = _superlinear(parse_compose, _monolith_text)
     assert not over, f"lines at 100 and 200 services: {over}"

@@ -10,6 +10,7 @@ from ldbig import (
     container_stub, compose, environment_bigraph, is_isomorphic,
     parse_compose, tensor, validate,
 )
+from ldbig.cli import main
 from ldbig.composefile import (
     ComposeModel, NetworkDecl, ServiceSpec, VolumeDecl,
 )
@@ -205,6 +206,26 @@ def test_both_loaders_reject_repeated_keys_at_their_line(yaml_loader, text,
         parse_compose(text)
     assert str(err.value) == f"malformed YAML: found duplicate key {key!r}"
     assert err.value.line == line
+
+
+def test_a_key_repeated_within_a_merge_source_is_refused(yaml_loader,
+                                                        tmp_path, capsys):
+    # PyYAML merges the source's entries without constructing the source
+    stack = tmp_path / "dup.yml"
+    stack.write_text("services:\n  a:\n    <<: {image: x, image: y}\n")
+    assert main(["validate", str(stack)]) == 2
+    assert capsys.readouterr().out == (
+        f"error [inputError] {stack}:3: malformed YAML: "
+        "found duplicate key 'image'\n")
+
+
+def test_a_key_tagged_value_reads_as_its_text(yaml_loader, tmp_path, capsys):
+    text = "services:\n  a:\n    !!value image: x\n"
+    assert parse_compose(text).services["a"].image == "x"
+    stack = tmp_path / "value.yml"
+    stack.write_text(text)
+    assert main(["validate", str(stack)]) == 0
+    assert capsys.readouterr().out == "ok: no findings\n"
 
 
 # each loader's own words and line mark for the same broken text
