@@ -48,14 +48,16 @@ def relabel(b: Bigraph, node_map: dict[int, int] | None = None,
     )
 
 
-def _support_disjoint(b1: Bigraph, b2: Bigraph) -> Bigraph:
-    """Relabel b2 so its node/edge ids avoid b1's (refresh on collision)."""
-    ids2 = b2.nodes.keys() | b2.edges
-    if b1.nodes.keys().isdisjoint(ids2) and b1.edges.isdisjoint(ids2):
-        return b2
-    offset = max(ids2 | b1.nodes.keys() | b1.edges)
-    return relabel(b2, {v: v + offset for v in b2.nodes},
-                   {e: e + offset for e in b2.edges})
+def _refresh(b: Bigraph, nodes, edges, top) -> Bigraph:
+    """``b``, or when its ids meet the ``nodes`` or ``edges`` taken (none
+    above ``top``), ``b`` with every id shifted by the largest id in play:
+    the refresh of both ``compose`` and ``tensor``."""
+    ids = b.nodes.keys() | b.edges
+    if nodes.isdisjoint(ids) and edges.isdisjoint(ids):
+        return b
+    offset = max(top, max(ids))
+    return relabel(b, {v: v + offset for v in b.nodes},
+                   {e: e + offset for e in b.edges})
 
 
 def identity(interface: LocalInterface,
@@ -84,7 +86,8 @@ def compose(b2: Bigraph, b1: Bigraph) -> Bigraph:
     if b1.outer != b2.inner:
         raise InterfaceMismatch(
             f"cannot compose: {b1.outer.pretty()} != {b2.inner.pretty()}")
-    b2 = _support_disjoint(b1, b2)
+    b2 = _refresh(b2, b1.nodes.keys(), b1.edges,
+                  max((*b1.nodes, *b1.edges), default=0))
     signature = b1.signature.union(b2.signature)
 
     def through(parent):
@@ -145,8 +148,8 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
     Defined only when no global name belongs to two operands' inner (or two
     operands' outer) interfaces; ``juxtapose`` raises LdbError otherwise.
     Each operand's localized names, sites and roots shift past those of the
-    operands before it.  Its support ids are refreshed (shifted by the
-    largest id in play) when they collide with earlier ones.  The result
+    operands before it.  Its support ids are refreshed as ``compose``
+    refreshes them when they collide with earlier ones.  The result
     equals the left fold of the binary product, dict order included; no
     operands give the unit.
     """
@@ -165,19 +168,11 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
     for b in bigraphs:
         if b.signature != signature:
             signature = signature.union(b.signature)
-        ids = b.nodes.keys() | b.edges
-        offset = 0
-        if not (nodes.keys().isdisjoint(ids) and edges.isdisjoint(ids)):
-            offset = max(top, max(ids))
-        if ids:
-            top = max(top, max(ids) + offset)
-        nm = em = {}  # without a collision, ids and entries naming them stay
-        if offset:
-            nm = {v: v + offset for v in b.nodes}
-            em = {e: e + offset for e in b.edges}
+        b = _refresh(b, nodes.keys(), edges, top)
+        top = max((top, *b.nodes, *b.edges))
 
         def place(p):
-            return Root(p.index + d_out) if isinstance(p, Root) else nm.get(p, p)
+            return Root(p.index + d_out) if isinstance(p, Root) else p
 
         def ref(x):
             # global names are disjoint across operands, so stay as they are
@@ -185,32 +180,17 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
                 return OuterName(x.locality + d_out, x.text) if x.locality else x
             if isinstance(x, InnerName):
                 return InnerName(x.locality + d_in, x.text) if x.locality else x
-            if offset:
-                if isinstance(x, Port):
-                    return Port(nm.get(x.node, x.node), x.index)
-                if isinstance(x, Edge):
-                    return Edge(em.get(x.ident, x.ident))
             return x
 
         for s, p in b.site_parent.items():
             site_parent[s + d_in] = place(p)
-        if offset:
-            for v, c in b.nodes.items():
-                nodes[nm[v]] = c
-            edges.update(em.values())
-            for v, a in b.node_attrs.items():
-                attrs[nm.get(v, v)] = a
-        else:
-            nodes.update(b.nodes)
-            edges.update(b.edges)
-            attrs.update(b.node_attrs)
+        nodes.update(b.nodes)
+        edges.update(b.edges)
+        attrs.update(b.node_attrs)
         for v, p in b.node_parent.items():
-            node_parent[nm.get(v, v)] = place(p)
-        if offset or d_in or d_out:
-            for p, t in b.link.items():
-                link[ref(p)] = ref(t)
-        else:
-            link.update(b.link)
+            node_parent[v] = place(p)
+        for p, t in b.link.items():
+            link[ref(p)] = ref(t)
         d_in += b.inner.width
         d_out += b.outer.width
 

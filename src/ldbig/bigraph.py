@@ -161,8 +161,10 @@ class Bigraph:
     """An immutable local directed bigraph from ``inner`` to ``outer``.
 
     Construction is permissive: structurally broken values can be built so
-    that :func:`validate` can report on them.  All well-formed construction
-    should go through :class:`BigraphBuilder` or the algebra operations.
+    that :func:`validate` can report on them.  The container and
+    environment builders pass plain dicts that are well-formed by
+    construction; elsewhere, :class:`BigraphBuilder` and the algebra
+    operations keep a value well-formed.
     """
 
     __slots__ = (

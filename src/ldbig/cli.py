@@ -118,13 +118,10 @@ def _cmd_check_sorts(args) -> Report:
 
 
 def _cmd_export(args) -> Report:
-    model = _load_model(args.file)
-    if args.stage == "environment":
-        b = environment_bigraph(model)
-    elif args.stage == "stubs":
-        b = stub_block(model)
-    else:
-        b = assemble(model)
+    build = {"environment": environment_bigraph, "stubs": stub_block,
+             "composite": assemble}[args.stage]
+    # the model and the specs it caches are freed before the text is built
+    b = build(_load_model(args.file))
     text = dumps(b) if args.format == "json" else to_dot(b, title=args.stage)
     if not text.endswith("\n"):
         text += "\n"

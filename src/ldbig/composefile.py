@@ -10,6 +10,7 @@ networks, volumes; top-level networks (driver recorded, ignored) and volumes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import yaml
 
@@ -17,7 +18,7 @@ from .algebra import compose, identity, tensor
 from .bigraph import Bigraph, Edge, InnerName, OuterName, Root, validate
 from .containers import (
     CONTAINER, NETWORK, VOLUME, ContainerSpec, VolumeMount, build_container,
-    default_signature, handle,
+    default_signature, handle, stub_size,
 )
 from .errors import (
     ComposeSyntaxError, DanglingReference, LdbError, UnsupportedKey,
@@ -68,6 +69,13 @@ class ComposeModel:
     services: dict[str, ServiceSpec] = field(default_factory=dict)
     networks: dict[str, NetworkDecl] = field(default_factory=dict)
     volumes: dict[str, VolumeDecl] = field(default_factory=dict)
+
+    @cached_property
+    def containers(self) -> dict[str, ContainerSpec]:
+        """Each service's container spec, in service order: computed once,
+        then read by the environment and by every stub."""
+        return {name: _container_spec(name, svc)
+                for name, svc in self.services.items()}
 
 
 def _require_str(value, path) -> str:
@@ -287,23 +295,11 @@ def parse_compose(text: str) -> ComposeModel:
                         networks=networks, volumes=volumes)
 
 
-def _containers(model: ComposeModel) -> list:
-    """Each service's container spec and its tagged (consumed, offered)
-    names, in service order: computed once per assembly, then read by the
-    environment and by every stub."""
-    specs = [_container_spec(name, svc) for name, svc in model.services.items()]
-    return [(spec, spec.names()) for spec in specs]
-
-
-def environment_bigraph(model: ComposeModel, *, containers=None,
-                        offset: int = 0) -> Bigraph:
+def environment_bigraph(model: ComposeModel, *, offset: int = 0) -> Bigraph:
     """The context bigraph: one root, one site per service, link wiring for
     aliases, shared networks, volumes and published-port renaming.
 
-    Its edges are numbered ``offset + 1`` on. ``containers`` holds each
-    service's (spec, tagged names), when the caller has them."""
-    if containers is None:
-        containers = _containers(model)
+    Its edges are numbered ``offset + 1`` on."""
     order = list(model.services)
     site_of = {name: i + 1 for i, name in enumerate(order)}
 
@@ -311,8 +307,8 @@ def environment_bigraph(model: ComposeModel, *, containers=None,
     localities = [(frozenset(), frozenset())]
     net_users: dict[str, list[str]] = {}
     vol_users: dict[str, list[str]] = {}
-    for spec, names in containers:
-        localities.append(names)
+    for spec in model.containers.values():
+        localities.append(spec.names())
         for net in spec.networks:
             net_users.setdefault(net, []).append(spec.name)
         for vol in dict.fromkeys(v.name for v in spec.volumes):
@@ -371,42 +367,32 @@ def environment_bigraph(model: ComposeModel, *, containers=None,
                    {}, link)
 
 
-def container_stub(name: str, model: ComposeModel, *, container=None,
+def container_stub(name: str, model: ComposeModel, *,
                    offset: int = 0) -> Bigraph:
     """The canonical container bigraph for one service: one process consuming
     the link aliases and offering the container ports, one network node per
     attached network, one volume node per mount.
 
-    Its nodes are numbered ``offset + 1`` on. ``container`` is the
-    service's (spec, tagged names), when the caller has them."""
+    Its nodes are numbered ``offset + 1`` on."""
     if name not in model.services:
         raise KeyError(f"no service {name!r} in the model")
-    if container is None:
-        return build_container(_container_spec(name, model.services[name]),
-                               offset=offset)
-    spec, names = container
-    return build_container(spec, names=names, offset=offset)
+    return build_container(model.containers[name], offset=offset)
 
 
-def stub_block(model: ComposeModel, *, containers=None) -> Bigraph:
+def stub_block(model: ComposeModel) -> Bigraph:
     """The tensor of all container stubs in service order; with no services,
     the identity on the empty interface.
 
     Each stub is numbered as the tensor's refresh would shift it: the
     first from 1, each later one past the largest id so far or past its
     own size, whichever is larger, so that the tensor finds no id twice
-    and shifts none. ``containers`` holds each
-    service's (spec, tagged names), when the caller has them."""
-    if containers is None:
-        containers = _containers(model)
+    and shifts none."""
     stubs = []
     top = 0
-    for container in containers:
-        spec = container[0]
-        size = 2 + len(spec.networks) + len(spec.volumes)  # its node count
+    for name, spec in model.containers.items():
+        size = stub_size(spec)
         offset = max(top, size) if stubs else 0
-        stubs.append(container_stub(spec.name, model, container=container,
-                                    offset=offset))
+        stubs.append(container_stub(name, model, offset=offset))
         top = offset + size
     if not stubs:
         return identity(EMPTY_INTERFACE, default_signature())
@@ -421,10 +407,8 @@ def assemble(model: ComposeModel) -> Bigraph:
     nothing. The pipeline's one well-formedness check: an ill-formed
     composite raises LdbError, which the CLI reports as an input error.
     """
-    containers = _containers(model)
-    block = stub_block(model, containers=containers)
-    env = environment_bigraph(model, containers=containers,
-                              offset=max(block.nodes, default=0))
+    block = stub_block(model)
+    env = environment_bigraph(model, offset=max(block.nodes, default=0))
     result = compose(env, block)
     problems = validate(result)
     if problems:

@@ -25,7 +25,7 @@ from .interfaces import EMPTY_INTERFACE, LocalInterface
 __all__ = [
     "CONTAINER", "PROCESS", "REQUEST", "NETWORK", "VOLUME",
     "default_signature", "handle", "VolumeMount", "ContainerSpec",
-    "build_container", "census",
+    "build_container", "stub_size", "census",
 ]
 
 CONTAINER = "container"
@@ -79,22 +79,32 @@ class ContainerSpec:
     offers: tuple[str, ...] = ()
 
     def names(self) -> tuple[frozenset[str], frozenset[str]]:
-        """The (consumed, offered) outer names, each tagged by ``handle``."""
-        return (frozenset([*(handle(NETWORK, n) for n in self.networks),
-                           *(handle(VOLUME, v.name) for v in self.volumes),
-                           *(handle("link", a) for a in self.consumes)]),
-                frozenset([*(handle("port", p) for p in self.offers),
-                           handle(CONTAINER, self.name)]))
+        """The (consumed, offered) outer names, each tagged by ``handle``.
+
+        Computed once and kept as a plain attribute: a ``cached_property``
+        takes a lock and builds the instance's ``__dict__`` on its first
+        read on CPython 3.11, which slowed assembly measurably."""
+        names = getattr(self, "_names", None)
+        if names is None:
+            names = (frozenset([*(handle(NETWORK, n) for n in self.networks),
+                                *(handle(VOLUME, v.name) for v in self.volumes),
+                                *(handle("link", a) for a in self.consumes)]),
+                     frozenset([*(handle("port", p) for p in self.offers),
+                                handle(CONTAINER, self.name)]))
+            object.__setattr__(self, "_names", names)
+        return names
 
 
-def build_container(spec: ContainerSpec, *, names=None,
-                    offset: int = 0) -> Bigraph:
+def stub_size(spec: ContainerSpec) -> int:
+    """The number of nodes ``build_container`` makes for ``spec``."""
+    return 2 + len(spec.networks) + len(spec.volumes)
+
+
+def build_container(spec: ContainerSpec, *, offset: int = 0) -> Bigraph:
     """Build the container bigraph for ``spec``: the container, its
     networks, its volumes and its process are nodes ``offset + 1`` on, in
-    that order. ``names`` is ``spec.names()``, when the caller has it."""
-    if names is None:
-        names = spec.names()
-    outer = LocalInterface.of((frozenset(), frozenset()), names)
+    that order, ``stub_size(spec)`` in all."""
+    outer = LocalInterface.of((frozenset(), frozenset()), spec.names())
     box = offset + 1
     nodes = {box: _CONTROLS[CONTAINER]}
     parent = {box: Root(1)}

@@ -24,7 +24,10 @@ so on a document with several errors it may report a later one.
 Documents PyYAML reads that are refused: an alias to a collection that is
 still open (``a: &x [*x]``); a collection tagged other than its kind's own
 tag, also where it is only a merge source (``!!set``, ``!!omap``,
-``!foo``, ``{<<: !!seq {a: 1}}``); a key repeated within a merge source;
+``!foo``, ``{<<: !!seq {a: 1}}``), refused once it closes in place of the
+errors found inside it, at the earliest mark of those, of its items and
+of its start, which is an earlier node's when an alias names one; a key
+repeated within a merge source;
 and an anchored ``=``, which PyYAML reads as ``'='`` or refuses depending
 on the order it constructs in.
 """
@@ -60,15 +63,18 @@ class _Frame:
     """A collection, open and then closed: its node kind, start mark and
     anchor. ``flat`` holds each child's value followed by its node (a
     ``_Frame``, or the start mark of a scalar); ``odd`` says a key of a
-    mapping is ``<<`` or unhashable."""
+    mapping is ``<<`` or unhashable; ``tag`` is a tag other than its
+    kind's own, refused once it closes, and ``first`` the number of errors
+    found before it opened."""
 
-    __slots__ = ("kind", "mark", "anchor", "flat", "odd", "value")
+    __slots__ = ("kind", "mark", "anchor", "flat", "odd", "value", "tag",
+                 "first")
 
     def __init__(self, kind, mark, anchor):
         self.kind, self.mark, self.anchor = kind, mark, anchor
         self.flat = []
         self.odd = False
-        self.value = None
+        self.value = self.tag = None
 
 
 class _Fault:
@@ -84,6 +90,10 @@ class _Fault:
 
 def _mark(node):
     return node.mark if type(node) is _Frame else node
+
+
+def _place(mark):
+    return mark.line, mark.column
 
 
 def _construct(loader, node, construct=None):
@@ -206,12 +216,9 @@ def _build(loader):
             tag = event.tag
             if tag is None or tag == "!":
                 tag = resolve(node_class, None, event.implicit)
-            if tag != own_tag:   # the other kind's constructor, or none
-                faults.append(_construct(
-                    loader, node_class(tag, [], event.start_mark, None),
-                    None if tag in (_SEQ, _MAP) else loader.construct_undefined,
-                ).error)
             frame = _Frame(kind, event.start_mark, event.anchor)
+            if tag != own_tag:
+                frame.tag, frame.first = tag, len(faults)
             if frame.anchor is not None:
                 _define(anchors, frame.anchor, event)
                 anchors[frame.anchor] = (_OPEN, frame)
@@ -231,6 +238,20 @@ def _build(loader):
                 if node.odd or len(value) << 2 != len(flat):
                     value = _close_mapping(node, faults)
                 node.flat = None   # merges read a mapping's value
+            if node.tag is not None:
+                # the other kind's constructor, or none, refuses it in place
+                # of the errors found inside it, at the earliest mark of
+                # those, of its items and of its start: an alias may name
+                # an earlier node
+                inside = [e.problem_mark for e in faults[node.first:]]
+                del faults[node.first:]
+                mark = min((node.mark, *map(_mark, flat[1::2]), *inside),
+                           key=_place)
+                faults.append(_construct(
+                    loader, (MappingNode if node.kind is _MAPPING else
+                             SequenceNode)(node.tag, [], mark, None),
+                    None if node.tag in (_SEQ, _MAP)
+                    else loader.construct_undefined).error)
             node.value = value
             if node.anchor is not None:
                 anchors[node.anchor] = (value, node)
@@ -264,8 +285,7 @@ def _build(loader):
                             event.start_mark)
     loader.get_event()
     if faults:
-        raise min(faults, key=lambda e: (e.problem_mark.line,
-                                         e.problem_mark.column))
+        raise min(faults, key=lambda e: _place(e.problem_mark))
     return root
 
 

@@ -1,7 +1,7 @@
 """Assembly against the recipe it replaced, ``validate`` against its
 verbatim old self on reports with several faults, the error an ill-formed
-composite raises, and the growth of parsing, of assembly and of its JSON
-export.
+composite raises, and the growth of parsing, of assembly, of the link and
+security checks and of the JSON and DOT exports.
 
 ``assemble`` numbers each stub where it is built and the environment past
 the block, so neither the tensor's nor ``compose``'s refresh fires.
@@ -20,8 +20,8 @@ import pytest
 import ldbig
 from ldbig import (
     Bigraph, Control, Edge, InnerName, OuterName, Port, Root, algebra,
-    assemble, composefile, environment_bigraph, parse_compose, serialize,
-    stub_block, validate,
+    assemble, check_links, check_security, composefile, environment_bigraph,
+    parse_compose, parse_order_file, serialize, stub_block, to_dot, validate,
 )
 from ldbig.bigraph import Violation
 from ldbig.cli import main
@@ -42,17 +42,30 @@ def _models():
         yield gen_model(rng, max_services=12, max_networks=6, max_volumes=5)
 
 
-def _monolith_text(n):
+def _generate():
     sys.path.insert(0, str(BENCH))
     try:
         import generate
     finally:
         sys.path.remove(str(BENCH))
+    return generate
+
+
+def _monolith_text(n):
+    generate = _generate()
     return generate.compose_yaml(generate.monolith_stack(random.Random(1), 0, n))
 
 
 def _monolith(n):
     return parse_compose(_monolith_text(n))
+
+
+def _ordered_monolith(n):
+    """The monolith's model and its generated security order."""
+    generate = _generate()
+    stack = generate.monolith_stack(random.Random(1), 0, n)
+    return (parse_compose(generate.compose_yaml(stack)),
+            parse_order_file(generate.order_text(stack)))
 
 
 def _agrees(model):
@@ -263,4 +276,21 @@ def test_json_export_grows_linearly_in_every_function():
 
 def test_parsing_grows_linearly_in_every_function(yaml_loader):
     over = _superlinear(parse_compose, _monolith_text)
+    assert not over, f"lines at 100 and 200 services: {over}"
+
+
+def test_the_link_check_grows_linearly_in_every_function():
+    over = _superlinear(lambda model: check_links(assemble(model)))
+    assert not over, f"lines at 100 and 200 services: {over}"
+
+
+def test_the_security_check_grows_linearly_in_every_function():
+    over = _superlinear(lambda given: check_security(assemble(given[0]),
+                                                     given[1]),
+                        _ordered_monolith)
+    assert not over, f"lines at 100 and 200 services: {over}"
+
+
+def test_dot_export_grows_linearly_in_every_function():
+    over = _superlinear(lambda model: to_dot(assemble(model)))
     assert not over, f"lines at 100 and 200 services: {over}"

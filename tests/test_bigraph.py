@@ -139,6 +139,16 @@ def test_each_clause_names_its_subject(b, violation):
     assert validate(b) == [violation]
 
 
+def test_an_unhashable_parent_is_reported_not_raised():
+    # the child index cannot key a list, so it leaves node 2 out
+    leaf = Control("C", 0, 0)
+    b = Bigraph(Signature(fixed=(leaf,)), LocalInterface.of(), ONE_SITE,
+                {1: leaf, 2: leaf}, set(), {}, {1: Root(1), 2: [1]}, {})
+    assert [str(v) for v in validate(b)] == [
+        "[parent] node 2: bad parent [1]",
+        "[forest] node 2: never reaches a root (cycle or dangling parent)"]
+
+
 @pytest.mark.parametrize("make, message", [
     pytest.param(lambda: Control("A", -1, 0),
                  "port counts must be non-negative", id="negative ports"),

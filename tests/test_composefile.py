@@ -465,6 +465,11 @@ def test_wp_stub(wordpress_model):
     assert stub.link[Port(proc, 0)] == OuterName(1, "l_db")
 
 
+def test_a_stub_of_an_unknown_service_is_a_key_error(wordpress_model):
+    with pytest.raises(KeyError, match="no service 'ghost' in the model"):
+        container_stub("ghost", wordpress_model)
+
+
 def test_stub_interfaces_match_environment_sites(wordpress_model):
     env = environment_bigraph(wordpress_model)
     stubs = [container_stub(n, wordpress_model) for n in wordpress_model.services]

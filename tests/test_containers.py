@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -77,7 +78,7 @@ def test_dropping_an_offer_breaks_isomorphism():
 
     full = build_container(reference_spec())
     spec = reference_spec()
-    trimmed = ContainerSpec(**{**spec.__dict__, "offers": spec.offers[:2]})
+    trimmed = replace(spec, offers=spec.offers[:2])
     smaller = build_container(trimmed)
     assert not is_isomorphic(full, smaller)
 

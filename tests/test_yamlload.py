@@ -250,6 +250,10 @@ def test_small_documents_read_as_before(source, text):
     "{1: a, true: b}", "a: &x 1\nb: &x 2", "", "---\n", "abc", "!!int x",
     # a merge source no value keeps, whose dict is freed before the end
     "w : !!set\n  -\n    << :\n      x : x\n      x : x\n",
+    # a foreign-tagged collection whose items name earlier nodes, which
+    # PyYAML refuses at the line of the node named, or reads
+    "p: &a {x: 1, y: 2}\nw : !!omap\n  - *a\n", "p: &a 1\nw: !!pairs\n  - *a\n",
+    "p: &a {x: 1, y: 2}\nw : !!omap\n  -\n    *a : x\n",
 ])
 def test_tricky_documents_read_as_before(source, text):
     _agree(text, source)
@@ -269,6 +273,16 @@ FIRST_IN_TEXT = [
     ("services: {}\na: {b: !!int x}\na: 1\n", "invalid !!int value 'x'", 1),
     # a recursive alias is an error like the others, not raised at once
     ("a: {b: 1, b: 2}\nc: &x [*x]\n", "found duplicate key 'b'", 0),
+    # a foreign tag is refused at the earliest node its collection holds
+    ("p: &a {x: 1, y: 2}\nw : !!omap\n  - *a\n",
+     "could not determine a constructor for the tag "
+     "'tag:yaml.org,2002:omap'", 0),
+    ("p: &a 1\nw: !!pairs\n  - *a\n", "could not determine a constructor "
+     "for the tag 'tag:yaml.org,2002:pairs'", 0),
+    # ... in place of the errors found inside it
+    ("p: &a {x: 1, y: 2}\nw : !!omap\n  -\n    *a : x\n",
+     "could not determine a constructor for the tag "
+     "'tag:yaml.org,2002:omap'", 0),
 ]
 
 
