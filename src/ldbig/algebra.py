@@ -153,8 +153,11 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
     equals the left fold of the binary product, dict order included; no
     operands give the unit.
     """
-    inner = juxtapose(*(b.inner for b in bigraphs))
-    outer = juxtapose(*(b.outer for b in bigraphs))
+    # lists, not generators: CPython builds a tuple from a generator at a
+    # guessed size and resizes it, which moves blocks between its tuple
+    # free lists and fills them until the next full collection
+    inner = juxtapose(*[b.inner for b in bigraphs])
+    outer = juxtapose(*[b.outer for b in bigraphs])
     signature = bigraphs[0].signature if bigraphs else EMPTY_SIGNATURE
     nodes: dict = {}
     edges: set[int] = set()

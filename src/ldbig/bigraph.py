@@ -165,6 +165,10 @@ class Bigraph:
     environment builders pass plain dicts that are well-formed by
     construction; elsewhere, :class:`BigraphBuilder` and the algebra
     operations keep a value well-formed.
+
+    The maps passed in are copied, but each node's attribute dict is held
+    as given and shared, read-only, with every value built from this one:
+    a caller hands over attribute dicts it no longer changes.
     """
 
     __slots__ = (
@@ -186,7 +190,7 @@ class Bigraph:
         self.site_parent = dict(site_parent)
         self.node_parent = dict(node_parent)
         self.link = dict(link)
-        self.node_attrs = {v: dict(a) for v, a in (node_attrs or {}).items() if a}
+        self.node_attrs = {v: a for v, a in (node_attrs or {}).items() if a}
         self._child_cache = None
         self._place_cache = None
 

@@ -7,6 +7,7 @@ Exit codes: 0 no findings, 1 findings, 2 input or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import sys
@@ -177,6 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call.
+
+    Parsing leaves the parser as it was: each call gets a fresh namespace,
+    the handlers look up what they run when called, and help is wrapped to
+    the terminal width at the time it is printed.
+    """
+    return build_parser()
+
+
 def _run(args) -> Report:
     try:
         return args.func(args)
@@ -194,7 +206,7 @@ def _run(args) -> Report:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     report = ok()  # stands for an export whose reader left mid-document
     # one pass over one file makes almost no cyclic garbage, so the cyclic
     # collector would only rescan the growing model; the caller's state

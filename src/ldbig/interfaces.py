@@ -38,7 +38,9 @@ class LocalInterface:
     def __post_init__(self):
         if not self.localities:
             raise ValueError("an interface has at least the global locality")
-        frozen = tuple((frozenset(p), frozenset(m)) for p, m in self.localities)
+        # from a list, as tensor's operands: see there
+        frozen = tuple([(frozenset(p), frozenset(m))
+                        for p, m in self.localities])
         for i, (plus, minus) in enumerate(frozen):
             if plus & minus:
                 raise ValueError(f"locality {i}: names {sorted(plus & minus)} "

@@ -162,7 +162,7 @@ def bigraph_from_json(data: dict, path: str = "bigraph") -> Bigraph:
         nodes[v] = _control_from_json(_field(entry, "control", dict, where),
                                       f"{where}.control")
         node_parent[v] = _parent_from_json(entry, where)
-        attrs[v] = _field(entry, "attrs", dict, where, {})
+        attrs[v] = dict(_field(entry, "attrs", dict, where, {}))
     site_parent = {_field(s, "index", int, where): _parent_from_json(s, where)
                    for where, s in _each(data, "sites", dict, path)}
     link = {_ref_from_json(e, "point", where): _ref_from_json(e, "link", where)

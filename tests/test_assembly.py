@@ -1,7 +1,7 @@
 """Assembly against the recipe it replaced, ``validate`` against its
 verbatim old self on reports with several faults, the error an ill-formed
-composite raises, and the growth of parsing, of assembly, of the link and
-security checks and of the JSON and DOT exports.
+composite raises, and the growth of parsing, of assembly, of the link,
+security and sort checks and of the JSON and DOT exports.
 
 ``assemble`` numbers each stub where it is built and the environment past
 the block, so neither the tensor's nor ``compose``'s refresh fires.
@@ -20,8 +20,9 @@ import pytest
 import ldbig
 from ldbig import (
     Bigraph, Control, Edge, InnerName, OuterName, Port, Root, algebra,
-    assemble, check_links, check_security, composefile, environment_bigraph,
-    parse_compose, parse_order_file, serialize, stub_block, to_dot, validate,
+    assemble, check_links, check_security, check_sorting, composefile,
+    environment_bigraph, parse_compose, parse_order_file, patterns_from_json,
+    serialize, stub_block, to_dot, validate,
 )
 from ldbig.bigraph import Violation
 from ldbig.cli import main
@@ -293,4 +294,13 @@ def test_the_security_check_grows_linearly_in_every_function():
 
 def test_dot_export_grows_linearly_in_every_function():
     over = _superlinear(lambda model: to_dot(assemble(model)))
+    assert not over, f"lines at 100 and 200 services: {over}"
+
+
+def test_the_sort_check_grows_linearly_in_every_function():
+    generate = _generate()
+    patterns = patterns_from_json(generate.patterns_json(
+        [generate.NESTED_CONTAINER, generate.ANY_CONTAINER]))
+    over = _superlinear(lambda model: check_sorting(assemble(model),
+                                                    patterns))
     assert not over, f"lines at 100 and 200 services: {over}"

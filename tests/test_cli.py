@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -508,3 +509,105 @@ def test_export_stages_and_dot(compose_file, tmp_path):
 def test_version_flag():
     out = run_cli("--version")
     assert out.returncode == 0
+
+
+# -- one parser per process ------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """A process state in which ``main`` has built no parser yet; yields
+    the list of every ``ArgumentParser`` constructed from then on."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("LDBIG_COLOR", "never")
+    cli._parser.cache_clear()
+    yield built
+    cli._parser.cache_clear()
+
+
+def _answer(argv, capsys):
+    """Exit code, stdout and stderr of ``main(argv)`` in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _fresh_answer(argv):
+    """The same, as the first call of a fresh process."""
+    out = run_cli(*argv, COLUMNS="80")
+    return out.returncode, out.stdout, out.stderr
+
+
+def _every_command(compose_file, data_dir):
+    return [["validate", compose_file, "--json"],
+            ["check-links", compose_file],
+            ["check-security", compose_file, "--json",
+             "--order", str(data_dir / "order.txt")],
+            ["check-sorts", compose_file,
+             "--forbidden", str(data_dir / "forbidden.json")],
+            ["export", compose_file, "--format", "dot"],
+            ["export", compose_file, "--format", "json", "--stage", "stubs"]]
+
+
+def test_main_builds_its_parser_on_the_first_call_only(fresh_parser,
+                                                       compose_file, data_dir,
+                                                       capsys):
+    commands = _every_command(compose_file, data_dir)
+    first = [_answer(argv, capsys) for argv in commands]
+    assert len(fresh_parser) == 6  # ldbig and its five subcommands
+    fresh_parser.clear()
+    for _ in range(3):
+        assert [_answer(argv, capsys) for argv in commands] == first
+    assert fresh_parser == []
+    assert [code for code, _, _ in first] == [0, 0, 1, 1, 0, 0]
+
+
+def test_build_parser_still_returns_a_parser_of_its_own(fresh_parser):
+    assert cli.build_parser() is not cli.build_parser()
+    changed = cli.build_parser()
+    changed.set_defaults(func=None)
+    assert cli._parser() is not changed
+    assert cli._parser().parse_args(["validate", "x"]).func is cli._cmd_validate
+
+
+def test_exits_inside_argparse_leave_the_next_answer_unchanged(
+        fresh_parser, compose_file, data_dir, capsys):
+    order = str(data_dir / "order.txt")
+    answer = ["check-security", compose_file, "--json", "--order", order]
+    between = [["check-security", compose_file],  # --order is required
+               ["--version"], ["--help"], ["check-security", "--help"]]
+    assert _answer(answer, capsys) == _fresh_answer(answer)
+    for argv in between:
+        code, out, err = _answer(argv, capsys)
+        assert (code, out, err) == _fresh_answer(argv), argv
+        assert _answer(answer, capsys) == _fresh_answer(answer), argv
+    usage = _answer(between[0], capsys)
+    assert usage[0] == 2 and "the following arguments are required: " \
+        "--order" in usage[2]
+    assert len(fresh_parser) == 6
+
+
+def test_help_is_wrapped_to_the_width_when_it_is_printed(
+        fresh_parser, compose_file, capsys, monkeypatch):
+    assert _answer(["validate", compose_file], capsys)[0] == 0
+    texts = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, texts[columns], _ = _answer(["check-security", "--help"],
+                                          capsys)
+        assert code == 0
+        assert texts[columns] == run_cli("check-security", "--help",
+                                         COLUMNS=columns).stdout
+    assert max(map(len, texts["40"].splitlines())) <= 40
+    assert max(map(len, texts["200"].splitlines())) > 40
+    assert len(fresh_parser) == 6

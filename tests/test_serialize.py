@@ -37,6 +37,15 @@ def test_round_trip_keeps_attrs():
     assert is_isomorphic(back, b)
 
 
+def test_an_import_keeps_its_attrs_when_the_document_changes():
+    b = build_container(gen_container_spec(random.Random(72)))
+    data = bigraph_to_json(b)
+    back = bigraph_from_json(data)
+    for entry in data["nodes"]:
+        entry.get("attrs", {}).clear()
+    assert back.node_attrs == b.node_attrs
+
+
 def test_patterns_file(data_dir):
     patterns = patterns_from_json((data_dir / "forbidden.json").read_text())
     names = [p.name for p in patterns]
