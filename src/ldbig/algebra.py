@@ -5,7 +5,7 @@ search pattern matching shares."""
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import defaultdict
 
 from .bigraph import (
     Bigraph, Edge, InnerName, OuterName, Port, Root, Signature,
@@ -265,34 +265,143 @@ def node_maps(b: Bigraph, image: Bigraph, kind: dict, image_kind: dict,
         stack.append(iter(groups.get(k, ())))
 
 
-def _fingerprints(b: Bigraph) -> dict:
-    """Iso-invariant node summaries used to cut the candidate sets, built in
-    one pass over the link map."""
-    incoming: dict[int, Counter] = {v: Counter() for v in b.nodes}
+def _vertices(b: Bigraph, code: dict, start: list, seen: list) -> None:
+    """Append b's nodes, then the edges its points reach, as vertices: to
+    ``start`` the parts of each one's start colour, and to ``seen`` the
+    vertices that see it, each with the relation it is seen by.
+
+    The start parts are what an isomorphism fixes: a node's control, its
+    parent when that is a root or an id of no node, the sites under it,
+    the names and off-node ports it links with, and an edge's names and
+    off-node ports; and the relations the vertex sees others by.  Those
+    are parent and child, a port onto a port (both indices) either way,
+    and a port into an edge (its index) either way.  ``code`` numbers
+    every part, for both sides of a refinement alike; a relation's number
+    is a multiple of ``_KEY``.  No edge id enters a colour."""
+    c = code.setdefault
+    base = len(start)
+    index = {v: base + i for i, v in enumerate(b.nodes)}
+    start += [[c((k.name, k.plus, k.minus), len(code))] for k in b.nodes.values()]
+    seen += [[] for _ in index]
+    child = c("child", len(code)) * _KEY
+    parent = c("parent", len(code)) * _KEY
+    for v, x in index.items():
+        p = b.node_parent.get(v)
+        y = index.get(p) if isinstance(p, int) else None
+        if y is not None:
+            seen[y].append((x, parent))
+            seen[x].append((y, child))
+            start[x].append(parent)
+            start[y].append(child)
+        else:
+            start[x].append(c(("up", p if isinstance(p, (Root, int)) else None),
+                              len(code)))
+    for s, p in b.site_parent.items():
+        x = index.get(p) if isinstance(p, int) else None
+        if x is not None:
+            start[x].append(c(("site", s), len(code)))
+    edges: dict[int, int] = {}
     for p, t in b.link.items():
-        if isinstance(t, Port) and t.node in incoming:
-            kind = "port" if isinstance(p, Port) else "name"
-            incoming[t.node][(t.index, kind)] += 1
-    out = {}
-    for v, ctrl in b.nodes.items():
-        parent = b.node_parent.get(v)
-        pkind = parent if isinstance(parent, Root) else ("node",)
-        targets = []
-        for k in range(ctrl.plus):
-            t = b.link.get(Port(v, k))
-            if isinstance(t, (InnerName, OuterName)):
-                targets.append(t)
-            elif isinstance(t, Edge):
-                targets.append("edge")
-            elif isinstance(t, Port):
-                name = b.nodes[t.node].name if t.node in b.nodes else "?"
-                targets.append(("port", name, t.index))
-            else:
-                targets.append(None)
-        out[v] = (ctrl, pkind, tuple(targets),
-                  tuple(sorted(incoming[v].items())),
-                  len(b.children(v)), tuple(b.sites_under(v)))
-    return out
+        x = index.get(p.node) if type(p) is Port else None
+        kind = type(t)
+        y = index.get(t.node) if kind is Port else None
+        if y is not None:
+            if x is None:
+                start[y].append(c(("in", t.index, p), len(code)))
+                continue
+            out = c(("out", p.index, t.index), len(code)) * _KEY
+            into = c(("in", t.index, p.index), len(code)) * _KEY
+        elif kind is Edge:
+            y = edges.get(t.ident)
+            if y is None:
+                y = edges[t.ident] = len(start)
+                start.append([c("edge", len(code))])
+                seen.append([])
+            if x is None:
+                start[y].append(c(("point", p), len(code)))
+                continue
+            out = c(("joins", p.index), len(code)) * _KEY
+            into = c(("member", p.index), len(code)) * _KEY
+        else:
+            if x is not None:
+                start[x].append(c(("out", p.index, t if kind in (
+                    InnerName, OuterName, Port) else None), len(code)))
+            continue
+        seen[y].append((x, out))
+        seen[x].append((y, into))
+        start[x].append(out)
+        start[y].append(into)
+
+
+# a relation's number times _KEY plus a colour is one int; no input that
+# fits in memory has 2**32 colours
+_KEY = 1 << 32
+
+
+def _refine(b1: Bigraph, b2: Bigraph):
+    """The coarsest colouring of b1's and b2's nodes and edges, together,
+    that refines their start colours and in which two vertices of one
+    colour see as many vertices of each colour by each relation: 1-WL
+    colour refinement to its fixed point.  An isomorphism keeps every
+    colour, so the result is None as soon as a colour holds more vertices
+    of one side than of the other; else the colours of b1's nodes and of
+    b2's, in node order.
+
+    Each round refines every colour by what its vertices see of the
+    splitters, the colours the last round made.  A colour that splits
+    makes splitters of its parts, all but the largest, so a vertex is in
+    a splitter O(log n) times (Hopcroft's rule), and a round costs what
+    the splitters' vertices see."""
+    code: dict = {}
+    start: list[list[int]] = []
+    seen: list[list] = []
+    _vertices(b1, code, start, seen)
+    n1 = len(start)
+    _vertices(b2, code, start, seen)
+    cells: dict = {}
+    for x, parts in enumerate(start):
+        parts.sort()
+        cells.setdefault(tuple(parts), []).append(x)
+    colour = [0] * len(start)
+    members: list[set] = []
+    for k, cell in enumerate(cells.values()):
+        if 2 * sum(x < n1 for x in cell) != len(cell):
+            return None
+        for x in cell:
+            colour[x] = k
+        members.append(set(cell))
+    # a start colour counts its vertex's relations, so what a vertex sees
+    # of the largest colour follows from what it sees of the others
+    splitters = sorted(range(len(members)), key=lambda k: len(members[k]))[:-1]
+    while splitters:
+        sees: dict[int, list] = defaultdict(list)
+        for s in splitters:
+            for y in members[s]:
+                for x, rel in seen[y]:
+                    sees[x].append(rel + s)
+        splits: dict[int, dict] = {}
+        for x, keys in sees.items():
+            keys.sort()
+            splits.setdefault(colour[x], {}).setdefault(tuple(keys), []).append(x)
+        splitters = []
+        for k, split in splits.items():
+            cell = members[k]
+            if len(split) == 1 and len(next(iter(split.values()))) == len(cell):
+                continue
+            # the vertices no splitter reaches keep colour k; the others move
+            parts = [k]
+            for part in split.values():
+                if 2 * sum(x < n1 for x in part) != len(part):
+                    return None
+                cell.difference_update(part)
+                for x in part:
+                    colour[x] = len(members)
+                parts.append(len(members))
+                members.append(set(part))
+            parts.remove(max(parts, key=lambda j: len(members[j])))
+            splitters += parts
+    return ({v: colour[i] for i, v in enumerate(b1.nodes)},
+            {w: colour[n1 + i] for i, w in enumerate(b2.nodes)})
 
 
 def _off_nodes(b: Bigraph) -> set[int]:
@@ -352,14 +461,14 @@ def is_isomorphic(b1: Bigraph, b2: Bigraph) -> bool:
              for b in (b1, b2)]
     if b1.inner != b2.inner or b1.outer != b2.outer or sizes[0] != sizes[1]:
         return False
-    fp1, fp2 = _fingerprints(b1), _fingerprints(b2)
-    if Counter(fp1.values()) != Counter(fp2.values()):
-        return False
     off = _off_nodes(b1)
     if off != _off_nodes(b2):
         return False
+    colours = _refine(b1, b2)
+    if colours is None:
+        return False
 
-    # the fingerprints fix root parents, the search the rest; off ids stay
+    # the colours fix root parents, the search the rest; off ids stay
     fixed = {x: x for x in off}
     return any(_verify_iso(b1, b2, {**fixed, **phi} if fixed else phi)
-               for phi in node_maps(b1, b2, fp1, fp2))
+               for phi in node_maps(b1, b2, *colours))

@@ -180,7 +180,7 @@ def _container_spec(name: str, svc: ServiceSpec) -> ContainerSpec:
     aliases and offers the container ports; the spec owns the service's
     outer names."""
     return ContainerSpec(name, svc.networks, svc.volumes,
-                         tuple(a for _, a in svc.links),
+                         tuple([a for _, a in svc.links]),
                          svc.container_ports())
 
 
@@ -237,17 +237,19 @@ def parse_compose(text: str) -> ComposeModel:
             if key not in _SERVICE_KEYS:
                 raise UnsupportedKey(f"{name}.{key}")
         image = _require_str(body.get("image"), f"{name}.image")
-        links = tuple(_parse_link(e, f"{name}.links") for e in
-                      _require_list(body.get("links"), f"{name}.links"))
-        ports = tuple(_parse_port(e, f"{name}.ports") for e in
-                      _require_list(body.get("ports"), f"{name}.ports"))
-        expose = tuple(_parse_expose(e, f"{name}.expose") for e in
-                       _require_list(body.get("expose"), f"{name}.expose"))
-        vols = tuple(_parse_volume(e, f"{name}.volumes") for e in
-                     _require_list(body.get("volumes"), f"{name}.volumes"))
+        # lists, not generators, as in algebra.tensor: tuple() of a list
+        # allocates once, of a generator it guesses a size and resizes
+        links = tuple([_parse_link(e, f"{name}.links") for e in
+                       _require_list(body.get("links"), f"{name}.links")])
+        ports = tuple([_parse_port(e, f"{name}.ports") for e in
+                       _require_list(body.get("ports"), f"{name}.ports")])
+        expose = tuple([_parse_expose(e, f"{name}.expose") for e in
+                        _require_list(body.get("expose"), f"{name}.expose")])
+        vols = tuple([_parse_volume(e, f"{name}.volumes") for e in
+                      _require_list(body.get("volumes"), f"{name}.volumes")])
         if "networks" in body:
-            nets = tuple(_require_name(e, f"{name}.networks") for e in
-                         _require_list(body.get("networks"), f"{name}.networks"))
+            nets = tuple([_require_name(e, f"{name}.networks") for e in
+                          _require_list(body.get("networks"), f"{name}.networks")])
         else:
             nets = (DEFAULT_NETWORK,)
             wants_default = True

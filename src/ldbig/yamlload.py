@@ -3,8 +3,8 @@
 ``load(text, source)`` gives what ``yaml.load(text, Loader=source)`` gives
 for a safe loader, with a key repeated within one mapping refused, but it
 builds the values in one pass over the events, with an explicit stack and
-no ``Node`` graph: nothing recurses, and more than ``MAX_DEPTH`` open
-collections is an error.
+no ``Node`` graph: nothing recurses, and a collection that opens with
+``MAX_DEPTH`` already open is a composer error at its start.
 
 It keeps what PyYAML's composer and ``SafeConstructor`` do: scalars are
 resolved by the loader and built by the loader's own constructors, an
@@ -208,7 +208,8 @@ def _build(loader):
                 anchors[event.anchor] = (value, node)
         elif cls is MappingStartEvent or cls is SequenceStartEvent:
             if len(stack) > MAX_DEPTH:
-                raise yaml.YAMLError("nested too deeply")
+                raise ComposerError(None, None, "nested too deeply",
+                                    event.start_mark)
             if cls is MappingStartEvent:
                 kind, node_class, own_tag = _MAPPING, MappingNode, _MAP
             else:

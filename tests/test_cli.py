@@ -318,7 +318,7 @@ def test_deeply_nested_yaml_is_an_input_error(tmp_path):
         assert "Traceback" not in out.stderr
         report = Report.from_json(json.loads(out.stdout))
         assert report.findings[0].message == \
-            f"{deep}: malformed YAML: nested too deeply"
+            f"{deep}:1: malformed YAML: nested too deeply"
 
 
 def test_both_loaders_give_the_same_reports(yaml_loader, data_dir, tmp_path,

@@ -300,7 +300,12 @@ def test_nesting_is_capped_at_max_depth(yaml_loader):
         with pytest.raises(ComposeSyntaxError) as err:
             parse_compose("services: " + "[" * depth + "]" * depth)
         assert (str(err.value), err.value.line) == \
-            ("malformed YAML: nested too deeply", None)
+            ("malformed YAML: nested too deeply", 1)
+    # the line is that of the collection that opens past the cap
+    with pytest.raises(ComposeSyntaxError) as err:
+        parse_compose("services:\n  a:\n\n    image: " + "[" * 600 + "\n")
+    assert (str(err.value), err.value.line) == \
+        ("malformed YAML: nested too deeply", 4)
 
 
 def test_duplicate_host_port_rejected():

@@ -7,7 +7,9 @@ from ldbig import (
     OuterName, Port, Root, Signature, assemble, default_signature,
     is_isomorphic, relabel, validate,
 )
-from genrandom import gen_chain, gen_model, gen_signature, retarget_one_link
+from genrandom import (
+    gen_chain, gen_model, gen_signature, permute_services, retarget_one_link,
+)
 from oracles import iso_bruteforce
 
 SIG = Signature(fixed=(Control("A", 1, 1), Control("B", 0, 1)))
@@ -121,6 +123,38 @@ def test_large_composite_against_relabelled_and_retargeted_copies():
     assert not is_isomorphic(b, retarget_one_link(copy))
 
 
+# -- service order: the colour refinement decides, the search does not branch --
+
+@pytest.mark.parametrize("n", [30, 80, 300])
+def test_a_copy_with_its_services_reordered(n):
+    # same-shaped services get one colour only until their links split
+    # them, so the search's first choice is right; without refinement the
+    # search tried exponentially many maps already at 30 services
+    model = gen_model(random.Random(3), n_services=n)
+    b = assemble(model)
+    copy = assemble(permute_services(random.Random(4), model))
+    assert list(copy.nodes) != list(b.nodes) or copy.link != b.link
+    assert is_isomorphic(b, copy)
+    assert not is_isomorphic(b, retarget_one_link(copy))
+
+
+def test_small_reordered_copies_agree_with_bruteforce():
+    rng = random.Random(23)
+    outcomes = []
+    while len(outcomes) < 60:
+        models = [gen_model(rng, n_services=rng.randint(2, 3), max_networks=2,
+                            max_volumes=1) for _ in range(2)]
+        b, other = (assemble(m) for m in models)
+        if len(b.nodes) > 8:  # the oracle tries every bijection
+            continue
+        # a reordered copy, and a reordered copy of another model
+        for m in models:
+            copy = assemble(permute_services(rng, m))
+            outcomes.append(is_isomorphic(b, copy))
+            assert outcomes[-1] == iso_bruteforce(b, copy)
+    assert all(outcomes[::2]) and outcomes.count(False) >= 20
+
+
 # -- leaf rejections: bigraphs without nodes, linked through names ------------
 
 NAMES = LocalInterface.of(({"x", "y"}, set()))
@@ -163,7 +197,8 @@ def test_each_leaf_rejection_decides(b1, b2):
 def test_a_port_onto_the_other_twin_breaks_isomorphism():
     # each of two twin targets holds a source; the sources link to their own
     # parents in one bigraph and across in the other, so every node keeps
-    # its fingerprint and only the port targets at the leaf differ
+    # its colour (refinement sees counts, not that the port a source
+    # links to is its parent's) and only the port targets at the leaf differ
     sig = Signature(fixed=(Control("T", 0, 1), Control("S", 1, 0)))
     built = []
     for across in (False, True):
@@ -189,6 +224,28 @@ def test_a_port_on_no_node_is_its_own_image():
     moved = Bigraph(b.signature, b.inner, b.outer, {}, {1}, {}, {},
                     {Port(98, 0): Edge(1)})
     assert not is_isomorphic(b, moved)
+
+
+def test_ports_of_no_node_are_fixed_points_of_the_colours():
+    # a port of node 3, which is no node, links to a port of node 1 and
+    # into an edge; ports of nodes 1 and 2 link to it.  Swapping nodes 1
+    # and 2 keeps every link but the ones that name node 3's ports
+    sig = Signature(fixed=(Control("P", 2, 1),))
+    out = LocalInterface.of((set(), set()), (set(), set()))
+
+    def build(first, second, far):
+        return Bigraph(sig, LocalInterface.of(), out,
+                       dict.fromkeys((first, second), sig.lookup("P")), {9},
+                       {}, {1: Root(1), 2: Root(1)},
+                       {Port(3, 0): Port(first, 0), Port(3, 1): Edge(9),
+                        Port(first, 0): Port(3, far), Port(first, 1): Edge(9),
+                        Port(second, 0): Port(first, 0),
+                        Port(second, 1): Edge(9)})
+
+    b = build(1, 2, 0)
+    assert is_isomorphic(b, build(2, 1, 0)) and is_isomorphic(build(2, 1, 0), b)
+    assert not is_isomorphic(b, build(1, 2, 1))
+    assert not is_isomorphic(b, build(2, 1, 1))
 
 
 ROOTED = LocalInterface.of(({"o"}, set()), (set(), set()))

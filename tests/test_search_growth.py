@@ -1,10 +1,13 @@
-"""The node-map search grows about linearly with its input.
+"""The node-map search and the colour refinement before it grow about
+linearly with their input.
 
-Each case counts the lines ``algebra.node_maps`` executes, traced with
-``sys.settrace`` and filtered to its code object, at a size n and at 2n.
-Lines, not seconds, so the count is deterministic.  A search that scans a
-node's whole kind where the group under its place would do grows about
-4x per doubling on these inputs.
+Each case counts the lines ``algebra.node_maps``, ``algebra._refine`` and
+``algebra._vertices`` execute, traced with ``sys.settrace`` and filtered
+to their code objects, at a size n and at 2n.  Lines, not seconds, so the
+count is deterministic.  A search that scans a node's whole kind where the
+group under its place would do grows about 4x per doubling on these
+inputs, and so does a refinement that recolours every vertex in each of
+the n/2 rounds a chain of n nodes takes.
 """
 
 import random
@@ -18,6 +21,7 @@ from ldbig import (
     patterns_from_json, relabel,
 )
 from ldbig import algebra
+from genrandom import gen_model, permute_services
 from test_depth import chain
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,8 +29,11 @@ BOUND = 2.2
 
 
 def _lines(run) -> int:
-    """Lines of ``node_maps`` executed while ``run()`` runs."""
-    code, count = algebra.node_maps.__code__, 0
+    """Lines of the search and the refinement executed while ``run()``
+    runs."""
+    codes = {f.__code__ for f in (algebra.node_maps, algebra._refine,
+                                  algebra._vertices)}
+    count = 0
 
     def local(frame, event, arg):
         nonlocal count
@@ -35,7 +42,7 @@ def _lines(run) -> int:
         return local
 
     def scope(frame, event, arg):
-        return local if frame.f_code is code else None
+        return local if frame.f_code in codes else None
 
     old = sys.gettrace()
     sys.settrace(scope)
@@ -79,4 +86,22 @@ def _iso_chain(depth: int):
                          ids=["anchored-chain", "iso-chain"])
 def test_searching_a_chain_grows_linearly(case):
     small, large = (_lines(case(depth)) for depth in (300, 600))
+    assert small > 0 and large / small <= BOUND, (small, large)
+
+
+def _iso_copy(n: int, permuted: bool):
+    model = gen_model(random.Random(3), n_services=n)
+    b = assemble(model)
+    if permuted:
+        other = assemble(permute_services(random.Random(4), model))
+    else:
+        other = relabel(b, {v: 10 * n - v for v in b.nodes},
+                        {e: 10 * n - e for e in b.edges})
+    return lambda: is_isomorphic(b, other)
+
+
+@pytest.mark.parametrize("permuted", [False, True],
+                         ids=["relabelled", "permuted"])
+def test_deciding_a_copy_of_a_composite_grows_linearly(permuted):
+    small, large = (_lines(_iso_copy(n, permuted)) for n in (150, 300))
     assert small > 0 and large / small <= BOUND, (small, large)

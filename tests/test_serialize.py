@@ -203,6 +203,9 @@ def test_json_text_converts_keys_as_json_dumps(value):
     {1, 2}, {"a": {1}}, [1, {2}], [{"a": 1}, {"b": {3}}],
     [{"a": 1, "b": 2, "c": 3, "d": 4, "e": {5}}], {"a": [b"x"]},
     {(1, 2): "a"}, {"a": {(1, 2): "b"}}, {"a": 1, 2: "b"},
+    # a value that is no scalar sends the dict through the walk, whose own
+    # key check meets the tuple
+    {(1, 2): [[1]]},
 ])
 def test_json_text_raises_what_json_dumps_raises(value):
     with pytest.raises(TypeError) as expected:
