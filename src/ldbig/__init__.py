@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .interfaces import LocalInterface, EMPTY_INTERFACE, juxtapose
 from .bigraph import (
-    Bigraph, BigraphBuilder, Control, Edge, InnerName, OuterName, Port, Root,
+    Bigraph, Control, Edge, InnerName, OuterName, Port, Root,
     Signature, Violation as WellFormednessViolation, validate,
 )
 from .algebra import compose, identity, is_isomorphic, relabel, tensor
@@ -29,7 +29,7 @@ from . import errors
 
 __all__ = [
     "LocalInterface", "EMPTY_INTERFACE", "juxtapose",
-    "Bigraph", "BigraphBuilder", "Control", "Edge", "InnerName", "OuterName",
+    "Bigraph", "Control", "Edge", "InnerName", "OuterName",
     "Port", "Root", "Signature", "WellFormednessViolation", "validate",
     "compose", "identity", "is_isomorphic", "relabel", "tensor",
     "ContainerSpec", "VolumeMount", "build_container", "census",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Union
 
-from .interfaces import LocalInterface, EMPTY_INTERFACE
+from .interfaces import LocalInterface
 
 
 # Frozen dataclasses, not NamedTuples: equality must be class-sensitive
@@ -163,8 +163,7 @@ class Bigraph:
     Construction is permissive: structurally broken values can be built so
     that :func:`validate` can report on them.  The container and
     environment builders pass plain dicts that are well-formed by
-    construction; elsewhere, :class:`BigraphBuilder` and the algebra
-    operations keep a value well-formed.
+    construction, and the algebra operations keep a value well-formed.
 
     The maps passed in are copied, but each node's attribute dict is held
     as given and shared, read-only, with every value built from this one:
@@ -456,55 +455,3 @@ def _is_point(b: Bigraph, p) -> bool:
     i = p.locality
     return (type(i) is int and 0 <= i < len(localities)
             and p.text in localities[i][side])
-
-
-class BigraphBuilder:
-    """Mutable helper that accumulates one bigraph; not thread-safe."""
-
-    def __init__(self, signature: Signature,
-                 inner: LocalInterface = EMPTY_INTERFACE,
-                 outer: LocalInterface = EMPTY_INTERFACE):
-        self.signature = signature
-        self.inner = inner
-        self.outer = outer
-        self._nodes: dict[int, Control] = {}
-        self._edges: set[int] = set()
-        self._site_parent: dict[int, Place] = {}
-        self._node_parent: dict[int, Place] = {}
-        self._link: dict[Point, Link] = {}
-        self._attrs: dict[int, dict] = {}
-        self._next_id = 0
-
-    def _fresh(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
-    def node(self, control: str, parent: Place,
-             plus: int | None = None, minus: int | None = None,
-             **attrs) -> int:
-        """Add a node; parametric controls take their arity from plus/minus."""
-        ctrl = self.signature.lookup(control)
-        if ctrl is None:
-            ctrl = Control(control, plus or 0, minus or 0)
-        v = self._fresh()
-        self._nodes[v] = ctrl
-        self._node_parent[v] = parent
-        if attrs:
-            self._attrs[v] = dict(attrs)
-        return v
-
-    def edge(self) -> Edge:
-        e = self._fresh()
-        self._edges.add(e)
-        return Edge(e)
-
-    def site(self, index: int, parent: Place):
-        self._site_parent[index] = parent
-
-    def connect(self, point: Point, link: Link):
-        self._link[point] = link
-
-    def build(self) -> Bigraph:
-        return Bigraph(self.signature, self.inner, self.outer, self._nodes,
-                       self._edges, self._site_parent, self._node_parent,
-                       self._link, self._attrs)

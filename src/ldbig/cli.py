@@ -202,7 +202,7 @@ def _run(args) -> Report:
     except BrokenPipeError:
         raise  # the reader of stdout left; main handles it
     except OSError as exc:
-        return input_error(str(exc))
+        return input_error(str(exc), file=exc.filename)
 
 
 def main(argv=None) -> int:

@@ -237,8 +237,6 @@ def parse_compose(text: str) -> ComposeModel:
             if key not in _SERVICE_KEYS:
                 raise UnsupportedKey(f"{name}.{key}")
         image = _require_str(body.get("image"), f"{name}.image")
-        # lists, not generators, as in algebra.tensor: tuple() of a list
-        # allocates once, of a generator it guesses a size and resizes
         links = tuple([_parse_link(e, f"{name}.links") for e in
                        _require_list(body.get("links"), f"{name}.links")])
         ports = tuple([_parse_port(e, f"{name}.ports") for e in

@@ -13,11 +13,7 @@ class SignatureMismatch(LdbError):
     """Pattern and host bigraphs use different signatures."""
 
 
-class ComposeError(LdbError):
-    """Base class for compose-file frontend errors."""
-
-
-class ComposeSyntaxError(ComposeError):
+class ComposeSyntaxError(LdbError):
     """Malformed YAML or a value outside the accepted shape."""
 
     def __init__(self, message, line=None):
@@ -25,7 +21,7 @@ class ComposeSyntaxError(ComposeError):
         self.line = line
 
 
-class UnsupportedKey(ComposeError):
+class UnsupportedKey(LdbError):
     """A key outside the supported compose subset, reported with its path."""
 
     def __init__(self, path, message=None):
@@ -33,7 +29,7 @@ class UnsupportedKey(ComposeError):
         self.path = path
 
 
-class DanglingReference(ComposeError):
+class DanglingReference(LdbError):
     """A link/network/volume reference that resolves to nothing."""
 
     def __init__(self, path, message=None):
@@ -41,18 +37,14 @@ class DanglingReference(ComposeError):
         self.path = path
 
 
-class AnalysisError(LdbError):
-    """Base class for analysis-stage errors."""
-
-
-class NotAComposite(AnalysisError):
+class NotAComposite(LdbError):
     """A container, network or volume node of the analysed bigraph has no
     name."""
 
 
-class UnknownNetwork(AnalysisError):
+class UnknownNetwork(LdbError):
     """A security order names a network absent from the bigraph."""
 
 
-class CyclicOrder(AnalysisError):
+class CyclicOrder(LdbError):
     """The transitive closure of a security order puts a network above itself."""

@@ -20,11 +20,6 @@ class Finding:
         return {"kind": self.kind, "severity": self.severity,
                 "message": self.message, "payload": dict(self.payload)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Finding":
-        return cls(kind=data["kind"], severity=data["severity"],
-                   message=data["message"], payload=dict(data.get("payload", {})))
-
 
 @dataclass(frozen=True)
 class Report:
@@ -45,12 +40,6 @@ class Report:
     def to_json(self) -> dict:
         return {"status": self.status,
                 "findings": [f.to_json() for f in self.findings]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Report":
-        return cls(status=data["status"],
-                   findings=tuple(Finding.from_json(f)
-                                  for f in data.get("findings", ())))
 
 
 def ok() -> Report:

@@ -44,9 +44,6 @@ class Occurrence:
     node_map: tuple[tuple[int, int], ...]
     root_anchors: tuple[tuple[int, object], ...]
 
-    def nodes(self) -> dict[int, int]:
-        return dict(self.node_map)
-
 
 @dataclass(frozen=True)
 class SortingResult:

@@ -105,8 +105,7 @@ def _construct(loader, node, construct=None):
         value = (construct or loader.construct_object)(node)
         queued = loader.state_generators
         if queued:   # a collection constructor: it yields first and fills later
-            for _ in queued.pop():
-                pass
+            list(queued.pop())  # runs the rest, which fills value
         return value
     except yaml.YAMLError as exc:
         return _Fault(exc, node.tag)

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from ldbig import (
-    Bigraph, BigraphBuilder, Control, EMPTY_INTERFACE, InnerName,
+    Bigraph, Control, EMPTY_INTERFACE, InnerName,
     LocalInterface, OuterName, Root, Signature, compose, identity,
     is_isomorphic, relabel, tensor, validate,
 )
@@ -123,15 +123,13 @@ def test_compose_refreshes_colliding_support():
     def box(inner_sites: int) -> Bigraph:
         outer = LocalInterface.of((set(), set()), (set(), set()))
         inner = LocalInterface.of(*([(set(), set())] * (inner_sites + 1)))
-        b = BigraphBuilder(SIG, inner=inner, outer=outer)
-        v = b.node("B", parent=Root(1))
-        for s in range(1, inner_sites + 1):
-            b.site(s, parent=v)
-        return b.build()
+        return Bigraph(SIG, inner, outer, {1: SIG.lookup("B")}, (),
+                       dict.fromkeys(range(1, inner_sites + 1), 1),
+                       {1: Root(1)}, {})
 
     b1 = box(0)
     b2 = box(1)
-    # both builders started counting ids at 1
+    # both boxes hold node 1
     assert set(b1.nodes) & set(b2.nodes)
     out = compose(b2, b1)
     assert len(out.nodes) == 2

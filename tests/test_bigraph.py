@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ldbig import (
-    Bigraph, BigraphBuilder, Control, Edge, InnerName, LocalInterface,
+    Bigraph, Control, Edge, InnerName, LocalInterface,
     OuterName, Port, Root, Signature, identity, validate,
 )
 from ldbig.bigraph import Violation, place_order
@@ -50,14 +50,13 @@ def test_cross_region_port_link_is_a_locality_violation():
 
 def test_edges_and_globals_cross_regions_freely():
     outer = LocalInterface.of(({"g"}, set()), (set(), set()), (set(), set()))
-    b = BigraphBuilder(SIG, outer=outer)
-    v = b.node("A", parent=Root(1))
-    w = b.node("B", parent=Root(2))
-    e = b.edge()
-    b.connect(Port(v, 0), e)
-    b.connect(Port(w, 0), e)
-    b.connect(Port(w, 1), OuterName(0, "g"))
-    assert validate(b.build()) == []
+    # an A under root 1 and a B under root 2 share edge 3
+    b = Bigraph(SIG, LocalInterface.of(), outer,
+                {1: SIG.lookup("A"), 2: SIG.lookup("B")}, {3}, {},
+                {1: Root(1), 2: Root(2)},
+                {Port(1, 0): Edge(3), Port(2, 0): Edge(3),
+                 Port(2, 1): OuterName(0, "g")})
+    assert validate(b) == []
 
 
 def test_missing_point_is_reported():
@@ -171,21 +170,21 @@ def test_signature_errors(make, message):
     assert str(err.value) == message
 
 
-def test_builder_attrs_and_parametric_arities():
+def test_attrs_and_parametric_arities():
+    # box 1 holds two procs of different arities; proc 2 reaches edge 4
     sig = Signature(fixed=(Control("box", 0, 1),),
                     parametric=frozenset({"proc"}))
     outer = LocalInterface.of((set(), set()), (set(), {"c"}))
-    b = BigraphBuilder(sig, outer=outer)
-    v = b.node("box", parent=Root(1), name="it")
-    p = b.node("proc", parent=v, plus=2, minus=1)
-    e = b.edge()
-    b.connect(Port(p, 0), e)
-    b.connect(Port(p, 1), Port(v, 0))
-    b.connect(OuterName(1, "c"), Port(p, 0))
-    built = b.build()
-    assert validate(built) == []
-    assert built.attrs(v) == {"name": "it"}
-    assert built.nodes[p] == Control("proc", 2, 1)
+    b = Bigraph(sig, LocalInterface.of(), outer,
+                {1: sig.lookup("box"), 2: Control("proc", 2, 1),
+                 3: Control("proc", 0, 0)}, {4}, {},
+                {1: Root(1), 2: 1, 3: 1},
+                {Port(2, 0): Edge(4), Port(2, 1): Port(1, 0),
+                 OuterName(1, "c"): Port(2, 0)},
+                {1: {"name": "it"}})
+    assert validate(b) == []
+    assert b.attrs(1) == {"name": "it"}
+    assert b.attrs(2) == b.attrs(3) == {}
 
 
 def test_random_bigraphs_validate():
@@ -258,3 +257,39 @@ def test_regions_and_place_order_match_a_walk_up_the_parents():
                 assert pos[p] < pos[v]
         assert place_order(b) is order  # walked once, then shared
     assert rootless > 100
+
+
+def test_foreign_keys_and_targets_are_reported_not_raised():
+    outer = LocalInterface.of((set(), set()), (set(), set()))
+
+    def one_node(link):
+        return Bigraph(SIG, LocalInterface.of(), outer,
+                       {1: Control("A", 1, 1)}, set(), {}, {1: Root(1)}, link)
+
+    # a key in place of the one point, and a target that is no link
+    assert [(v.clause, v.subject) for v in validate(one_node(
+        {"y": Port(1, 0)}))] == [("link-total", "1:0"), ("link-domain", "y")]
+    assert [(v.clause, v.subject) for v in validate(one_node(
+        {Port(1, 0): "x"}))] == [("link-target", "1:0")]
+
+
+def test_regions_of_edges_and_of_what_is_no_point_or_link():
+    b = Bigraph(SIG, LocalInterface.of(), LocalInterface.of(), {}, {1}, {},
+                {}, {})
+    assert b.region_of(Edge(1)) is None
+    with pytest.raises(TypeError, match="not a point or link: 'x'"):
+        b.region_of("x")
+
+
+def test_repr_equality_and_names():
+    outer = LocalInterface.of(({"g"}, set()), (set(), set()))
+    b = Bigraph(SIG, LocalInterface.of(), outer, {1: Control("A", 1, 1)},
+                {2}, {}, {1: Root(1)}, {Port(1, 0): Edge(2)})
+    assert repr(b) == \
+        "<Bigraph <({},{})> -> <({g},{}),({},{})> nodes=1 edges=1>"
+    assert b.__eq__(repr(b)) is NotImplemented and b != repr(b)
+    assert b == Bigraph(SIG, b.inner, b.outer, b.nodes, b.edges,
+                        b.site_parent, b.node_parent, b.link)
+    assert [str(x) for x in (Root(2), Edge(3), Port(1, 0), InnerName(1, "a"),
+                             OuterName(0, "b"))] == \
+        ["r2", "e3", "1:0", "a@1i", "b@0o"]

@@ -17,7 +17,7 @@ from ldbig import (
 )
 from ldbig import cli
 from ldbig.cli import main
-from ldbig.report import Report
+from ldbig.report import Finding, Report
 from model_reference import flow_arcs, unreachable_links
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -54,20 +54,20 @@ def test_check_links_reports_pairs(tmp_path, wordpress_text):
                                              "networks: [back]"))
     out = run_cli("check-links", str(broken), "--json")
     assert out.returncode == 1
-    report = Report.from_json(json.loads(out.stdout))
-    assert report.status == "violations"
-    assert [f.payload["subject"] for f in report.findings] == [["wp", "db"]]
+    report = json.loads(out.stdout)
+    assert report["status"] == "violations"
+    assert [f["payload"]["subject"] for f in report["findings"]] \
+        == [["wp", "db"]]
 
 
 def test_check_security_finds_the_leak(compose_file, data_dir):
     out = run_cli("check-security", compose_file,
                   "--order", str(data_dir / "order.txt"), "--json")
     assert out.returncode == 1
-    report = Report.from_json(json.loads(out.stdout))
-    (finding,) = report.findings
-    assert finding.kind == "securityLeak"
-    assert finding.payload["subject"] == ["back", "front"]
-    assert {"kind": "container", "name": "db"} in finding.payload["path"]
+    (finding,) = json.loads(out.stdout)["findings"]
+    assert finding["kind"] == "securityLeak"
+    assert finding["payload"]["subject"] == ["back", "front"]
+    assert {"kind": "container", "name": "db"} in finding["payload"]["path"]
 
 
 def test_check_security_empty_order(compose_file, tmp_path):
@@ -96,10 +96,9 @@ def test_check_sorts(compose_file, data_dir, tmp_path):
     out = run_cli("check-sorts", compose_file,
                   "--forbidden", str(data_dir / "forbidden.json"), "--json")
     assert out.returncode == 1
-    report = Report.from_json(json.loads(out.stdout))
-    (finding,) = report.findings
-    assert finding.payload["pattern"] == "any-container"
-    assert len(finding.payload["occurrences"]) == 3
+    (finding,) = json.loads(out.stdout)["findings"]
+    assert finding["payload"]["pattern"] == "any-container"
+    assert len(finding["payload"]["occurrences"]) == 3
 
     only_nested = tmp_path / "nested.json"
     patterns = json.loads((data_dir / "forbidden.json").read_text())
@@ -115,9 +114,10 @@ def test_non_object_pattern_entry_is_an_input_error(compose_file, tmp_path):
                   "--json")
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
-    report = Report.from_json(json.loads(out.stdout))
-    assert report.status == "inputError"
-    assert "patterns[0]: expected an object" in report.findings[0].message
+    report = json.loads(out.stdout)
+    assert report["status"] == "inputError"
+    (finding,) = report["findings"]
+    assert "patterns[0]: expected an object" in finding["message"]
 
 
 def test_a_bad_pattern_name_is_an_input_error_at_its_path(compose_file,
@@ -160,6 +160,9 @@ MINIMAL = "version: '2'\nservices:\n  a:\n    image: x\n"
     (None, '[{"bigraph": {"inner": [], "outer": [], "nodes": [1]}}]',
      "patterns[0].bigraph.nodes[0]: expected an object"),
     (None, '[{"bigraph": {}}]', "patterns[0].bigraph.inner: expected a list"),
+    (None, '[{"bigraph": {"inner": [{}], "outer": [{}], "links": [{"point": '
+     '{"kind": "bogus"}, "link": {"kind": "edge", "id": 1}}]}}]',
+     "patterns[0].bigraph.links[0].point: unknown reference kind 'bogus'"),
     (None, '[{"bigraph": {"inner": [{}], "outer": [{}], "nodes": [{"id": true}]}}]',
      "patterns[0].bigraph.nodes[0].id: expected an integer"),
     (None, '[{"anchor_at_roots": "false", "bigraph": {"inner": [{}], "outer": [{}]}}]',
@@ -178,10 +181,10 @@ def test_malformed_documents_are_input_errors(compose_file, tmp_path, capsys,
     forbidden.write_text(patterns or "[]")
     code = main(["check-sorts", str(compose_file), "--json",
                  "--forbidden", str(forbidden)])
-    report = Report.from_json(json.loads(capsys.readouterr().out))
+    report = json.loads(capsys.readouterr().out)
     assert code == 2
-    assert report.status == "inputError"
-    assert report.findings[0].message.endswith(message)
+    assert report["status"] == "inputError"
+    assert report["findings"][0]["message"].endswith(message)
 
 
 ILL_FORMED_PATTERN = json.dumps([{"name": "dangling", "bigraph": {
@@ -215,12 +218,12 @@ def test_input_errors_name_the_file_they_are_in(compose_file, tmp_path, capsys,
     aux.write_bytes(text if isinstance(text, bytes) else text.encode())
     command = "check-security" if flag == "--order" else "check-sorts"
     code = main([command, compose_file, "--json", flag, str(aux)])
-    report = Report.from_json(json.loads(capsys.readouterr().out))
+    report = json.loads(capsys.readouterr().out)
     assert code == 2
-    assert report.status == "inputError"
-    (finding,) = report.findings
-    assert finding.message.startswith(f"{aux}: {message}")
-    assert finding.payload == {"file": str(aux)}
+    assert report["status"] == "inputError"
+    (finding,) = report["findings"]
+    assert finding["message"].startswith(f"{aux}: {message}")
+    assert finding["payload"] == {"file": str(aux)}
 
 
 def test_a_name_with_whitespace_gets_one_report_from_every_command(
@@ -234,10 +237,10 @@ def test_a_name_with_whitespace_gets_one_report_from_every_command(
         assert main([*argv, str(stack), "--json"]) == 2
         reports.append(capsys.readouterr().out)
     assert len(set(reports)) == 1
-    (finding,) = Report.from_json(json.loads(reports[0])).findings
-    assert finding.message == \
+    (finding,) = json.loads(reports[0])["findings"]
+    assert finding["message"] == \
         f"{stack}: services: name may not contain whitespace: 'a b'"
-    assert finding.payload == {"file": str(stack), "line": None}
+    assert finding["payload"] == {"file": str(stack), "line": None}
 
 
 # each stack gives one name to entities of two kinds; ``lone`` sits on its
@@ -293,9 +296,9 @@ def test_names_shared_across_kinds_are_accepted_by_every_command(
     model = parse_compose(text)
     assert main(["check-sorts", str(stack), "--forbidden",
                  str(data_dir / "forbidden.json"), "--json"]) == 1
-    (finding,) = Report.from_json(json.loads(capsys.readouterr().out)).findings
-    assert finding.payload["pattern"] == "any-container"
-    assert len(finding.payload["occurrences"]) == len(model.services)
+    (finding,) = json.loads(capsys.readouterr().out)["findings"]
+    assert finding["payload"]["pattern"] == "any-container"
+    assert len(finding["payload"]["occurrences"]) == len(model.services)
     composite = assemble(model)
     assert [v.subject for v in check_links(composite)] \
         == unreachable_links(model)
@@ -316,8 +319,8 @@ def test_deeply_nested_yaml_is_an_input_error(tmp_path):
         out = run_cli("validate", str(deep), "--json", launch=launch)
         assert out.returncode == 2  # a signal would make it negative
         assert "Traceback" not in out.stderr
-        report = Report.from_json(json.loads(out.stdout))
-        assert report.findings[0].message == \
+        (finding,) = json.loads(out.stdout)["findings"]
+        assert finding["message"] == \
             f"{deep}:1: malformed YAML: nested too deeply"
 
 
@@ -419,14 +422,69 @@ def test_missing_file_is_an_input_error(tmp_path):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["validate", "{missing}"], "{missing}"),
+    (["validate", "{dir}"], "{dir}"),
+    (["check-security", "{file}", "--order", "{missing}"], "{missing}"),
+    (["export", "{file}", "--format", "json", "--output", "{dir}/no/out.json"],
+     "{dir}/no/out.json"),
+])
+def test_a_file_the_system_cannot_open_is_named(argv, bad, compose_file,
+                                                tmp_path, capsys):
+    paths = {"file": compose_file, "dir": str(tmp_path),
+             "missing": str(tmp_path / "missing.txt")}
+    bad = bad.format(**paths)
+    assert main([a.format(**paths) for a in argv] + ["--json"]) == 2
+    (finding,) = json.loads(capsys.readouterr().out)["findings"]
+    assert finding["payload"] == {"file": bad}
+    assert finding["message"].endswith(f": {bad!r}")
+
+
+def test_a_sequence_tag_on_a_mapping_is_malformed_yaml(yaml_loader, tmp_path,
+                                                      capsys):
+    stack = tmp_path / "stack.yml"
+    stack.write_text("services: {}\na: !!seq {b: 1}\n")
+    assert main(["validate", str(stack)]) == 2
+    assert capsys.readouterr().out == (
+        f"error [inputError] {stack}:2: malformed YAML: "
+        "expected a sequence node, but found mapping\n")
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_a_terminal_gets_colour_unless_it_is_turned_off(compose_file,
+                                                       tmp_path, monkeypatch):
+    missing = str(tmp_path / "nope.yml")
+    for mode, argv, start in (
+            ("auto", ["validate", compose_file], "\x1b[32mok\x1b[0m: no"),
+            ("auto", ["validate", missing], "\x1b[31merror\x1b[0m [input"),
+            ("never", ["validate", compose_file], "ok: no")):
+        monkeypatch.setenv("LDBIG_COLOR", mode)
+        monkeypatch.setattr(sys, "stdout", _Terminal())
+        main(argv)
+        assert sys.stdout.getvalue().startswith(start), (mode, argv)
+
+
+def test_a_report_has_findings_unless_it_is_ok():
+    finding = Finding("inputError", "error", "x")
+    with pytest.raises(ValueError, match="an ok report carries no findings"):
+        Report("ok", (finding,))
+    with pytest.raises(ValueError, match="a violations report needs findings"):
+        Report("violations")
+    assert Report("violations", [finding]).findings == (finding,)
+
+
 def test_dangling_reference_is_an_input_error(tmp_path, wordpress_text):
     bad = tmp_path / "dangling.yml"
     bad.write_text(wordpress_text.replace("links: [db]", "links: [ghost]"))
     out = run_cli("check-links", str(bad), "--json")
     assert out.returncode == 2
-    report = Report.from_json(json.loads(out.stdout))
-    assert report.status == "inputError"
-    assert "ghost" in report.findings[0].message
+    report = json.loads(out.stdout)
+    assert report["status"] == "inputError"
+    assert "ghost" in report["findings"][0]["message"]
 
 
 def test_unknown_network_in_order_is_an_input_error(compose_file, tmp_path):
@@ -476,13 +534,6 @@ def test_a_programming_error_is_not_an_input_error(compose_file, monkeypatch):
     monkeypatch.setattr(cli, "check_links", planted)
     with pytest.raises(KeyError, match="planted"):
         main(["check-links", compose_file])
-
-
-def test_json_report_round_trips(compose_file, data_dir):
-    out = run_cli("check-security", compose_file,
-                  "--order", str(data_dir / "order.txt"), "--json")
-    data = json.loads(out.stdout)
-    assert Report.from_json(data).to_json() == data
 
 
 def test_export_json_reimports_isomorphic(compose_file, wordpress_text):

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from ldbig import (
-    BigraphBuilder, LocalInterface, Pattern, Root, default_signature,
+    Bigraph, LocalInterface, Pattern, Root, default_signature,
     find_matches, is_isomorphic, relabel, to_dot, validate,
 )
 
@@ -16,12 +16,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ldbig"
 
 def chain(depth: int):
     """``depth`` containers, each nested in the one before it."""
+    sig = default_signature()
     outer = LocalInterface.of((set(), set()), (set(), set()))
-    b = BigraphBuilder(default_signature(), outer=outer)
-    parent = Root(1)
-    for _ in range(depth):
-        parent = b.node("container", parent=parent)
-    return b.build()
+    ids = range(1, depth + 1)
+    return Bigraph(sig, LocalInterface.of(), outer,
+                   dict.fromkeys(ids, sig.lookup("container")), (), {},
+                   {v: v - 1 if v > 1 else Root(1) for v in ids}, {})
 
 
 def test_iso_on_a_deep_chain():
@@ -36,7 +36,7 @@ def test_anchored_matching_on_a_deep_chain():
     host = chain(DEPTH)
     pattern = relabel(host, {v: v + DEPTH for v in host.nodes})
     (occ,) = find_matches(Pattern("chain", pattern, anchor_at_roots=True), host)
-    assert occ.nodes() == {v + DEPTH: v for v in host.nodes}
+    assert dict(occ.node_map) == {v + DEPTH: v for v in host.nodes}
     assert occ.root_anchors == ((1, Root(1)),)
 
 

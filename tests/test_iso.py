@@ -3,10 +3,11 @@ import random
 import pytest
 
 from ldbig import (
-    Bigraph, BigraphBuilder, Control, Edge, InnerName, LocalInterface,
+    Bigraph, Control, Edge, InnerName, LocalInterface,
     OuterName, Port, Root, Signature, assemble, default_signature,
     is_isomorphic, relabel, validate,
 )
+from ldbig.algebra import _refine, _verify_iso
 from genrandom import (
     gen_chain, gen_model, gen_signature, permute_services, retarget_one_link,
 )
@@ -17,14 +18,14 @@ SIG = Signature(fixed=(Control("A", 1, 1), Control("B", 0, 1)))
 
 def small(extra_node: bool):
     outer = LocalInterface.of((set(), set()), ({"x"}, set()))
-    b = BigraphBuilder(SIG, outer=outer)
-    v = b.node("B", parent=Root(1))
-    a = b.node("A", parent=v)
-    b.connect(Port(a, 0), Port(v, 0))
+    nodes = {1: SIG.lookup("B"), 2: SIG.lookup("A")}
+    parent = {1: Root(1), 2: 1}
+    link = {Port(2, 0): Port(1, 0)}
     if extra_node:
-        c = b.node("A", parent=v)
-        b.connect(Port(c, 0), OuterName(1, "x"))
-    return b.build()
+        nodes[3], parent[3] = SIG.lookup("A"), 1
+        link[Port(3, 0)] = OuterName(1, "x")
+    return Bigraph(SIG, LocalInterface.of(), outer, nodes, (), {}, parent,
+                   link)
 
 
 def test_reflexive():
@@ -45,21 +46,18 @@ def test_deleting_a_node_breaks_isomorphism():
 
 def test_attrs_are_not_identity():
     b1 = small(True)
-    b2 = BigraphBuilder(SIG, outer=b1.outer)
-    v = b2.node("B", parent=Root(1), name="decorated")
-    a = b2.node("A", parent=v)
-    b2.connect(Port(a, 0), Port(v, 0))
-    c = b2.node("A", parent=v)
-    b2.connect(Port(c, 0), OuterName(1, "x"))
-    assert is_isomorphic(b1, b2.build())
+    b2 = Bigraph(SIG, b1.inner, b1.outer, b1.nodes, b1.edges, b1.site_parent,
+                 b1.node_parent, b1.link, {1: {"name": "decorated"}})
+    assert b2.attrs(1) and not b1.attrs(1)
+    assert is_isomorphic(b1, b2)
 
 
 def test_interfaces_must_match_exactly():
     outer1 = LocalInterface.of((set(), set()), ({"x"}, set()))
     outer2 = LocalInterface.of((set(), set()), ({"y"}, set()))
-    b1 = BigraphBuilder(SIG, outer=outer1)
-    b2 = BigraphBuilder(SIG, outer=outer2)
-    assert not is_isomorphic(b1.build(), b2.build())
+    b1, b2 = (Bigraph(SIG, LocalInterface.of(), outer, {}, (), {}, {}, {})
+              for outer in (outer1, outer2))
+    assert not is_isomorphic(b1, b2)
 
 
 def test_sites_under_swapped_roots_break_isomorphism():
@@ -67,12 +65,9 @@ def test_sites_under_swapped_roots_break_isomorphism():
     outer = LocalInterface.of((set(), set()), (set(), set()), (set(), set()))
     built = []
     for first, second in ((Root(1), Root(2)), (Root(2), Root(1))):
-        b = BigraphBuilder(SIG, inner=inner, outer=outer)
-        b.node("B", parent=Root(1))
-        b.node("B", parent=Root(2))
-        b.site(1, parent=first)
-        b.site(2, parent=second)
-        built.append(b.build())
+        built.append(Bigraph(
+            SIG, inner, outer, dict.fromkeys((1, 2), SIG.lookup("B")), (),
+            {1: first, 2: second}, {1: Root(1), 2: Root(2)}, {}))
     # every node fits its twin, so only the sites' parents tell them apart
     assert not is_isomorphic(*built)
     assert not iso_bruteforce(*built)
@@ -202,13 +197,15 @@ def test_a_port_onto_the_other_twin_breaks_isomorphism():
     sig = Signature(fixed=(Control("T", 0, 1), Control("S", 1, 0)))
     built = []
     for across in (False, True):
-        b = BigraphBuilder(sig, outer=LocalInterface.of((set(), set()),
-                                                        (set(), set())))
-        targets = [b.node("T", parent=Root(1)) for _ in range(2)]
-        for i, t in enumerate(targets):
-            s = b.node("S", parent=t)
-            b.connect(Port(s, 0), Port(targets[(i + across) % 2], 0))
-        built.append(b.build())
+        # targets 1 and 2 under the root hold sources 3 and 4
+        built.append(Bigraph(
+            sig, LocalInterface.of(),
+            LocalInterface.of((set(), set()), (set(), set())),
+            {1: sig.lookup("T"), 2: sig.lookup("T"),
+             3: sig.lookup("S"), 4: sig.lookup("S")}, (), {},
+            {1: Root(1), 2: Root(1), 3: 1, 4: 2},
+            {Port(3, 0): Port(1 + across, 0),
+             Port(4, 0): Port(2 - across, 0)}))
     assert not iso_bruteforce(*built)
     assert not is_isomorphic(*built)
     assert is_isomorphic(built[1], built[1])
@@ -275,3 +272,99 @@ def test_malformed_pairs_get_one_answer_both_ways(b1, b2):
     assert not is_isomorphic(b1, b2)
     assert not is_isomorphic(b2, b1)
     assert is_isomorphic(b1, b1) and is_isomorphic(b2, b2)
+
+
+# -- the certificate: pairs the colour refinement leaves to the leaf ----------
+
+ONE_ROOT = LocalInterface.of((set(), set()), (set(), set()))
+
+
+def under_root(sig, nodes, edges, link):
+    """A bigraph from ``nodes`` (id to control), each under root 1."""
+    return Bigraph(sig, LocalInterface.of(), ONE_ROOT, nodes, edges, {},
+                   dict.fromkeys(nodes, Root(1)), link)
+
+
+K2 = Control("K", 2, 0)
+
+
+def cycles(*lengths):
+    """Rings of K2 nodes, numbered from 1 across the rings: node v puts
+    port 1 on edge 100 + v, which takes port 0 of the next node."""
+    nodes, link = {}, {}
+    for n in lengths:
+        ring = range(len(nodes) + 1, len(nodes) + n + 1)
+        for v in ring:
+            after = ring[(v - ring[0] + 1) % n]
+            link[Port(v, 1)] = link[Port(after, 0)] = Edge(100 + v)
+        nodes.update(dict.fromkeys(ring, K2))
+    return under_root(Signature(fixed=(K2,)), nodes,
+                      {100 + v for v in nodes}, link)
+
+
+def one_colour(b1, b2):
+    colours = _refine(b1, b2)
+    return colours is not None and \
+        len({*colours[0].values(), *colours[1].values()}) == 1
+
+
+def test_a_six_cycle_is_not_two_triangles():
+    # every node and every edge keeps one colour, so only the leaf's edge
+    # bindings can tell the two apart: each map sends some edge of one
+    # side to two edges of the other
+    six, two = cycles(6), cycles(3, 3)
+    assert one_colour(six, two)
+    assert not iso_bruteforce(six, two) and not iso_bruteforce(two, six)
+    assert not is_isomorphic(six, two) and not is_isomorphic(two, six)
+    assert is_isomorphic(six, cycles(6)) and is_isomorphic(two, cycles(3, 3))
+
+
+def pairs(order, ports):
+    """K nodes 1 and 2 on edge 5, 3 and 4 on edge 6, added in ``order``
+    to the nodes and in ``ports`` to the link map."""
+    return under_root(Signature(fixed=(K,)), dict.fromkeys(order, K), {5, 6},
+                      {Port(v, 0): Edge(5 if v < 3 else 6) for v in ports})
+
+
+def test_a_first_guess_that_joins_two_edges_is_refused():
+    # the search's first map follows the copy's node order, 2 onto 3 and
+    # 3 onto 2, so it sends edges 5 and 6 both onto edge 5
+    b1 = pairs((1, 2, 3, 4), (1, 3, 2, 4))
+    b2 = pairs((1, 3, 2, 4), (1, 2, 3, 4))
+    assert not _verify_iso(b1, b2, {1: 1, 2: 3, 3: 2, 4: 4})
+    assert iso_bruteforce(b1, b2) and is_isomorphic(b1, b2)
+
+
+def test_the_certificate_refuses_each_edge_binding_fault():
+    # hand-made maps the search never offers: the colours already separate
+    # an edge from a port and two linked edges from one
+    p = Control("P", 1, 1)
+    sig = Signature(fixed=(p,))
+    on_edge = under_root(sig, {1: p}, {2}, {Port(1, 0): Edge(2)})
+    on_itself = under_root(sig, {1: p}, {2}, {Port(1, 0): Port(1, 0)})
+    assert not _verify_iso(on_edge, on_itself, {1: 1})
+    apart = under_root(sig, {1: p, 2: p}, {3, 4},
+                       {Port(1, 0): Edge(3), Port(2, 0): Edge(4)})
+    shared = under_root(sig, {1: p, 2: p}, {3, 4},
+                        {Port(1, 0): Edge(3), Port(2, 0): Edge(3)})
+    assert not _verify_iso(apart, shared, {1: 1, 2: 2})
+    assert not _verify_iso(shared, apart, {1: 1, 2: 2})
+    for b1, b2 in ((on_edge, on_itself), (apart, shared)):
+        assert not iso_bruteforce(b1, b2) and not is_isomorphic(b1, b2)
+    assert _verify_iso(apart, apart, {1: 2, 2: 1})
+
+
+def successors(*succ):
+    """P nodes 1..n under root 1; node v's port links to node succ[v - 1]."""
+    p = Control("P", 1, 1)
+    ids = range(1, len(succ) + 1)
+    return under_root(Signature(fixed=(p,)), dict.fromkeys(ids, p), (),
+                      {Port(v, 0): Port(w, 0) for v, w in zip(ids, succ)})
+
+
+def test_refinement_refuses_a_colour_split_unevenly_after_a_round():
+    # the start colours (links out and in per node) balance; what the
+    # nodes see of them one step on does not
+    b1, b2 = successors(3, 2, 1, 5, 3), successors(5, 5, 2, 3, 1)
+    assert _refine(b1, b2) is None
+    assert not iso_bruteforce(b1, b2) and not is_isomorphic(b1, b2)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ldbig import (
-    assemble, bigraph_from_json, bigraph_to_json, build_container, dumps,
-    environment_bigraph, is_isomorphic, loads, parse_compose,
+    Bigraph, assemble, bigraph_from_json, bigraph_to_json, build_container,
+    dumps, environment_bigraph, is_isomorphic, loads, parse_compose,
     patterns_from_json, to_dot,
 )
 from ldbig.serialize import json_text
@@ -233,3 +233,14 @@ def test_json_text_writes_a_list_nested_5000_deep():
 def test_json_text_writes_the_golden_documents(golden):
     text = (GOLDEN / golden).read_text(encoding="utf-8")
     assert json_text(json.loads(text)) + "\n" == text
+
+
+def test_a_link_to_no_point_or_link_cannot_be_written(wordpress_composite):
+    b = wordpress_composite
+    point = next(iter(b.link))
+    foreign = Bigraph(b.signature, b.inner, b.outer, b.nodes, b.edges,
+                      b.site_parent, b.node_parent, {**b.link, point: "x"})
+    with pytest.raises(TypeError, match="not serializable: 'x'"):
+        dumps(foreign)
+    with pytest.raises(TypeError, match="^x$"):
+        to_dot(foreign)

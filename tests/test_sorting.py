@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ldbig import (
-    Bigraph, BigraphBuilder, Control, Edge, InnerName, LocalInterface,
+    Bigraph, Control, Edge, InnerName, LocalInterface,
     Occurrence, OuterName, Pattern, Port, Root, Signature, assemble,
     check_sorting, default_signature, find_matches, parse_compose, relabel,
     validate, verify_occurrence,
@@ -17,14 +17,12 @@ def node_pattern(*controls, nested=False, anchor_at_roots=False) -> Pattern:
     """A pattern of bare nodes, side by side or nested in a chain."""
     sig = default_signature()
     outer = LocalInterface.of((set(), set()), (set(), set()))
-    b = BigraphBuilder(sig, outer=outer)
-    parent = Root(1)
-    for name in controls:
-        v = b.node(name, parent=parent, plus=0, minus=1)
-        if nested:
-            parent = v
-    return Pattern("-".join(controls), b.build(),
-                   anchor_at_roots=anchor_at_roots)
+    ids = range(1, len(controls) + 1)
+    parent = {v: v - 1 if nested and v > 1 else Root(1) for v in ids}
+    b = Bigraph(sig, LocalInterface.of(), outer,
+                {v: sig.lookup(name) for v, name in zip(ids, controls)}, (),
+                {}, parent, {})
+    return Pattern("-".join(controls), b, anchor_at_roots=anchor_at_roots)
 
 
 def test_single_container_occurs_three_times(wordpress_composite):
@@ -64,14 +62,10 @@ def test_process_at_top_level_absent_when_anchored(wordpress_composite):
 
 
 def _bare_process() -> Bigraph:
-    sig = default_signature()
-    outer = LocalInterface.of((set(), set()),
-                              ({"feed"}, set()))
-    b = BigraphBuilder(sig, outer=outer)
-    from ldbig import OuterName
-    v = b.node("process", parent=Root(1), plus=1, minus=1)
-    b.connect(Port(v, 0), OuterName(1, "feed"))
-    return b.build()
+    outer = LocalInterface.of((set(), set()), ({"feed"}, set()))
+    return Bigraph(default_signature(), LocalInterface.of(), outer,
+                   {1: Control("process", 1, 1)}, (), {}, {1: Root(1)},
+                   {Port(1, 0): OuterName(1, "feed")})
 
 
 def test_bare_process_pattern_matches_only_matching_arity(wordpress_composite):
@@ -105,11 +99,11 @@ def test_self_match_may_widen_on_symmetric_hosts(wordpress_composite):
 def test_signature_mismatch():
     other = Signature(fixed=(Control("container", 0, 1),))
     outer = LocalInterface.of((set(), set()), (set(), set()))
-    b = BigraphBuilder(other, outer=outer)
-    b.node("container", parent=Root(1))
-    host_sig_pattern = Pattern("p", b.build())
-    composite_sig = default_signature()
-    host = BigraphBuilder(composite_sig, outer=outer).build()
+    host_sig_pattern = Pattern("p", Bigraph(
+        other, LocalInterface.of(), outer, {1: other.lookup("container")}, (),
+        {}, {1: Root(1)}, {}))
+    host = Bigraph(default_signature(), LocalInterface.of(), outer, {}, (),
+                   {}, {}, {})
     with pytest.raises(SignatureMismatch):
         find_matches(host_sig_pattern, host)
 
@@ -205,7 +199,8 @@ def test_occurrences_pass_the_independent_validator():
         host = gen_host(rng, sig, max_nodes=6)
         pattern = gen_pattern(rng, sig, max_nodes=3)
         for occ in find_matches(Pattern("p", pattern), host):
-            assert verify_occurrence(pattern, host, occ.nodes()) is not None
+            assert verify_occurrence(pattern, host,
+                                     dict(occ.node_map)) is not None
             checked += 1
     assert checked > 10
 
@@ -248,16 +243,27 @@ def test_removing_host_nodes_never_creates_occurrences():
         assert after <= before
 
 
+def test_a_host_port_without_a_link_takes_no_pattern_node():
+    # of two networks, only node 2 links its port
+    sig = default_signature()
+    outer = LocalInterface.of((set(), set()), ({"n"}, set()))
+    net = sig.lookup("network")
+    pattern = Bigraph(sig, LocalInterface.of(), outer, {1: net}, (), {},
+                      {1: Root(1)}, {Port(1, 0): OuterName(1, "n")})
+    host = Bigraph(sig, LocalInterface.of(), outer, {1: net, 2: net}, (), {},
+                   {1: Root(1), 2: Root(1)}, {Port(2, 0): OuterName(1, "n")})
+    assert [v.clause for v in validate(host)] == ["link-total"]
+    found = {o.node_map for o in find_matches(Pattern("p", pattern), host)}
+    assert found == matches_bruteforce(pattern, host) == {((1, 2),)}
+
+
 def _wildcarded_node(sig, control) -> Pattern:
     locs = [(frozenset(), frozenset()),
             (frozenset(f"w{k}" for k in range(control.plus)), frozenset())]
     outer = LocalInterface(tuple(locs))
-    b = BigraphBuilder(sig, outer=outer)
-    from ldbig import OuterName
-    v = b.node(control.name, parent=Root(1))
-    for k in range(control.plus):
-        b.connect(Port(v, k), OuterName(1, f"w{k}"))
-    return Pattern("one-node", b.build())
+    return Pattern("one-node", Bigraph(
+        sig, LocalInterface.of(), outer, {1: control}, (), {}, {1: Root(1)},
+        {Port(1, k): OuterName(1, f"w{k}") for k in range(control.plus)}))
 
 
 def _counting(monkeypatch):
@@ -277,11 +283,13 @@ def _counting(monkeypatch):
 def _siblings() -> Pattern:
     """A network and a volume side by side under one pattern root, with no
     container above them; their ports reach wildcard outer names."""
+    sig = default_signature()
     outer = LocalInterface.of((set(), set()), ({"x", "y"}, set()))
-    b = BigraphBuilder(default_signature(), outer=outer)
-    for name, link in (("network", "x"), ("volume", "y")):
-        b.connect(Port(b.node(name, parent=Root(1)), 0), OuterName(1, link))
-    return Pattern("siblings", b.build())
+    return Pattern("siblings", Bigraph(
+        sig, LocalInterface.of(), outer,
+        {1: sig.lookup("network"), 2: sig.lookup("volume")}, (), {},
+        {1: Root(1), 2: Root(1)},
+        {Port(1, 0): OuterName(1, "x"), Port(2, 0): OuterName(1, "y")}))
 
 
 def test_root_level_siblings_agree_with_bruteforce_on_random_hosts():
