@@ -151,7 +151,8 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
     operands before it.  Its support ids are refreshed as ``compose``
     refreshes them when they collide with earlier ones.  The result
     equals the left fold of the binary product, dict order included; no
-    operands give the unit.
+    operands give the unit.  Assembly does not call it: ``stub_block``
+    builds the tensor of the container stubs directly, and equals it.
     """
     # lists, not generators: CPython builds a tuple from a generator at a
     # guessed size and resizes it, which moves blocks between its tuple

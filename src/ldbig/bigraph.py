@@ -12,72 +12,111 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Union
 
 from .interfaces import LocalInterface
 
 
-# Frozen dataclasses, not NamedTuples: equality must be class-sensitive
-# (an inner and an outer name with the same locality and text are different
-# points/links and must not collide as dict keys).
+# Points, links and roots are tuples whose first item is a tag, one per
+# class, so that hashing and equality run in C and an inner and an outer name
+# with the same locality and text stay different points, and different dict
+# keys.  Fields are read-only properties over the items that follow the tag.
+_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class InnerName:
+
+class InnerName(tuple):
     """Inner-interface name at a locality (0 = global).
 
     As a point it is positive; as a link target it is negative.
     """
 
-    locality: int
-    text: str
+    __slots__ = ()
+
+    def __new__(cls, locality: int, text: str):
+        return _new(cls, (0, locality, text))
+
+    locality = property(itemgetter(1))
+    text = property(itemgetter(2))
+
+    def __repr__(self):
+        return f"InnerName(locality={self[1]!r}, text={self[2]!r})"
 
     def __str__(self):
-        return f"{self.text}@{self.locality}i"
+        return f"{self[2]}@{self[1]}i"
 
 
-@dataclass(frozen=True, slots=True)
-class OuterName:
+class OuterName(tuple):
     """Outer-interface name at a locality (0 = global).
 
     As a point it is negative; as a link target it is positive.
     """
 
-    locality: int
-    text: str
+    __slots__ = ()
+
+    def __new__(cls, locality: int, text: str):
+        return _new(cls, (1, locality, text))
+
+    locality = property(itemgetter(1))
+    text = property(itemgetter(2))
+
+    def __repr__(self):
+        return f"OuterName(locality={self[1]!r}, text={self[2]!r})"
 
     def __str__(self):
-        return f"{self.text}@{self.locality}o"
+        return f"{self[2]}@{self[1]}o"
 
 
-@dataclass(frozen=True, slots=True)
-class Port:
+class Port(tuple):
     """A node port: positive (source) as a point, negative (target) as a link."""
 
-    node: int
-    index: int
+    __slots__ = ()
+
+    def __new__(cls, node: int, index: int):
+        return _new(cls, (2, node, index))
+
+    node = property(itemgetter(1))
+    index = property(itemgetter(2))
+
+    def __repr__(self):
+        return f"Port(node={self[1]!r}, index={self[2]!r})"
 
     def __str__(self):
-        return f"{self.node}:{self.index}"
+        return f"{self[1]}:{self[2]}"
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(tuple):
     """A closed link; edges may receive points from any locality."""
 
-    ident: int
+    __slots__ = ()
+
+    def __new__(cls, ident: int):
+        return _new(cls, (3, ident))
+
+    ident = property(itemgetter(1))
+
+    def __repr__(self):
+        return f"Edge(ident={self[1]!r})"
 
     def __str__(self):
-        return f"e{self.ident}"
+        return f"e{self[1]}"
 
 
-@dataclass(frozen=True, slots=True)
-class Root:
+class Root(tuple):
     """A root region of the outer interface (index >= 1)."""
 
-    index: int
+    __slots__ = ()
+
+    def __new__(cls, index: int):
+        return _new(cls, (4, index))
+
+    index = property(itemgetter(1))
+
+    def __repr__(self):
+        return f"Root(index={self[1]!r})"
 
     def __str__(self):
-        return f"r{self.index}"
+        return f"r{self[1]}"
 
 
 Point = Union[InnerName, OuterName, Port]

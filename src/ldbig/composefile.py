@@ -14,16 +14,17 @@ from functools import cached_property
 
 import yaml
 
-from .algebra import compose, identity, tensor
+from .algebra import compose
+from .algebra import tensor  # noqa: F401 -- perfbench's tests read composefile.tensor
 from .bigraph import Bigraph, Edge, InnerName, OuterName, Root, validate
 from .containers import (
     CONTAINER, NETWORK, VOLUME, ContainerSpec, VolumeMount, build_container,
-    default_signature, handle, stub_size,
+    default_signature, handle,
 )
 from .errors import (
     ComposeSyntaxError, DanglingReference, LdbError, UnsupportedKey,
 )
-from .interfaces import LocalInterface, EMPTY_INTERFACE, check_name
+from .interfaces import LocalInterface, check_name
 from .yamlload import load
 
 __all__ = [
@@ -367,40 +368,27 @@ def environment_bigraph(model: ComposeModel, *, offset: int = 0) -> Bigraph:
                    {}, link)
 
 
-def container_stub(name: str, model: ComposeModel, *,
-                   offset: int = 0) -> Bigraph:
+def container_stub(name: str, model: ComposeModel) -> Bigraph:
     """The canonical container bigraph for one service: one process consuming
     the link aliases and offering the container ports, one network node per
-    attached network, one volume node per mount.
-
-    Its nodes are numbered ``offset + 1`` on."""
+    attached network, one volume node per mount."""
     if name not in model.services:
         raise KeyError(f"no service {name!r} in the model")
-    return build_container(model.containers[name], offset=offset)
+    return build_container(model.containers[name])
 
 
 def stub_block(model: ComposeModel) -> Bigraph:
-    """The tensor of all container stubs in service order; with no services,
-    the identity on the empty interface.
-
-    Each stub is numbered as the tensor's refresh would shift it: the
-    first from 1, each later one past the largest id so far or past its
-    own size, whichever is larger, so that the tensor finds no id twice
-    and shifts none."""
-    stubs = []
-    top = 0
-    for name, spec in model.containers.items():
-        size = stub_size(spec)
-        offset = max(top, size) if stubs else 0
-        stubs.append(container_stub(name, model, offset=offset))
-        top = offset + size
-    if not stubs:
-        return identity(EMPTY_INTERFACE, default_signature())
-    return tensor(*stubs)
+    """The tensor of all container stubs in service order, built directly
+    by ``build_container`` with no stub built on its own: it equals
+    ``tensor(*stubs)``, dict order included.  With no services it is the
+    identity on the empty interface."""
+    return build_container(*model.containers.values())
 
 
 def assemble(model: ComposeModel) -> Bigraph:
-    """Compose the environment over the tensor of all container stubs.
+    """Compose the environment over the container block, which
+    ``stub_block`` builds in one pass and which equals the tensor of all
+    container stubs.
 
     The environment's edges are numbered past the block's largest node id,
     the shift that ``compose`` would give them, so ``compose`` shifts

@@ -25,7 +25,7 @@ from .interfaces import EMPTY_INTERFACE, LocalInterface
 __all__ = [
     "CONTAINER", "PROCESS", "REQUEST", "NETWORK", "VOLUME",
     "default_signature", "handle", "VolumeMount", "ContainerSpec",
-    "build_container", "stub_size", "census",
+    "build_container", "census",
 ]
 
 CONTAINER = "container"
@@ -95,43 +95,55 @@ class ContainerSpec:
         return names
 
 
-def stub_size(spec: ContainerSpec) -> int:
-    """The number of nodes ``build_container`` makes for ``spec``."""
-    return 2 + len(spec.networks) + len(spec.volumes)
+def build_container(*specs: ContainerSpec) -> Bigraph:
+    """The container bigraphs of ``specs`` side by side, built in one pass:
+    container k sits under root k, and its tagged names at outer locality k.
 
+    Each container's nodes are its box, its networks, its volumes and its
+    process, in that order.  The first container's are numbered from 1,
+    each later one's past the largest id so far or past its own size,
+    whichever is larger: the ids the tensor's refresh gives them.  So the
+    result equals ``tensor`` over the one-spec builds, dict order included,
+    and no specs give the unit."""
+    box_control, net_control, vol_control = (
+        _CONTROLS[CONTAINER], _CONTROLS[NETWORK], _CONTROLS[VOLUME])
+    localities = [(frozenset(), frozenset())]
+    nodes: dict = {}
+    parent: dict = {}
+    attrs: dict = {}
+    link: dict = {}
+    top = 0  # the largest node id so far
+    for k, spec in enumerate(specs, 1):
+        size = 2 + len(spec.networks) + len(spec.volumes)
+        box = max(top, size) + 1 if nodes else 1
+        top = box + size - 1
+        localities.append(spec.names())
+        nodes[box], parent[box] = box_control, Root(k)
+        attrs[box] = {"name": spec.name}
+        link[OuterName(k, handle(CONTAINER, spec.name))] = Port(box, 0)
+        v = box
+        for name in spec.networks:
+            v += 1
+            nodes[v], parent[v], attrs[v] = net_control, box, {"name": name}
+            link[Port(v, 0)] = OuterName(k, handle(NETWORK, name))
+        for mount in spec.volumes:
+            v += 1
+            # the attribute keeps its old key so that exported documents do
+            # not change; it holds the mount point inside the container
+            nodes[v], parent[v] = vol_control, box
+            attrs[v] = {"name": mount.name, "read_only": mount.read_only,
+                        "host_path": mount.path}
+            link[Port(v, 0)] = OuterName(k, handle(VOLUME, mount.name))
 
-def build_container(spec: ContainerSpec, *, offset: int = 0) -> Bigraph:
-    """Build the container bigraph for ``spec``: the container, its
-    networks, its volumes and its process are nodes ``offset + 1`` on, in
-    that order, ``stub_size(spec)`` in all."""
-    outer = LocalInterface.of((frozenset(), frozenset()), spec.names())
-    box = offset + 1
-    nodes = {box: _CONTROLS[CONTAINER]}
-    parent = {box: Root(1)}
-    attrs = {box: {"name": spec.name}}
-    link = {OuterName(1, handle(CONTAINER, spec.name)): Port(box, 0)}
-    v = box
-    for name in spec.networks:
-        v += 1
-        nodes[v], parent[v], attrs[v] = _CONTROLS[NETWORK], box, {"name": name}
-        link[Port(v, 0)] = OuterName(1, handle(NETWORK, name))
-    for mount in spec.volumes:
-        v += 1
-        # the attribute keeps its old key so that exported documents do not
-        # change; it holds the mount point inside the container
-        nodes[v], parent[v] = _CONTROLS[VOLUME], box
-        attrs[v] = {"name": mount.name, "read_only": mount.read_only,
-                    "host_path": mount.path}
-        link[Port(v, 0)] = OuterName(1, handle(VOLUME, mount.name))
-
-    proc = v + 1
-    nodes[proc] = Control(PROCESS, len(spec.consumes), len(spec.offers))
-    parent[proc] = box
-    for k, alias in enumerate(spec.consumes):
-        link[Port(proc, k)] = OuterName(1, handle("link", alias))
-    for k, port in enumerate(spec.offers):
-        link[OuterName(1, handle("port", port))] = Port(proc, k)
-    return Bigraph(_SIGNATURE, EMPTY_INTERFACE, outer, nodes, (), {}, parent,
+        proc = top
+        nodes[proc] = Control(PROCESS, len(spec.consumes), len(spec.offers))
+        parent[proc] = box
+        for i, alias in enumerate(spec.consumes):
+            link[Port(proc, i)] = OuterName(k, handle("link", alias))
+        for i, port in enumerate(spec.offers):
+            link[OuterName(k, handle("port", port))] = Port(proc, i)
+    return Bigraph(_SIGNATURE, EMPTY_INTERFACE,
+                   LocalInterface(tuple(localities)), nodes, (), {}, parent,
                    link, attrs)
 
 

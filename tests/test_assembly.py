@@ -29,7 +29,7 @@ from ldbig.cli import main
 from ldbig.errors import LdbError
 from genrandom import gen_bigraph, gen_interface, gen_model, gen_signature
 from oracles import assemble_reference, validate_reference
-from test_tensor import assert_same
+from test_tensor import assert_block_is_the_tensor, assert_same
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SHARED = {"x0", "l_x0", "p_12"}  # names every kind of gen_model shares
@@ -95,27 +95,33 @@ def test_a_200_service_monolith_assembles_as_the_reference():
 
 
 def test_neither_refresh_fires_inside_assembly(monkeypatch):
+    # the block is built with the ids the tensor's refresh gives the stubs,
+    # so it equals their tensor; compose's two operands share no id
     seen = []
+    made = [0]
+    init = Bigraph.__init__
 
-    def disjoint(*bigraphs):
-        ids = [i for b in bigraphs for i in (*b.nodes, *b.edges)]
-        assert len(ids) == len(set(ids))
-        seen.append(len(bigraphs))
-
-    def tensor(*bigraphs):
-        disjoint(*bigraphs)
-        return algebra.tensor(*bigraphs)
+    def counting(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
 
     def compose(b2, b1):
-        disjoint(b2, b1)
+        ids = [i for b in (b2, b1) for i in (*b.nodes, *b.edges)]
+        assert len(ids) == len(set(ids))
+        seen.append(b1.outer.width)
         return algebra.compose(b2, b1)
 
-    monkeypatch.setattr(composefile, "tensor", tensor)
     monkeypatch.setattr(composefile, "compose", compose)
-    for model in _models():
+    monkeypatch.setattr(Bigraph, "__init__", counting)
+    models = [*_models(), _monolith(200)]
+    for model in models:
+        made[0] = 0
         assemble(model)
-    assemble(_monolith(200))
-    assert max(seen) == 200 and 2 in seen
+        # the block, the environment and the composite: no stub on its own
+        assert made[0] == 3
+        assert_block_is_the_tensor(model)
+    assert len(seen) == len(models)
+    assert max(seen) == 200 and 2 in seen and 0 in seen
 
 
 def test_an_ill_formed_composite_is_an_input_error(monkeypatch, capsys,

@@ -293,3 +293,61 @@ def test_repr_equality_and_names():
     assert [str(x) for x in (Root(2), Edge(3), Port(1, 0), InnerName(1, "a"),
                              OuterName(0, "b"))] == \
         ["r2", "e3", "1:0", "a@1i", "b@0o"]
+
+
+POINTS = [InnerName(1, "a"), OuterName(1, "a"), Port(1, 1), Edge(1), Root(1)]
+
+
+def test_points_of_two_classes_never_meet():
+    # the same fields under two classes: unequal, and two dict keys
+    for x in POINTS:
+        for y in POINTS:
+            assert (x == y) is (x is y)
+    assert len(dict.fromkeys(POINTS)) == len(POINTS)
+    assert len({InnerName(0, "a"), OuterName(0, "a"), Port(0, 0),
+                Edge(0), Root(0)}) == 5
+    fields = [(1, "a"), (1, "a"), (1, 1), (1,), (1,)]
+    for x, plain in zip(POINTS, fields):
+        assert x != plain and plain not in {x: 0}
+    assert InnerName(1, "a") == InnerName(1, "a")
+    assert hash(Port(2, 0)) == hash(Port(2, 0))
+
+
+@pytest.mark.parametrize("x", POINTS, ids=lambda x: type(x).__name__)
+def test_points_are_immutable(x):
+    for field in {InnerName: ("locality", "text"),
+                  OuterName: ("locality", "text"), Port: ("node", "index"),
+                  Edge: ("ident",), Root: ("index",)}[type(x)]:
+        before = getattr(x, field)
+        with pytest.raises(AttributeError):
+            setattr(x, field, 2)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+        assert getattr(x, field) == before
+    with pytest.raises(AttributeError):
+        x.other = 2
+
+
+def test_points_print_as_before():
+    assert [repr(x) for x in POINTS] == [
+        "InnerName(locality=1, text='a')", "OuterName(locality=1, text='a')",
+        "Port(node=1, index=1)", "Edge(ident=1)", "Root(index=1)"]
+    assert [str(x) for x in POINTS] == ["a@1i", "a@1o", "1:1", "e1", "r1"]
+    assert (Port(3, 0).node, Port(3, 0).index, Edge(4).ident,
+            Root(5).index) == (3, 0, 4, 5)
+
+
+@pytest.mark.parametrize("parent", [Edge(1), OuterName(1, "a"), (4, 1)],
+                         ids=repr)
+def test_a_point_or_tuple_as_parent_is_a_bad_parent(parent):
+    leaf = Control("C", 0, 0)
+    b = Bigraph(Signature(fixed=(leaf,)), ONE_SITE, ONE_SITE, {1: leaf},
+                set(), {1: Root(1)}, {1: parent}, {})
+    assert [str(v) for v in validate(b)] == [
+        f"[parent] node 1: bad parent {parent!r}",
+        "[forest] node 1: never reaches a root (cycle or dangling parent)"]
+    assert str(validate(b)[0]) == {
+        Edge(1): "[parent] node 1: bad parent Edge(ident=1)",
+        OuterName(1, "a"):
+            "[parent] node 1: bad parent OuterName(locality=1, text='a')",
+        (4, 1): "[parent] node 1: bad parent (4, 1)"}[parent]

@@ -11,16 +11,17 @@ import pytest
 
 from ldbig import (
     EMPTY_INTERFACE, Bigraph, Edge, InnerName, LocalInterface, OuterName,
-    Root, assemble, container_stub, dumps, identity, stub_block, tensor,
-    validate,
+    Root, assemble, build_container, container_stub, default_signature,
+    dumps, identity, parse_compose, stub_block, tensor, validate,
 )
 from ldbig.bigraph import EMPTY_SIGNATURE
 from ldbig.errors import LdbError
 from ldbig.cli import main
-from genrandom import gen_chain, gen_model, gen_signature
+from genrandom import gen_chain, gen_container_spec, gen_model, gen_signature
 from oracles import tensor_fold
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def assert_same(x, y):
@@ -63,12 +64,53 @@ def test_n_operands_equal_the_left_fold():
     assert with_globals > 1000 and refreshed > 250
 
 
+def assert_block_is_the_tensor(model):
+    """``stub_block``, built in one pass, is the tensor of the stubs built
+    one by one."""
+    stubs = [container_stub(name, model) for name in model.services]
+    assert_same(stub_block(model), tensor(*stubs) if stubs
+                else identity(EMPTY_INTERFACE, default_signature()))
+
+
 def test_stub_block_equals_the_fold_of_its_stubs():
     rng = random.Random(35)
     for _ in range(20):
         model = gen_model(rng, max_services=12)
         stubs = [container_stub(name, model) for name in model.services]
         assert_same(stub_block(model), tensor_fold(*stubs))
+        assert_block_is_the_tensor(model)
+
+
+def test_stub_block_equals_the_tensor_on_the_benchmark_stacks(monkeypatch):
+    # the seed-1 stacks of the monolith-large and lattice-deep workloads,
+    # as perfbench/workloads.py draws them, and a 1,600-service monolith
+    monkeypatch.syspath_prepend(str(BENCH))
+    import generate
+    import workloads
+    rng = random.Random("monolith-large:1")
+    stacks = [generate.monolith_stack(rng, i, n)
+              for i, n in enumerate(workloads.MONOLITH_SIZES)]
+    rng = random.Random("lattice-deep:1")
+    stacks += [generate.lattice_stack(rng, i, n, workloads.LATTICE_GROUPS,
+                                      workloads.LATTICE_PER_GROUP)
+               for i, n in enumerate(workloads.LATTICE_SIZES)]
+    stacks.append(generate.monolith_stack(random.Random(1), 0, 1600))
+    for stack in stacks:
+        assert_block_is_the_tensor(parse_compose(generate.compose_yaml(stack)))
+    assert len(stacks) == 19 and len(stacks[-1].services) == 1600
+
+
+def test_build_container_is_the_tensor_of_its_one_spec_builds():
+    rng = random.Random(36)
+    unit = identity(EMPTY_INTERFACE, default_signature())
+    assert_same(build_container(), unit)
+    assert validate(build_container()) == []
+    for _ in range(100):
+        a, b = gen_container_spec(rng), gen_container_spec(rng)
+        pair = build_container(a, b)
+        assert_same(pair, tensor(build_container(a), build_container(b)))
+        assert validate(pair) == []
+        assert pair.node_parent[min(pair.nodes)] == Root(1)
 
 
 def test_names_shift_past_the_sites_of_an_operand_without_roots():

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from ldbig import assemble, parse_compose
-from ldbig.cli import main
+import ldbig
+import ldbig.cli  # noqa: F401 -- the tracer wraps cli.main, so load it
+from ldbig import assemble, container_stub, parse_compose, stub_block
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,15 +51,17 @@ def test_traced_name_resolves(module, qualname):
     assert callable(target)
 
 
-def test_the_traced_product_runs_under_tensor(data_dir, capsys):
+def test_the_traced_product_runs_under_tensor(wordpress_model):
+    # assembly builds the block without ``tensor``, so call it on the stubs
+    stubs = [container_stub(n, wordpress_model) for n in wordpress_model.services]
     before = _bindings()
     tracer = _load().Tracer()
     tracer.install()
     try:
-        assert main(["validate", str(data_dir / "wordpress.yml")]) == 0
+        product = ldbig.tensor(*stubs)
     finally:
         tracer.uninstall()
-    capsys.readouterr()
+    assert product == stub_block(wordpress_model)
     parents = [tracer.spans[parent][0]
                for name, _, _, parent in tracer.spans
                if name == "interfaces.juxtapose_with_renames" and parent >= 0]
