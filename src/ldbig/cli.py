@@ -1,7 +1,8 @@
 """Command-line frontend: a docker-compose linter over bigraph models.
 
 Subcommands: validate, check-links, check-security, check-sorts, export.
-Exit codes: 0 no findings, 1 findings, 2 input or parse errors.
+Exit codes: 0 no findings, 1 findings, 2 input or parse errors, or an input
+too large for the memory the process may take.
 """
 
 from __future__ import annotations
@@ -203,6 +204,9 @@ def _run(args) -> Report:
         raise  # the reader of stdout left; main handles it
     except OSError as exc:
         return input_error(str(exc), file=exc.filename)
+    except MemoryError:
+        pass  # reported once the handler lets go of the frames that hold the work
+    return input_error(f"{args.file}: out of memory", file=args.file)
 
 
 def main(argv=None) -> int:

@@ -14,17 +14,16 @@ from functools import cached_property
 
 import yaml
 
-from .algebra import compose
 from .algebra import tensor  # noqa: F401 -- perfbench's tests read composefile.tensor
-from .bigraph import Bigraph, Edge, InnerName, OuterName, Root, validate
+from .bigraph import Bigraph, Edge, InnerName, OuterName, Port, Root, validate
 from .containers import (
-    CONTAINER, NETWORK, VOLUME, ContainerSpec, VolumeMount, build_container,
-    default_signature, handle,
+    CONTAINER, NETWORK, VOLUME, ContainerSpec, VolumeMount, _boxes, _lay_out,
+    build_container, default_signature, handle,
 )
 from .errors import (
     ComposeSyntaxError, DanglingReference, LdbError, UnsupportedKey,
 )
-from .interfaces import LocalInterface, check_name
+from .interfaces import EMPTY_INTERFACE, LocalInterface, check_name
 from .yamlload import load
 
 __all__ = [
@@ -296,11 +295,11 @@ def parse_compose(text: str) -> ComposeModel:
                         networks=networks, volumes=volumes)
 
 
-def environment_bigraph(model: ComposeModel, *, offset: int = 0) -> Bigraph:
+def environment_bigraph(model: ComposeModel) -> Bigraph:
     """The context bigraph: one root, one site per service, link wiring for
     aliases, shared networks, volumes and published-port renaming.
 
-    Its edges are numbered ``offset + 1`` on."""
+    Its edges are numbered from 1."""
     order = list(model.services)
     site_of = {name: i + 1 for i, name in enumerate(order)}
 
@@ -316,19 +315,13 @@ def environment_bigraph(model: ComposeModel, *, offset: int = 0) -> Bigraph:
             vol_users.setdefault(vol, []).append(spec.name)
     inner = LocalInterface(tuple(localities))
 
-    outer_plus = {v for v, decl in model.volumes.items() if decl.external}
-    outer_minus = {handle("port", host) for svc in model.services.values()
-                   for host, _ in svc.ports}
-    outer = LocalInterface.of((frozenset(), frozenset()),
-                              (outer_plus, outer_minus))
-
     root = Root(1)
     site_parent = {site_of[name]: root for name in order}
     edges: list[int] = []
     link: dict = {}
 
     def edge() -> Edge:
-        edges.append(offset + len(edges) + 1)
+        edges.append(len(edges) + 1)
         return Edge(edges[-1])
 
     # one edge per network in use joins the attached services' network names
@@ -364,8 +357,19 @@ def environment_bigraph(model: ComposeModel, *, offset: int = 0) -> Bigraph:
             link[OuterName(1, handle("port", host))] = InnerName(
                 site_of[name], handle("port", container))
 
-    return Bigraph(default_signature(), inner, outer, {}, edges, site_parent,
-                   {}, link)
+    return Bigraph(default_signature(), inner, _outer(model), {}, edges,
+                   site_parent, {}, link)
+
+
+def _outer(model: ComposeModel) -> LocalInterface:
+    """The outer interface of the environment and of the composite: one
+    root, which offers the external volumes and consumes the published
+    host ports."""
+    return LocalInterface.of(
+        (frozenset(), frozenset()),
+        ({v for v, decl in model.volumes.items() if decl.external},
+         {handle("port", host) for svc in model.services.values()
+          for host, _ in svc.ports}))
 
 
 def container_stub(name: str, model: ComposeModel) -> Bigraph:
@@ -386,18 +390,59 @@ def stub_block(model: ComposeModel) -> Bigraph:
 
 
 def assemble(model: ComposeModel) -> Bigraph:
-    """Compose the environment over the container block, which
-    ``stub_block`` builds in one pass and which equals the tensor of all
-    container stubs.
+    """The composite ``compose(environment_bigraph(model), stub_block(model))``,
+    built in one pass over the containers.
 
-    The environment's edges are numbered past the block's largest node id,
-    the shift that ``compose`` would give them, so ``compose`` shifts
-    nothing. The pipeline's one well-formedness check: an ill-formed
-    composite raises LdbError, which the CLI reports as an input error.
+    Each port links to what ``compose`` chases it to through the shared
+    interface: a network's port to the network's edge, a volume's to its
+    edge or, for an external volume, to its outer name, a consumed alias's
+    to the linked container's port; and a published host port's outer name
+    to the container port it publishes.  Node ids, edge ids and dict order
+    are those of the formula.  The pipeline's one well-formedness check: an
+    ill-formed composite raises LdbError, which the CLI reports as an input
+    error.
     """
-    block = stub_block(model)
-    env = environment_bigraph(model, offset=max(block.nodes, default=0))
-    result = compose(env, block)
+    specs = model.containers.values()
+    boxes, top = _boxes(specs)
+
+    # the link each network and volume handle reaches: the environment's
+    # edges, one per network in use and one per closed volume in use,
+    # numbered past the block as compose's refresh numbers them, and an
+    # external volume's outer name
+    used = set().union(*[s.networks for s in specs])
+    mounted = {m.name for s in specs for m in s.volumes}
+    shared: dict = {}
+    edges: list[int] = []
+    for net in model.networks:
+        if net in used:
+            edges.append(top + len(edges) + 1)
+            shared[handle(NETWORK, net)] = Edge(edges[-1])
+    for vol, decl in model.volumes.items():
+        if decl.external:
+            shared[handle(VOLUME, vol)] = OuterName(1, vol)
+        elif vol in mounted:
+            edges.append(top + len(edges) + 1)
+            shared[handle(VOLUME, vol)] = Edge(edges[-1])
+    box_of = dict(zip(model.containers, boxes))
+    aliased = {(k, handle("link", alias)): Port(box_of[target], 0)
+               for k, svc in enumerate(model.services.values(), 1)
+               for target, alias in svc.links}
+
+    def reach(k, name):
+        return shared.get(name) or aliased[k, name]
+
+    root = Root(1)
+    link: dict = {}
+    offered: dict = {}
+    nodes, parent, attrs = _lay_out(specs, boxes, lambda k: root, reach, link,
+                                    offered)
+    # published ports: the outer host-port name reaches the container port
+    for k, svc in enumerate(model.services.values(), 1):
+        for host, container in svc.ports:
+            link[OuterName(1, handle("port", host))] = offered[
+                OuterName(k, handle("port", container))]
+    result = Bigraph(default_signature(), EMPTY_INTERFACE, _outer(model),
+                     nodes, edges, {}, parent, link, attrs)
     problems = validate(result)
     if problems:
         raise LdbError("assembled bigraph is not well-formed: "

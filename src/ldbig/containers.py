@@ -95,37 +95,50 @@ class ContainerSpec:
         return names
 
 
-def build_container(*specs: ContainerSpec) -> Bigraph:
-    """The container bigraphs of ``specs`` side by side, built in one pass:
-    container k sits under root k, and its tagged names at outer locality k.
+def _boxes(specs) -> tuple[list[int], int]:
+    """The box id of each container of ``specs`` laid out side by side, and
+    the largest node id.
 
-    Each container's nodes are its box, its networks, its volumes and its
-    process, in that order.  The first container's are numbered from 1,
-    each later one's past the largest id so far or past its own size,
-    whichever is larger: the ids the tensor's refresh gives them.  So the
-    result equals ``tensor`` over the one-spec builds, dict order included,
-    and no specs give the unit."""
+    A container's nodes are numbered on from its box.  The first box is 1;
+    each later one lies past the largest id so far or past its own
+    container's size, whichever is larger: the ids the tensor's refresh
+    gives containers built one by one."""
+    boxes = []
+    top = 0
+    for spec in specs:
+        size = 2 + len(spec.networks) + len(spec.volumes)
+        box = max(top, size) + 1 if boxes else 1
+        top = box + size - 1
+        boxes.append(box)
+    return boxes, top
+
+
+def _lay_out(specs, boxes, root, reach, link, offered):
+    """The nodes, parents and attributes of the containers of ``specs``,
+    laid out from ``boxes``; their points are written to ``link`` and
+    ``offered``.
+
+    Container k's nodes are its box, under ``root(k)``, then its networks,
+    its volumes and its process, under the box and numbered on from it in
+    that order.  Each network, volume and consumed-alias port enters
+    ``link`` in that order, linked to ``reach(k, name)`` for the tagged
+    outer name it consumes.  Each outer name the container offers, its own
+    first and then its ports', enters ``offered``, linked to the port of
+    the box or of the process that it reaches."""
     box_control, net_control, vol_control = (
         _CONTROLS[CONTAINER], _CONTROLS[NETWORK], _CONTROLS[VOLUME])
-    localities = [(frozenset(), frozenset())]
     nodes: dict = {}
     parent: dict = {}
     attrs: dict = {}
-    link: dict = {}
-    top = 0  # the largest node id so far
-    for k, spec in enumerate(specs, 1):
-        size = 2 + len(spec.networks) + len(spec.volumes)
-        box = max(top, size) + 1 if nodes else 1
-        top = box + size - 1
-        localities.append(spec.names())
-        nodes[box], parent[box] = box_control, Root(k)
+    for k, (spec, box) in enumerate(zip(specs, boxes), 1):
+        nodes[box], parent[box] = box_control, root(k)
         attrs[box] = {"name": spec.name}
-        link[OuterName(k, handle(CONTAINER, spec.name))] = Port(box, 0)
+        offered[OuterName(k, handle(CONTAINER, spec.name))] = Port(box, 0)
         v = box
         for name in spec.networks:
             v += 1
             nodes[v], parent[v], attrs[v] = net_control, box, {"name": name}
-            link[Port(v, 0)] = OuterName(k, handle(NETWORK, name))
+            link[Port(v, 0)] = reach(k, handle(NETWORK, name))
         for mount in spec.volumes:
             v += 1
             # the attribute keeps its old key so that exported documents do
@@ -133,15 +146,29 @@ def build_container(*specs: ContainerSpec) -> Bigraph:
             nodes[v], parent[v] = vol_control, box
             attrs[v] = {"name": mount.name, "read_only": mount.read_only,
                         "host_path": mount.path}
-            link[Port(v, 0)] = OuterName(k, handle(VOLUME, mount.name))
+            link[Port(v, 0)] = reach(k, handle(VOLUME, mount.name))
 
-        proc = top
+        proc = v + 1
         nodes[proc] = Control(PROCESS, len(spec.consumes), len(spec.offers))
         parent[proc] = box
         for i, alias in enumerate(spec.consumes):
-            link[Port(proc, i)] = OuterName(k, handle("link", alias))
+            link[Port(proc, i)] = reach(k, handle("link", alias))
         for i, port in enumerate(spec.offers):
-            link[OuterName(k, handle("port", port))] = Port(proc, i)
+            offered[OuterName(k, handle("port", port))] = Port(proc, i)
+    return nodes, parent, attrs
+
+
+def build_container(*specs: ContainerSpec) -> Bigraph:
+    """The container bigraphs of ``specs`` side by side, built in one pass:
+    container k sits under root k, and its tagged names at outer locality k.
+
+    Its node ids are those the tensor's refresh gives the one-spec builds,
+    so the result equals ``tensor`` over them, dict order included, and no
+    specs give the unit."""
+    link: dict = {}
+    nodes, parent, attrs = _lay_out(specs, _boxes(specs)[0], Root, OuterName,
+                                    link, link)
+    localities = [(frozenset(), frozenset()), *[s.names() for s in specs]]
     return Bigraph(_SIGNATURE, EMPTY_INTERFACE,
                    LocalInterface(tuple(localities)), nodes, (), {}, parent,
                    link, attrs)

@@ -1,12 +1,15 @@
-"""Assembly against the recipe it replaced, ``validate`` against its
-verbatim old self on reports with several faults, the error an ill-formed
-composite raises, and the growth of parsing, of assembly, of the link,
-security and sort checks and of the JSON and DOT exports.
+"""Assembly against the paper's formula and the recipe it replaced,
+``validate`` against its verbatim old self on reports with several faults,
+the error an ill-formed composite raises, and the growth of parsing, of
+assembly, of the link, security and sort checks and of the JSON and DOT
+exports.
 
-``assemble`` numbers each stub where it is built and the environment past
-the block, so neither the tensor's nor ``compose``'s refresh fires.
-``oracles.assemble_reference`` keeps the old recipe, in which both fire, and
-the two must agree byte for byte.
+``assemble`` builds the composite in one pass, with no environment, block or
+``compose`` of its own.  It must equal
+``compose(environment_bigraph(model), stub_block(model))``, the formula, and
+``oracles.assemble_reference``, the old recipe in which the stubs are built
+one by one and both the tensor's and ``compose``'s refresh fire, byte for
+byte and in dict order.
 """
 
 import collections
@@ -29,7 +32,9 @@ from ldbig.cli import main
 from ldbig.errors import LdbError
 from genrandom import gen_bigraph, gen_interface, gen_model, gen_signature
 from oracles import assemble_reference, validate_reference
-from test_tensor import assert_block_is_the_tensor, assert_same
+from test_tensor import (
+    assert_block_is_the_tensor, assert_same, benchmark_models,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SHARED = {"x0", "l_x0", "p_12"}  # names every kind of gen_model shares
@@ -47,13 +52,14 @@ def _generate():
     sys.path.insert(0, str(BENCH))
     try:
         import generate
+        import workloads
     finally:
         sys.path.remove(str(BENCH))
-    return generate
+    return generate, workloads
 
 
 def _monolith_text(n):
-    generate = _generate()
+    generate, _ = _generate()
     return generate.compose_yaml(generate.monolith_stack(random.Random(1), 0, n))
 
 
@@ -63,20 +69,35 @@ def _monolith(n):
 
 def _ordered_monolith(n):
     """The monolith's model and its generated security order."""
-    generate = _generate()
+    generate, _ = _generate()
     stack = generate.monolith_stack(random.Random(1), 0, n)
     return (parse_compose(generate.compose_yaml(stack)),
             parse_order_file(generate.order_text(stack)))
 
 
+def _lattice(n):
+    """A lattice-deep stack of ``n`` services and its security order."""
+    generate, workloads = _generate()
+    stack = generate.lattice_stack(random.Random(1), 0, n,
+                                   workloads.LATTICE_GROUPS,
+                                   workloads.LATTICE_PER_GROUP)
+    return (parse_compose(generate.compose_yaml(stack)),
+            parse_order_file(generate.order_text(stack)))
+
+
+def assert_is_the_formula(model, composite=None):
+    """``assemble(model)`` (or ``composite``, already assembled from it) is
+    the environment composed over the container block."""
+    assert_same(assemble(model) if composite is None else composite,
+                algebra.compose(environment_bigraph(model), stub_block(model)))
+
+
 def _agrees(model):
-    assert_same(assemble(model), assemble_reference(model))
-    # the environment's edge ids start past the block's largest node id: the
-    # shift compose's refresh gives them only while the block's largest id
-    # is at least the number of edges, which every user stub ensures
-    edges = len(environment_bigraph(model).edges)
-    assert edges <= max(stub_block(model).nodes, default=0)
-    return edges
+    """Assembly equals the formula and the old recipe; the count of edges."""
+    composite = assemble(model)
+    assert_is_the_formula(model, composite)
+    assert_same(composite, assemble_reference(model))
+    return len(composite.edges)
 
 
 def test_assembly_equals_the_reference_recipe():
@@ -94,10 +115,16 @@ def test_a_200_service_monolith_assembles_as_the_reference():
     assert _agrees(_monolith(200)) > 0
 
 
-def test_neither_refresh_fires_inside_assembly(monkeypatch):
-    # the block is built with the ids the tensor's refresh gives the stubs,
-    # so it equals their tensor; compose's two operands share no id
-    seen = []
+def test_the_benchmark_stacks_assemble_as_the_formula(monkeypatch):
+    # and a 1,600-service monolith
+    models = benchmark_models(monkeypatch)
+    for model in models:
+        assert_is_the_formula(model)
+    assert len(models[-1].services) == 1600
+
+
+def test_assembly_builds_one_bigraph(monkeypatch):
+    # no stub, block, environment or composition of its own: the composite
     made = [0]
     init = Bigraph.__init__
 
@@ -105,23 +132,17 @@ def test_neither_refresh_fires_inside_assembly(monkeypatch):
         made[0] += 1
         init(self, *args, **kwargs)
 
-    def compose(b2, b1):
-        ids = [i for b in (b2, b1) for i in (*b.nodes, *b.edges)]
-        assert len(ids) == len(set(ids))
-        seen.append(b1.outer.width)
-        return algebra.compose(b2, b1)
-
-    monkeypatch.setattr(composefile, "compose", compose)
-    monkeypatch.setattr(Bigraph, "__init__", counting)
     models = [*_models(), _monolith(200)]
     for model in models:
-        made[0] = 0
-        assemble(model)
-        # the block, the environment and the composite: no stub on its own
-        assert made[0] == 3
+        with monkeypatch.context() as patch:
+            patch.setattr(Bigraph, "__init__", counting)
+            made[0] = 0
+            composite = assemble(model)
+            assert made[0] == 1
+        assert_is_the_formula(model, composite)
         assert_block_is_the_tensor(model)
-    assert len(seen) == len(models)
-    assert max(seen) == 200 and 2 in seen and 0 in seen
+    sizes = {len(model.services) for model in models}
+    assert max(sizes) == 200 and 2 in sizes and 0 in sizes
 
 
 def test_an_ill_formed_composite_is_an_input_error(monkeypatch, capsys,
@@ -259,11 +280,11 @@ def _lines(run) -> collections.Counter:
     return counts
 
 
-def _superlinear(run, make=_monolith) -> dict:
+def _superlinear(run, make=_monolith, n=100) -> dict:
     """The functions whose lines executed in ``run(make(n))`` grow more than
-    ``BOUND`` times from a 100- to a 200-service monolith, each named with
-    both counts."""
-    small, large = (_lines(lambda m=make(n): run(m)) for n in (100, 200))
+    ``BOUND`` times from ``n`` to ``2 * n`` services (of a monolith by
+    default), each named with both counts."""
+    small, large = (_lines(lambda m=make(size): run(m)) for size in (n, 2 * n))
     assert sum(small.values()) > 0
     return {f"{getattr(code, 'co_qualname', code.co_name)} ({Path(code.co_filename).name}:"
             f"{code.co_firstlineno})": (small[code], lines)
@@ -304,9 +325,24 @@ def test_dot_export_grows_linearly_in_every_function():
 
 
 def test_the_sort_check_grows_linearly_in_every_function():
-    generate = _generate()
+    generate, _ = _generate()
     patterns = patterns_from_json(generate.patterns_json(
         [generate.NESTED_CONTAINER, generate.ANY_CONTAINER]))
     over = _superlinear(lambda model: check_sorting(assemble(model),
                                                     patterns))
     assert not over, f"lines at 100 and 200 services: {over}"
+
+
+def test_lattice_checks_grow_linearly_in_every_function():
+    # groups of services on a fixed set of networks, bridged one way, from
+    # the workload's largest stack to twice its size
+    generate, workloads = _generate()
+    n = max(workloads.LATTICE_SIZES)
+    patterns = patterns_from_json(generate.patterns_json(
+        workloads.LATTICE_PATTERNS))
+    for check in (lambda given: assemble(given[0]),
+                  lambda given: check_links(assemble(given[0])),
+                  lambda given: check_security(assemble(given[0]), given[1]),
+                  lambda given: check_sorting(assemble(given[0]), patterns)):
+        over = _superlinear(check, _lattice, n)
+        assert not over, f"lines at {n} and {2 * n} services: {over}"

@@ -536,6 +536,27 @@ def test_a_programming_error_is_not_an_input_error(compose_file, monkeypatch):
         main(["check-links", compose_file])
 
 
+@pytest.mark.parametrize("collecting", [True, False])
+def test_running_out_of_memory_is_an_input_error(collecting, compose_file,
+                                                 monkeypatch, capsys):
+    def exhausted(composite):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "check_links", exhausted)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["check-links", compose_file, "--json"]) == 2
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"status": "inputError", "findings": [{
+        "kind": "inputError", "severity": "error",
+        "message": f"{compose_file}: out of memory",
+        "payload": {"file": compose_file}}]}
+
+
 def test_export_json_reimports_isomorphic(compose_file, wordpress_text):
     out = run_cli("export", compose_file, "--format", "json")
     assert out.returncode == 0

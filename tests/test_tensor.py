@@ -81,9 +81,9 @@ def test_stub_block_equals_the_fold_of_its_stubs():
         assert_block_is_the_tensor(model)
 
 
-def test_stub_block_equals_the_tensor_on_the_benchmark_stacks(monkeypatch):
-    # the seed-1 stacks of the monolith-large and lattice-deep workloads,
-    # as perfbench/workloads.py draws them, and a 1,600-service monolith
+def benchmark_models(monkeypatch):
+    """The seed-1 stacks of the monolith-large and lattice-deep workloads, as
+    perfbench/workloads.py draws them, and a 1,600-service monolith, parsed."""
     monkeypatch.syspath_prepend(str(BENCH))
     import generate
     import workloads
@@ -95,9 +95,13 @@ def test_stub_block_equals_the_tensor_on_the_benchmark_stacks(monkeypatch):
                                       workloads.LATTICE_PER_GROUP)
                for i, n in enumerate(workloads.LATTICE_SIZES)]
     stacks.append(generate.monolith_stack(random.Random(1), 0, 1600))
-    for stack in stacks:
-        assert_block_is_the_tensor(parse_compose(generate.compose_yaml(stack)))
     assert len(stacks) == 19 and len(stacks[-1].services) == 1600
+    return [parse_compose(generate.compose_yaml(stack)) for stack in stacks]
+
+
+def test_stub_block_equals_the_tensor_on_the_benchmark_stacks(monkeypatch):
+    for model in benchmark_models(monkeypatch):
+        assert_block_is_the_tensor(model)
 
 
 def test_build_container_is_the_tensor_of_its_one_spec_builds():
