@@ -6,7 +6,8 @@ pure-Python generator encoder.  Here a container that holds only scalars
 is written in one step, by string joins when small and otherwise by one C
 encoder call whose item separator carries that depth's indent; so is a
 list of such dicts.  Python walks only the containers above them.  It
-knows nothing of bigraphs: reports and exports alike are written by it.
+knows nothing of bigraphs: it writes every report, and the parts of an
+export document other than its node and link entries.
 """
 
 from __future__ import annotations

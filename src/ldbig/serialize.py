@@ -5,8 +5,9 @@ parents and attributes, edges, site placement and the full link map; importing
 it reproduces the bigraph exactly (same identifiers); a document of the wrong
 shape raises ValueError naming the offending entry by its path.  DOT output
 renders the place hierarchy as nested clusters and the link map as directed
-arcs.  Every indented JSON text the package writes, exports and reports alike,
-comes from ``json_text`` (defined in ``jsontext``).
+arcs.  Reports are written by ``json_text`` (defined in ``jsontext``), and
+export documents by ``dumps`` straight from the bigraph, with the same bytes:
+those of ``json.dumps(bigraph_to_json(b), indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .bigraph import (
     validate,
 )
 from .interfaces import LocalInterface, check_name
-from .jsontext import json_text
+from .jsontext import _ENCODER, _NL, _SCALARS, _quoted, json_text
 from .sorting import Pattern
 
 __all__ = [
@@ -122,14 +123,13 @@ def _parent_from_json(entry: dict, path: str):
     return _field(data, "node", int, path)
 
 
-def bigraph_to_json(b: Bigraph) -> dict:
-    nodes = []
-    for v in sorted(b.nodes):
-        entry = {"id": v, "control": _control_to_json(b.nodes[v]),
-                 "parent": _parent_to_json(b.node_parent.get(v))}
-        if b.attrs(v):
-            entry["attrs"] = dict(b.attrs(v))
-        nodes.append(entry)
+def _links(b: Bigraph) -> list:
+    """The link map's items in export order: by the point's text."""
+    return sorted(b.link.items(), key=lambda kv: str(kv[0]))
+
+
+def _head(b: Bigraph) -> dict:
+    """The document's parts other than its node and link entries."""
     return {
         "signature": {
             "controls": [_control_to_json(c) for c in b.signature.fixed],
@@ -137,13 +137,20 @@ def bigraph_to_json(b: Bigraph) -> dict:
         },
         "inner": _interface_to_json(b.inner),
         "outer": _interface_to_json(b.outer),
-        "nodes": nodes,
         "edges": sorted(b.edges),
         "sites": [{"index": s, "parent": _parent_to_json(p)}
                   for s, p in sorted(b.site_parent.items())],
-        "links": [{"point": _ref_to_json(p), "link": _ref_to_json(t)}
-                  for p, t in sorted(b.link.items(), key=lambda kv: str(kv[0]))],
     }
+
+
+def bigraph_to_json(b: Bigraph) -> dict:
+    nodes = [{"id": v, "control": _control_to_json(b.nodes[v]),
+              "parent": _parent_to_json(b.node_parent.get(v)),
+              **({"attrs": dict(b.attrs(v))} if b.attrs(v) else {})}
+             for v in sorted(b.nodes)]
+    return {**_head(b), "nodes": nodes,
+            "links": [{"point": _ref_to_json(p), "link": _ref_to_json(t)}
+                      for p, t in _links(b)]}
 
 
 def bigraph_from_json(data: dict, path: str = "bigraph") -> Bigraph:
@@ -174,8 +181,63 @@ def bigraph_from_json(data: dict, path: str = "bigraph") -> Bigraph:
                    site_parent, node_parent, link, attrs)
 
 
+# dumps writes bigraph_to_json(b)'s text from b: a template per node and link
+# entry, its braces at depth 2, fields at 3, theirs at 4; a field that is no
+# plain int or str, and each other part of the document, goes via json_text
+_I2, _I3, _I4 = _NL[2], _NL[3], _NL[4]
+_NAMES = {InnerName: "inner", OuterName: "outer"}
+
+
+def _nested(value, depth: int) -> str:
+    """``json_text(value)`` at ``depth``; exact, as it escapes newlines in text."""
+    return json_text(value).replace("\n", _NL[depth])
+
+
+def _ref_text(x) -> str:
+    """``_ref_to_json(x)`` written at depth 3, by a template per class."""
+    kind = type(x)
+    if kind is Port and type(x[1]) is int is type(x[2]):
+        return f'{{{_I4}"index": {x[2]},{_I4}"kind": "port",{_I4}"node": {x[1]}{_I3}}}'
+    if kind is Edge and type(x[1]) is int:
+        return f'{{{_I4}"id": {x[1]},{_I4}"kind": "edge"{_I3}}}'
+    if kind in _NAMES and type(x[1]) is int and type(x[2]) is str:
+        return (f'{{{_I4}"kind": "{_NAMES[kind]}",{_I4}"locality": {x[1]},'
+                f'{_I4}"text": {_quoted(x[2])}{_I3}}}')
+    return _nested(_ref_to_json(x), 3)
+
+
+def _control_text(c: Control) -> str:
+    if type(c.name) is str and type(c.plus) is int is type(c.minus):
+        return (f'{{{_I4}"minus": {c.minus},{_I4}"name": {_quoted(c.name)},'
+                f'{_I4}"plus": {c.plus}{_I3}}}')
+    return _nested(_control_to_json(c), 3)
+
+
 def dumps(b: Bigraph) -> str:
-    return json_text(bigraph_to_json(b))
+    """Exactly ``json_text(bigraph_to_json(b))``, written with no document
+    tree."""
+    controls, links, nodes = {}, {}, []
+    for v in sorted(b.nodes):
+        c, parent, a = b.nodes[v], b.node_parent.get(v), b.node_attrs.get(v)
+        control = controls.get(c) or controls.setdefault(c, _control_text(c))
+        parent = f'{{{_I4}"node": {parent}{_I3}}}' if type(parent) is int \
+            else _nested(_parent_to_json(parent), 3)
+        if not a:
+            head = "{"
+        elif _SCALARS.issuperset(map(type, a.values())):
+            head = f'{{{_I3}"attrs": {{{_I4}{_ENCODER[4].encode(a)[1:-1]}{_I3}}},'
+        else:
+            head = f'{{{_I3}"attrs": {_nested(dict(a), 3)},'
+        v = v if type(v) is int else json_text(v)
+        nodes.append(f'{head}{_I3}"control": {control},{_I3}"id": {v},'
+                     f'{_I3}"parent": {parent}{_I2}}}')
+    entries = [f'{{{_I3}"link": {links.get(t) or links.setdefault(t, _ref_text(t))},'
+               f'{_I3}"point": {_ref_text(p)}{_I2}}}' for p, t in _links(b)]
+    parts = {k: _nested(v, 1) for k, v in _head(b).items()}
+    for key, texts in (("nodes", nodes), ("links", entries)):
+        parts[key] = f"[{_I2}{(',' + _I2).join(texts)}{_NL[1]}]" if texts else "[]"
+    return "{" + _NL[1] + ("," + _NL[1]).join(
+        f"{_quoted(k)}: {parts[k]}" for k in sorted(parts)) + "\n}"
 
 
 def loads(text: str) -> Bigraph:
@@ -279,7 +341,7 @@ def to_dot(b: Bigraph, title: str = "bigraph") -> str:
         lines.append(f"  {_dot_id(Edge(e))} [label=\"e{e}\", shape=diamond, "
                      "fontsize=8];")
 
-    for p, t in sorted(b.link.items(), key=lambda kv: str(kv[0])):
+    for p, t in _links(b):
         extras = []
         if isinstance(p, Port):
             extras.append(f"taillabel=\"{p.index}\"")

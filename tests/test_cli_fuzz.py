@@ -2,9 +2,9 @@
 ``ldbig.cli.main`` returns 0, 1 or 2 without raising, exits 2 exactly when
 its report is an input error, and exits 2 on every document that is broken
 by construction.  Each compose document it accepts assembles as the
-environment composed over the container block, and on each compose edit it
-accepts, check_links and the flow graph agree with the verdicts read off the
-compose model."""
+environment composed over the container block and exports the text of its
+document tree, and on each compose edit it accepts, check_links and the flow
+graph agree with the verdicts read off the compose model."""
 
 import contextlib
 import copy
@@ -16,9 +16,10 @@ from pathlib import Path
 import yaml
 from hypothesis import assume, given, settings, strategies as st
 
-from ldbig import parse_compose
+from ldbig import assemble, parse_compose
 from ldbig.cli import main
 from test_assembly import assert_is_the_formula
+from test_serialize import assert_dumps_is_json_dumps
 from test_model_reference import assert_agree
 
 DATA = Path(__file__).parent / "data"
@@ -100,14 +101,17 @@ def _compose_commands(compose: Path):
 
 def _codes_on_compose(text: str) -> dict[str, int]:
     """The exit code of each subcommand on the document ``text``; one that
-    ``validate`` accepts assembles as the paper's formula."""
+    ``validate`` accepts assembles as the paper's formula, and its export is
+    the text of its document tree."""
     with tempfile.TemporaryDirectory() as tmp:
         compose = Path(tmp) / "stack.yml"
         compose.write_text(text, encoding="utf-8")
         codes = {argv[0]: _check_contract(argv)
                  for argv in _compose_commands(compose)}
     if codes["validate"] == 0:
-        assert_is_the_formula(parse_compose(text))
+        model = parse_compose(text)
+        assert_is_the_formula(model)
+        assert_dumps_is_json_dumps(assemble(model))
     return codes
 
 

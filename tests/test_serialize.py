@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ldbig import (
-    Bigraph, assemble, bigraph_from_json, bigraph_to_json, build_container,
-    dumps, environment_bigraph, is_isomorphic, loads, parse_compose,
-    patterns_from_json, to_dot,
+    Bigraph, Control, Edge, InnerName, OuterName, Port, Root, Signature,
+    assemble, bigraph_from_json, bigraph_to_json, build_container, dumps,
+    environment_bigraph, is_isomorphic, loads, parse_compose,
+    patterns_from_json, serialize, stub_block, to_dot,
 )
+from ldbig.interfaces import LocalInterface
 from ldbig.serialize import json_text
 from genrandom import gen_chain, gen_container_spec
+from test_assembly import _models, _monolith
+from test_tensor import benchmark_models
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -244,3 +248,82 @@ def test_a_link_to_no_point_or_link_cannot_be_written(wordpress_composite):
         dumps(foreign)
     with pytest.raises(TypeError, match="^x$"):
         to_dot(foreign)
+
+
+# -- dumps against json.dumps of bigraph_to_json ------------------------------
+
+def assert_dumps_is_json_dumps(b):
+    """``dumps(b)``, written with no document tree, is the text of the
+    document ``bigraph_to_json`` builds."""
+    assert dumps(b) == _dumps(bigraph_to_json(b))
+
+
+def test_dumps_is_json_dumps_on_composites_environments_and_blocks():
+    for model in _models():
+        for b in (assemble(model), environment_bigraph(model), stub_block(model)):
+            assert_dumps_is_json_dumps(b)
+
+
+def test_dumps_is_json_dumps_on_the_benchmark_stacks(monkeypatch):
+    # the seed-1 monolith-large and lattice-deep stacks and a 1,600-service
+    # monolith
+    for model in benchmark_models(monkeypatch):
+        assert_dumps_is_json_dumps(assemble(model))
+
+
+def test_dumps_is_json_dumps_on_random_bigraphs():
+    rng = random.Random(74)
+    for _ in range(200):
+        assert_dumps_is_json_dumps(gen_chain(rng, length=1)[0])
+
+
+# names json_text must escape: quotes, backslashes, non-ASCII, controls
+names = st.text(alphabet='ab"\\\x01\x7f\u00e9\u2603\U0001f600', min_size=1,
+                max_size=5)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_dumps_is_json_dumps_on_imports_with_any_attrs(data):
+    # attrs of nested lists and dicts, odd text, NaN and infinities, bools,
+    # None and ints beyond 2**63, on an imported bigraph whose controls and
+    # some linked names are odd text too
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    doc = json.loads(dumps(gen_chain(rng, length=1)[0]))
+    for text in data.draw(st.lists(names, max_size=3, unique=True)):
+        doc["links"].append({"point": {"kind": "inner", "locality": 99, "text": text},
+                             "link": {"kind": "outer", "locality": 1, "text": text}})
+    for entry in doc["nodes"]:
+        entry["control"]["name"] = data.draw(names)
+        entry["attrs"] = data.draw(st.dictionaries(texts, trees | st.just(2 ** 64)
+                                                   | st.just(" "), max_size=4))
+    assert_dumps_is_json_dumps(bigraph_from_json(doc))
+
+
+class Text(str):
+    pass
+
+
+def test_dumps_is_json_dumps_on_fields_that_are_no_plain_int_or_str():
+    # a bool node id, port, edge and arity, a str subclass, no parent
+    b = Bigraph(Signature(), LocalInterface.of(), LocalInterface.of(),
+                {True: Control("c", True, 0), 2: Control(Text("d"), 0, 1)},
+                {False}, {1: Root(True)}, {True: None, 2: Root(1)},
+                {Port(True, 0): Edge(False), Port(2, 0): InnerName(0, Text("x")),
+                 OuterName(False, "y"): Port(2, 0)},
+                {True: {"a": [1, {"b": None}]}, 2: {Text("k"): True}})
+    assert_dumps_is_json_dumps(b)
+    assert '"id": true' in dumps(b)
+
+
+def test_dumps_builds_no_document_tree(monkeypatch, wordpress_composite):
+    monolith = assemble(_monolith(200))
+    expected = _dumps(bigraph_to_json(monolith))
+
+    def refuse(b):
+        raise AssertionError("dumps built the document tree")
+
+    monkeypatch.setattr(serialize, "bigraph_to_json", refuse)
+    golden = (GOLDEN / "wordpress.composite.json").read_text(encoding="utf-8")
+    assert dumps(wordpress_composite) + "\n" == golden
+    assert dumps(monolith) == expected
