@@ -21,8 +21,8 @@ from .composefile import assemble, environment_bigraph, parse_compose, \
     stub_block
 from .errors import ComposeSyntaxError, CyclicOrder, LdbError, \
     SignatureMismatch, UnknownNetwork
-from .report import Finding, Report, input_error, ok, violations
-from .serialize import dumps, json_text, patterns_from_json, to_dot
+from .report import Finding, Report, input_error, ok, report_json, violations
+from .serialize import dumps, patterns_from_json, to_dot
 from .sorting import check_sorting
 
 
@@ -41,7 +41,7 @@ def _paint(text: str, code: str, stream) -> str:
 
 def _print_report(report: Report, as_json: bool):
     if as_json:
-        print(json_text(report.to_json()))
+        print(report_json(report))
         return
     if report.status == "ok":
         print(_paint("ok", "32", sys.stdout) + ": no findings")

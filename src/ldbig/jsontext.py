@@ -6,8 +6,9 @@ pure-Python generator encoder.  Here a container that holds only scalars
 is written in one step, by string joins when small and otherwise by one C
 encoder call whose item separator carries that depth's indent; so is a
 list of such dicts.  Python walks only the containers above them.  It
-knows nothing of bigraphs: it writes every report, and the parts of an
-export document other than its node and link entries.
+knows nothing of bigraphs or reports: ``serialize.dumps`` and
+``report.report_json`` write their documents from templates and hand it,
+through ``_nested``, only the parts they have no template for.
 """
 
 from __future__ import annotations
@@ -65,9 +66,25 @@ def _scalar(value) -> str:
     return _ENCODE_SCALAR(value)  # float, bool, None; TypeError for others
 
 
+def _nested(value, depth: int) -> str:
+    """``json_text(value)`` at ``depth``; exact, as it escapes newlines in text."""
+    return json_text(value).replace("\n", _NL[depth])
+
+
 def _is_record(x) -> bool:
     return type(x) is dict and len(x) > 0 \
         and _SCALARS.issuperset(map(type, x.values()))
+
+
+def _record_texts(records: list, depth: int) -> list:
+    """The text at ``depth`` of each record (a non-empty scalar-only dict):
+    one encoder call writes them all, split where one ends and the next
+    begins; it escapes every newline in a string, so "},\n" and that indent
+    occur only there."""
+    inner = _NL[depth + 1]
+    body = _ENCODER[depth + 1].encode(records)[2:-2]
+    return ["{" + inner + text + _NL[depth] + "}"
+            for text in body.split("}," + inner + "{")] if records else []
 
 
 def _one_step(value, depth: int):
@@ -96,12 +113,8 @@ def _one_step(value, depth: int):
         text = _ENCODER[depth + 1].encode(value)
         return text[0] + inner + text[1:-1] + outer + text[-1]
     if brackets == "[]" and all(map(_is_record, value)):
-        # one encoder call at the records' depth; it escapes every newline
-        # in a string, so "},\n" and that indent occur only between records
-        deep = _NL[depth + 2]
-        body = _ENCODER[depth + 2].encode(value)[2:-2].replace(
-            "}," + deep + "{", inner + "}," + inner + "{" + deep)
-        return "[" + inner + "{" + deep + body + inner + "}" + outer + "]"
+        return "[" + inner + ("," + inner).join(_record_texts(value, depth + 1)) \
+            + outer + "]"
     return None
 
 
@@ -110,7 +123,7 @@ def json_text(value) -> str:
 
     ``value`` is a fresh tree (there is no cycle check) of dicts with str
     keys, lists, tuples, str, int, float (NaN and infinities included), bool
-    and None, which is all ``bigraph_to_json`` and ``Report.to_json`` build.
+    and None, which is all ``bigraph_to_json`` builds and a report holds.
     int, float, bool and None keys are converted as ``json.dumps`` converts
     them, and any other value raises the TypeError ``json.dumps`` raises.
     The tree is walked with an explicit stack, so no depth raises

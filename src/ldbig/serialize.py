@@ -5,9 +5,10 @@ parents and attributes, edges, site placement and the full link map; importing
 it reproduces the bigraph exactly (same identifiers); a document of the wrong
 shape raises ValueError naming the offending entry by its path.  DOT output
 renders the place hierarchy as nested clusters and the link map as directed
-arcs.  Reports are written by ``json_text`` (defined in ``jsontext``), and
-export documents by ``dumps`` straight from the bigraph, with the same bytes:
-those of ``json.dumps(bigraph_to_json(b), indent=2, sort_keys=True)``.
+arcs.  Export documents are written by ``dumps`` straight from the bigraph,
+with the bytes of ``json.dumps(bigraph_to_json(b), indent=2, sort_keys=True)``;
+``json_text`` (defined in ``jsontext``) writes the parts it has no template
+for.  Reports are written by ``report.report_json``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .bigraph import (
     validate,
 )
 from .interfaces import LocalInterface, check_name
-from .jsontext import _ENCODER, _NL, _SCALARS, _quoted, json_text
+from .jsontext import _NL, _is_record, _nested, _quoted, _record_texts, \
+    json_text
 from .sorting import Pattern
 
 __all__ = [
@@ -182,15 +184,11 @@ def bigraph_from_json(data: dict, path: str = "bigraph") -> Bigraph:
 
 
 # dumps writes bigraph_to_json(b)'s text from b: a template per node and link
-# entry, its braces at depth 2, fields at 3, theirs at 4; a field that is no
-# plain int or str, and each other part of the document, goes via json_text
+# entry, its braces at depth 2, fields at 3, theirs at 4; scalar-only attrs
+# come from one encoder call, and a field that is no plain int or str, and
+# each other part of the document, from json_text
 _I2, _I3, _I4 = _NL[2], _NL[3], _NL[4]
 _NAMES = {InnerName: "inner", OuterName: "outer"}
-
-
-def _nested(value, depth: int) -> str:
-    """``json_text(value)`` at ``depth``; exact, as it escapes newlines in text."""
-    return json_text(value).replace("\n", _NL[depth])
 
 
 def _ref_text(x) -> str:
@@ -213,21 +211,24 @@ def _control_text(c: Control) -> str:
     return _nested(_control_to_json(c), 3)
 
 
+def _attrs_texts(b: Bigraph) -> dict:
+    """The text at depth 3 of each node's attrs that are a record, by node,
+    all written by one encoder call."""
+    records = {v: a for v, a in b.node_attrs.items() if _is_record(a)}
+    return dict(zip(records, _record_texts(list(records.values()), 3)))
+
+
 def dumps(b: Bigraph) -> str:
     """Exactly ``json_text(bigraph_to_json(b))``, written with no document
     tree."""
-    controls, links, nodes = {}, {}, []
+    controls, links, attrs, nodes = {}, {}, _attrs_texts(b), []
     for v in sorted(b.nodes):
         c, parent, a = b.nodes[v], b.node_parent.get(v), b.node_attrs.get(v)
         control = controls.get(c) or controls.setdefault(c, _control_text(c))
         parent = f'{{{_I4}"node": {parent}{_I3}}}' if type(parent) is int \
             else _nested(_parent_to_json(parent), 3)
-        if not a:
-            head = "{"
-        elif _SCALARS.issuperset(map(type, a.values())):
-            head = f'{{{_I3}"attrs": {{{_I4}{_ENCODER[4].encode(a)[1:-1]}{_I3}}},'
-        else:
-            head = f'{{{_I3}"attrs": {_nested(dict(a), 3)},'
+        head = f'{{{_I3}"attrs": {attrs.get(v) or _nested(dict(a), 3)},' \
+            if a else "{"
         v = v if type(v) is int else json_text(v)
         nodes.append(f'{head}{_I3}"control": {control},{_I3}"id": {v},'
                      f'{_I3}"parent": {parent}{_I2}}}')

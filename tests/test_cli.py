@@ -151,6 +151,38 @@ def test_check_reports_match_golden_bytes(data_dir, tmp_path, capsys,
     assert capsys.readouterr().out == expected
 
 
+def test_reports_are_json_dumps_on_the_benchmark_stacks(monkeypatch, tmp_path,
+                                                        capsys):
+    # the seed-1 lattice-deep stacks, with the workload's four patterns, and
+    # the largest seed-1 monolith-large stack: leak paths of thousands of
+    # records, unreachable links and multi-node occurrences
+    monkeypatch.syspath_prepend(str(BENCH))
+    import generate
+    import workloads
+    rng = random.Random("lattice-deep:1")
+    stacks = [generate.lattice_stack(rng, i, n, workloads.LATTICE_GROUPS,
+                                     workloads.LATTICE_PER_GROUP)
+              for i, n in enumerate(workloads.LATTICE_SIZES)]
+    rng = random.Random("monolith-large:1")
+    stacks.append([generate.monolith_stack(rng, i, n) for i, n
+                   in enumerate(workloads.MONOLITH_SIZES)][-1])
+    patterns = tmp_path / "patterns.json"
+    patterns.write_text(generate.patterns_json(workloads.LATTICE_PATTERNS))
+    codes = set()
+    for k, stack in enumerate(stacks):
+        compose, order = tmp_path / f"{k}.yml", tmp_path / f"{k}.order"
+        compose.write_text(generate.compose_yaml(stack))
+        order.write_text(generate.order_text(stack))
+        for argv in (["check-security", "--order", str(order)],
+                     ["check-links"],
+                     ["check-sorts", "--forbidden", str(patterns)]):
+            codes.add(main([*argv, str(compose), "--json"]))
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), indent=2,
+                                     sort_keys=True) + "\n"
+    assert codes == {1}
+
+
 MINIMAL = "version: '2'\nservices:\n  a:\n    image: x\n"
 
 

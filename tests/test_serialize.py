@@ -12,6 +12,7 @@ from ldbig import (
     patterns_from_json, serialize, stub_block, to_dot,
 )
 from ldbig.interfaces import LocalInterface
+from ldbig.report import Finding, Report, report_json
 from ldbig.serialize import json_text
 from genrandom import gen_chain, gen_container_spec
 from test_assembly import _models, _monolith
@@ -327,3 +328,80 @@ def test_dumps_builds_no_document_tree(monkeypatch, wordpress_composite):
     golden = (GOLDEN / "wordpress.composite.json").read_text(encoding="utf-8")
     assert dumps(wordpress_composite) + "\n" == golden
     assert dumps(monolith) == expected
+
+
+# -- report_json against json.dumps of the report's document ------------------
+
+def _report_doc(report: Report) -> dict:
+    return {"status": report.status,
+            "findings": [{"kind": f.kind, "severity": f.severity,
+                          "message": f.message, "payload": f.payload}
+                         for f in report.findings]}
+
+
+def assert_report_is_json_dumps(report: Report):
+    assert report_json(report) == _dumps(_report_doc(report))
+
+
+# the payloads the CLI builds: a leak with its path records (a few nodes
+# named again and again, as in a leak report), an unreachable link, the
+# occurrences of a forbidden shape, and an input error with or without a
+# line; then empty payloads and lists, record lists holding empty or nested
+# dicts, keys that are no str, and arbitrary trees
+flow_nodes = st.lists(st.fixed_dictionaries({"kind": texts, "name": texts}),
+                      min_size=1, max_size=4)
+payloads = (
+    st.fixed_dictionaries(
+        {"kind": texts, "subject": st.lists(texts, min_size=2, max_size=2)},
+        optional={"path": flow_nodes.flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=8))})
+    | st.fixed_dictionaries({"pattern": texts, "occurrences": st.lists(
+        st.dictionaries(texts, st.integers(0, 500), min_size=1, max_size=3),
+        max_size=6)})
+    | st.fixed_dictionaries({"file": texts},
+                            optional={"line": st.none() | st.integers()})
+    | st.just({})
+    | st.dictionaries(texts, st.just([]) | st.lists(texts, max_size=3)
+                      | st.lists(records | st.just({})
+                                 | st.dictionaries(texts, trees, max_size=2),
+                                 max_size=4), max_size=3)
+    | st.dictionaries(st.integers(), scalars, max_size=3)
+    | st.dictionaries(texts, st.lists(st.dictionaries(
+        st.integers() | st.booleans(), scalars, min_size=1, max_size=2),
+        max_size=3), max_size=2)
+    | st.dictionaries(texts, trees, max_size=4))
+findings = st.builds(Finding, texts, texts, texts, payloads)
+
+
+@st.composite
+def reports(draw):
+    found = draw(st.lists(findings, max_size=5))
+    status = draw(texts.filter(lambda s: s != "ok")) if found else "ok"
+    return Report(status, found)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(reports())
+def test_report_json_is_json_dumps(report):
+    assert_report_is_json_dumps(report)
+
+
+@pytest.mark.parametrize("records", [
+    # equal records that write differently, after a record of text, whose
+    # list is looked up in the cache, and in reverse order, whose is not
+    [{"a": "x"}, {"a": 1}, {"a": True}, {"a": 1.0}, {"a": 1}, {"a": True}],
+    [{"a": "x"}, {"a": 0.0}, {"a": -0.0}, {"a": 0.0}],
+    [{"a": "x"}, {1: "x"}, {1.0: "x"}, {True: "x"}, {1: "x"}],
+    [{"a": "x", "b": None}, {"a": "x", "b": None}, {"b": None, "a": "x"}],
+    [{"a": "x"}, {"a": float("nan")}, {"a": float("inf")}, {"a": 2 ** 64}],
+    # a dict that is no record sends the list through json_text
+    [{"a": "x"}, {}], [{"a": "x"}, {"a": (1, 2)}], [{"a": "x"}, {"a": [1]}],
+    [{"a": "x"}, "y"],
+], ids=["numbers", "zeros", "number-keys", "str-and-none", "odd-numbers",
+        "empty", "tuple", "list", "mixed"])
+def test_report_json_keeps_each_record_text_apart(records):
+    report = Report("violations", [
+        Finding("k", "warning", "m", {"r": records}),
+        Finding("k", "warning", "m", {"r": records[::-1]}),
+        Finding("k", "warning", "m", {"r": records})])
+    assert_report_is_json_dumps(report)
