@@ -9,7 +9,7 @@ from collections import defaultdict
 
 from .bigraph import (
     Bigraph, Edge, InnerName, OuterName, Port, Root, Signature,
-    EMPTY_SIGNATURE, place_order,
+    EMPTY_SIGNATURE, node_groups, place_order,
 )
 from .errors import InterfaceMismatch, LdbError
 from .interfaces import LocalInterface, juxtapose
@@ -204,39 +204,34 @@ def tensor(*bigraphs: Bigraph) -> Bigraph:
 
 # -- support equivalence ----------------------------------------------------
 
-def node_maps(b: Bigraph, image: Bigraph, kind: dict, image_kind: dict,
+def node_maps(b: Bigraph, image: Bigraph, kind: dict, groups: dict,
               fits=None):
     """Yield each injective map ``phi`` of ``place_order(b)`` into the nodes
-    of ``image`` that keeps kinds (``kind[u] == image_kind[phi[u]]``) and
-    places: a node under a mapped node lands under that node's image, and
-    the later nodes under a root of ``b`` land beside the image of that
-    root's first node.  ``fits(u, w, phi)`` must hold for each node u
-    mapped to w, given the map of the nodes before u.
+    of ``image`` that keeps kinds (``phi[u]`` is in ``groups[kind[u]]``)
+    and places: a node under a mapped node lands under that node's image,
+    and the later nodes under a root of ``b`` land beside the image of
+    that root's first node.  ``fits(u, w, phi)`` must hold for each node
+    u mapped to w; ``phi`` then holds exactly the nodes before u, so a
+    caller may keep state per depth ``len(phi)``.
 
-    The nodes of ``image`` are grouped once by kind and by (kind, parent),
-    in ``image_kind``'s order, and each node of ``b`` draws from one group.
-    The search keeps its own stack, so ``b`` may nest to any depth.  The
-    yielded dict is the search's state: use it before resuming.
+    ``groups`` holds the nodes of ``image`` by kind and by (kind, parent),
+    as ``node_groups`` makes them, and each node of ``b`` draws from one
+    group.  The search keeps its own stack, so ``b`` may nest to any
+    depth.  The yielded dict is the search's state: use it before
+    resuming.
     """
     order = place_order(b)
-    ids: dict = {}  # each kind of b as a small int, so group keys hash fast
     # per node: its kind, and the node whose image (``up``: whose image's
     # parent) it lands under once that node is mapped; else anywhere
     draws = []
     first: dict = {}  # per root of b, its first node
     for u in order:
-        k, p = ids.setdefault(kind[u], len(ids)), b.node_parent.get(u)
+        p = b.node_parent.get(u)
         if isinstance(p, Root):
-            draws.append((k, first.setdefault(p.index, u), True))
+            draws.append((kind[u], first.setdefault(p.index, u), True))
         else:
-            draws.append((k, p, False))
+            draws.append((kind[u], p, False))
     image_parent = image.node_parent.get
-    groups: dict = {}  # kind i: its nodes; (i, p): those of them under p
-    for w, k in image_kind.items():
-        i = ids.get(k)
-        if i is not None:
-            groups.setdefault(i, []).append(w)
-            groups.setdefault((i, image_parent(w)), []).append(w)
     phi: dict[int, int] = {}
     used: set[int] = set()
     if not order:
@@ -471,5 +466,7 @@ def is_isomorphic(b1: Bigraph, b2: Bigraph) -> bool:
 
     # the colours fix root parents, the search the rest; off ids stay
     fixed = {x: x for x in off}
+    kind, image_kind = colours
+    groups = node_groups(image_kind.items(), b2.node_parent)
     return any(_verify_iso(b1, b2, {**fixed, **phi} if fixed else phi)
-               for phi in node_maps(b1, b2, *colours))
+               for phi in node_maps(b1, b2, kind, groups))

@@ -9,7 +9,7 @@ volumes).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -79,19 +79,26 @@ class Violation:
     kind: str  # "linksUnreachable" | "securityLeak"
     subject: tuple[str, str]
     path: tuple[FlowNode, ...] = ()
+    # the path as text, which find_leaks joins from each node's text
+    trail: str = field(default="", compare=False, repr=False)
 
     @property
     def message(self) -> str:
         a, b = self.subject
         if self.kind == "linksUnreachable":
             return (f"service {a!r} links {b!r} but they share no network")
-        trail = " -> ".join(str(n) for n in self.path)
+        trail = self.trail or " -> ".join(map(str, self.path))
         return f"possible leak from {a!r} to {b!r} via {trail}"
 
-    def payload(self) -> dict:
+    def payload(self, records: dict | None = None) -> dict:
+        """The finding's data, each path node a ``{"kind", "name"}`` record
+        taken from ``records``, which the payloads of one report share, or
+        else made for this payload alone."""
         out = {"kind": self.kind, "subject": list(self.subject)}
         if self.path:
-            out["path"] = [{"kind": n.kind, "name": n.name} for n in self.path]
+            records = {} if records is None else records
+            out["path"] = [records.get(n) or records.setdefault(
+                n, {"kind": n.kind, "name": n.name}) for n in self.path]
         return out
 
 
@@ -211,6 +218,7 @@ def find_leaks(flow: FlowGraph, order: SecurityOrder) -> list[Violation]:
     if missing:
         raise UnknownNetwork(f"networks not present in the model: {missing}")
     violations = []
+    texts: dict = {}  # each flow node's text, made once per check
     for high, pairs in groupby(sorted(closed.pairs), key=itemgetter(0)):
         lows = [low for _, low in pairs]
         parent = _bfs_parents(flow, FlowNode("network", high),
@@ -223,8 +231,11 @@ def find_leaks(flow: FlowGraph, order: SecurityOrder) -> list[Violation]:
             while node is not None:
                 path.append(node)
                 node = parent[node]
-            violations.append(
-                Violation("securityLeak", (high, low), tuple(reversed(path))))
+            path.reverse()
+            trail = " -> ".join([texts.get(n) or texts.setdefault(n, str(n))
+                                 for n in path])
+            violations.append(Violation("securityLeak", (high, low),
+                                        tuple(path), trail))
     return violations
 
 

@@ -212,7 +212,7 @@ class Bigraph:
     __slots__ = (
         "signature", "inner", "outer", "nodes", "edges",
         "site_parent", "node_parent", "link", "node_attrs", "_child_cache",
-        "_place_cache",
+        "_place_cache", "_control_cache",
     )
 
     def __init__(self, signature: Signature, inner: LocalInterface,
@@ -231,6 +231,7 @@ class Bigraph:
         self.node_attrs = {v: a for v, a in (node_attrs or {}).items() if a}
         self._child_cache = None
         self._place_cache = None
+        self._control_cache = None
 
     def __eq__(self, other):
         if not isinstance(other, Bigraph):
@@ -291,6 +292,14 @@ class Bigraph:
             self._place_cache = (tuple(order), root_of)
         return self._place_cache
 
+    def _by_control(self) -> dict:
+        """The ``node_groups`` of the nodes by control: the index every
+        pattern matched in this bigraph draws its candidates from."""
+        if self._control_cache is None:
+            self._control_cache = node_groups(self.nodes.items(),
+                                              self.node_parent)
+        return self._control_cache
+
     def node_region(self, node: int) -> int | None:
         return self._places()[1].get(node)
 
@@ -345,6 +354,17 @@ class Bigraph:
 def place_order(b: Bigraph) -> tuple[int, ...]:
     """Nodes in parent-before-child order; those not under a root last."""
     return b._places()[0]
+
+
+def node_groups(kinds, parent: dict) -> dict:
+    """The nodes of each kind and of each (kind, parent), in the order of
+    ``kinds``, its (node, kind) pairs: the groups ``algebra.node_maps``
+    draws a node's candidates from."""
+    groups: dict = {}
+    for w, k in kinds:
+        groups.setdefault(k, []).append(w)
+        groups.setdefault((k, parent.get(w)), []).append(w)
+    return groups
 
 
 def _invert(parent: dict) -> dict:

@@ -97,8 +97,10 @@ def _cmd_check_security(args) -> Report:
         order = parse_order_file(Path(args.order).read_text(encoding="utf-8"))
     with _errors_in(args.order, CyclicOrder, UnknownNetwork):
         leaks = check_security(composite, order)
+    records: dict = {}  # each path node's record, shared in this report
     return violations(_sorted_findings(
-        Finding(v.kind, "warning", v.message, v.payload()) for v in leaks))
+        Finding(v.kind, "warning", v.message, v.payload(records))
+        for v in leaks))
 
 
 def _cmd_check_sorts(args) -> Report:

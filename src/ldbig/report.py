@@ -56,8 +56,8 @@ def input_error(message: str, **payload) -> Report:
 # what has no template goes via json_text
 _I1, _I2, _I3, _I4, _I5 = (_NL[depth] for depth in range(1, 6))
 _STR, _DICT = frozenset({str}), frozenset({dict})
-# values equal only to what writes the same text (1, 1.0 and True are equal
-# and write differently, as keys too, and so are 0.0 and -0.0)
+# the values of the records that repeat, a leak's path nodes: only records
+# of str keys and such values are cached
 _KEYABLE = frozenset({str, type(None)})
 
 
@@ -73,16 +73,14 @@ def _cacheable(record: dict) -> bool:
 def _records(value: list, cache: dict):
     """The texts at depth 5 of a list of dicts that are all records, else
     None.  Records of str keys and str or None values, such as a leak's
-    path nodes, repeat: each is looked up in ``cache`` by its items, and
-    those it lacks are written by one encoder call and kept.  A list whose
-    first record is of another kind, such as a shape's occurrences, which
-    do not repeat, is written by one encoder call."""
+    path nodes, repeat as one object: each is looked up in ``cache`` by its
+    id (the report holds it, so no id is reused), and those it lacks are
+    written by one encoder call and kept.  A list whose first record is of
+    another kind, such as a shape's occurrences, which do not repeat, is
+    written by one encoder call."""
     if not _cacheable(value[0]):
         return _record_texts(value, 5) if all(map(_is_record, value)) else None
-    try:
-        texts = [cache.get(tuple(x.items())) for x in value]
-    except TypeError:  # a value that cannot be hashed is no scalar
-        return None
+    texts = list(map(cache.get, map(id, value)))
     if None in texts:
         missing = [x for x, text in zip(value, texts) if text is None]
         if not all(map(_is_record, missing)):
@@ -92,7 +90,7 @@ def _records(value: list, cache: dict):
             if texts[i] is None:
                 texts[i] = next(made)
                 if _cacheable(x):
-                    cache[tuple(x.items())] = texts[i]
+                    cache[id(x)] = texts[i]
     return texts
 
 
@@ -126,8 +124,9 @@ def report_json(report: Report) -> str:
     document ``{"status": ..., "findings": [{"kind": ..., "severity": ...,
     "message": ..., "payload": ...}, ...]}``, written with no document tree.
 
-    A record's text is made once per report: a leak report names the same
-    network and container nodes in the paths of many findings.
+    A record object's text is made once per call: the CLI's leak reports
+    share one record per network or container node among the paths of
+    their findings.
     """
     cache: dict = {}
     findings = [f'{{{_I3}"kind": {_text(f.kind, 3)},'

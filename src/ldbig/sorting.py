@@ -7,6 +7,11 @@ edges bind injectively to arbitrary host links; pattern outer positive names
 bind to host links non-injectively; negative-port and inner-name targets must
 match on the nose.  Pattern sites and name points impose nothing, so a host
 node may always carry extra children and extra wiring.
+
+``find_matches`` draws each node's candidates from the host's index by
+control and checks each condition as soon as the nodes it names are mapped,
+so every complete map it reaches is an occurrence; ``verify_occurrence``
+checks a complete map on its own.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import node_maps
-from .bigraph import Bigraph, Edge, InnerName, Port, Root
+from .bigraph import Bigraph, Edge, InnerName, Port, Root, place_order
 from .errors import SignatureMismatch
 
 __all__ = [
@@ -121,27 +126,75 @@ def find_matches(pattern: Pattern, host: Bigraph) -> list[Occurrence]:
     if pb.signature != host.signature:
         raise SignatureMismatch(
             f"pattern {pattern.name!r} uses a different signature")
-
-    def fits(u: int, w: int, node_map: dict[int, int]) -> bool:
-        if pattern.anchor_at_roots and isinstance(pb.node_parent.get(u), Root) \
-                and not isinstance(host.node_parent.get(w), Root):
-            return False
-        # partial link screen; the full conditions run at the leaf
+    host_link, host_parent = host.link.get, host.node_parent.get
+    order = place_order(pb)
+    at = {u: i for i, u in enumerate(order)}
+    # what mapping u settles about u and the nodes before it: the nodes x
+    # whose image's parent is u's image (True) or none (False), and the
+    # ports (x, k) and their links lp; the search places the other nodes
+    placed: dict = {u: [] for u in order}
+    links: dict = {u: [] for u in order}
+    firsts: dict = {}  # per pattern root, its first node
+    for u in order:
+        p = pb.node_parent.get(u)
+        if isinstance(p, Root):
+            firsts.setdefault(p.index, u)
+        elif p not in at or at[p] >= at[u]:  # no pattern node, or a cycle
+            placed[p if p in at else u].append((u, p in at))
         for k in range(pb.nodes[u].plus):
             lp = pb.link.get(Port(u, k))
-            lh = host.link.get(Port(w, k))
+            if lp is None or isinstance(lp, Port) and lp.node not in at:
+                return []
+            # a port onto a port is settled by the later of the two nodes
+            later = max(u, lp.node, key=at.get) if isinstance(lp, Port) else u
+            links[later].append((u, k, lp))
+    anchored = set(firsts.values()) if pattern.anchor_at_roots else set()
+    bound: dict = {}      # each pattern edge and outer name bound: its host link
+    claimed: set = set()  # the host links pattern edges are bound to
+    made: list = []       # (depth, pattern edge or outer name), as bound
+
+    def fits(u: int, w: int, phi: dict[int, int]) -> bool:
+        # phi holds exactly the nodes before u, so the image of u or of a
+        # node before it is phi.get(x, w); what was bound at u's depth or
+        # deeper belongs to maps the search has left
+        depth = len(phi)
+        while made and made[-1][0] >= depth:
+            lp = made.pop()[1]
+            if isinstance(lp, Edge):
+                claimed.discard(bound[lp])
+            del bound[lp]
+        if u in anchored and not isinstance(host_parent(w), Root):
+            return False
+        for x, under in placed[u]:
+            if host_parent(phi.get(x, w)) != (w if under else None):
+                return False
+        for x, k, lp in links[u]:
+            lh = host_link(Port(phi.get(x, w), k))
             if lh is None:
                 return False
-            if isinstance(lp, InnerName) and lh != lp:
+            if isinstance(lp, Port):
+                if lh != Port(phi.get(lp.node, w), lp.index):
+                    return False
+            elif isinstance(lp, InnerName):
+                if lh != lp:
+                    return False
+            elif lp in bound:
+                if bound[lp] != lh:
+                    return False
+            elif isinstance(lp, Edge) and lh in claimed:  # edges bind injectively
                 return False
-            if isinstance(lp, Port) and lp.node in node_map \
-                    and lh != Port(node_map[lp.node], lp.index):
-                return False
+            else:
+                bound[lp] = lh
+                made.append((depth, lp))
+                if isinstance(lp, Edge):
+                    claimed.add(lh)
         return True
 
-    occs = (verify_occurrence(pb, host, node_map, pattern.anchor_at_roots)
-            for node_map in node_maps(pb, host, pb.nodes, host.nodes, fits))
-    return sorted((o for o in occs if o is not None), key=lambda o: o.node_map)
+    anchors = sorted(firsts.items())
+    occs = [Occurrence(tuple(sorted(phi.items())),
+                       tuple((r, host_parent(phi[u])) for r, u in anchors))
+            for phi in node_maps(pb, host, pb.nodes, host._by_control(), fits)]
+    return sorted(occs, key=lambda o: o.node_map)
 
 
 def check_sorting(host: Bigraph, forbidden: list[Pattern]) -> SortingResult:

@@ -335,7 +335,13 @@ def test_leaks_equal_the_pairwise_search():
         flow = gen_flow_graph(rng, max_nodes=12 if i % 2 else 24)
         order = gen_dag_order(rng, flow)
         found = find_leaks(flow, order)
-        assert found == leaks_pairwise(flow, order)
+        expected = leaks_pairwise(flow, order)
+        assert found == expected
+        # the texts and records made once per node say what each leak's own
+        # path says
+        records: dict = {}
+        assert [(v.message, v.payload(records)) for v in found] == \
+            [(v.message, v.payload()) for v in expected]
         leaks += len(found)
     assert leaks > 150
 

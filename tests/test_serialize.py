@@ -12,6 +12,7 @@ from ldbig import (
     patterns_from_json, serialize, stub_block, to_dot,
 )
 from ldbig.interfaces import LocalInterface
+from ldbig.analysis import FlowGraph, FlowNode, SecurityOrder, find_leaks
 from ldbig.report import Finding, Report, report_json
 from ldbig.serialize import json_text
 from genrandom import gen_chain, gen_container_spec
@@ -405,3 +406,79 @@ def test_report_json_keeps_each_record_text_apart(records):
         Finding("k", "warning", "m", {"r": records[::-1]}),
         Finding("k", "warning", "m", {"r": records})])
     assert_report_is_json_dumps(report)
+
+
+def _written(monkeypatch) -> list:
+    """The records ``report_json`` writes rather than takes from its cache,
+    as it writes them."""
+    from ldbig import report
+    written = []
+    write = report._record_texts
+
+    def counted(records, depth):
+        written.extend(records)
+        return write(records, depth)
+
+    monkeypatch.setattr(report, "_record_texts", counted)
+    return written
+
+
+def _path_report(*paths) -> Report:
+    return Report("violations", [Finding("securityLeak", "warning", "m",
+                                         {"kind": "securityLeak",
+                                          "path": path}) for path in paths])
+
+
+def test_report_json_writes_a_record_object_once_per_call(monkeypatch):
+    shared = {"kind": "network", "name": "a"}
+    equal = [{"kind": "network", "name": "a"} for _ in range(3)]
+    report = _path_report([shared, equal[0]], [equal[1], shared],
+                          [shared, equal[2]])
+    written = _written(monkeypatch)
+    assert report_json(report) == _dumps(_report_doc(report))
+    # the shared record once, and each equal record of its own dict once
+    assert sorted(map(id, written)) == sorted(map(id, [shared, *equal]))
+    del written[:]
+    assert report_json(report) == _dumps(_report_doc(report))
+    assert len(written) == 4  # the cache lives for one call
+
+
+@pytest.mark.parametrize("value", [1, True, 1.0, -0.0])
+def test_report_json_caches_no_record_of_numbers(value, monkeypatch):
+    number = {"kind": "network", "name": value}
+    report = _path_report([{"kind": "network", "name": "a"}, number, number],
+                          [number, {"kind": "network", "name": "a"}],
+                          [{"kind": "network", "name": "a"}, number])
+    written = _written(monkeypatch)
+    assert report_json(report) == _dumps(_report_doc(report))
+    # written at each place it is met, first in a list or not
+    assert sum(r is number for r in written) == 4
+
+
+def test_report_json_writes_a_record_as_it_is_at_the_call():
+    record = {"kind": "network", "name": "a"}
+    report = _path_report([record, record], [record])
+    before = report_json(report)
+    record["name"] = "b"
+    after = report_json(report)
+    assert after == _dumps(_report_doc(report)) != before
+    assert '"b"' in after and '"a"' not in after
+
+
+def test_a_leak_payload_is_its_callers_own():
+    a, b, d = (FlowNode("network", name) for name in "abd")
+    c = FlowNode("container", "c")
+    flow = FlowGraph(frozenset({a, b, c, d}),
+                     frozenset({(a, c), (c, b), (c, d)}))
+    one, two = find_leaks(flow, SecurityOrder.of(("a", "b"), ("a", "d")))
+    expected = [one.payload(), two.payload()]
+    mine = one.payload()
+    for record in mine["path"]:
+        record["name"] = "changed"
+    mine["path"].append({})
+    mine["subject"].clear()
+    assert [one.payload(), two.payload()] == expected
+    # a report's payloads share one record per flow node
+    records: dict = {}
+    shared = [one.payload(records), two.payload(records)]
+    assert shared == expected and shared[0]["path"][1] is shared[1]["path"][1]

@@ -5,12 +5,14 @@ import pytest
 from ldbig import (
     Bigraph, Control, Edge, InnerName, LocalInterface,
     Occurrence, OuterName, Pattern, Port, Root, Signature, assemble,
-    check_sorting, default_signature, find_matches, parse_compose, relabel,
-    validate, verify_occurrence,
+    check_sorting, default_signature, find_matches, parse_compose,
+    patterns_from_json, relabel, validate, verify_occurrence,
 )
+from ldbig.bigraph import place_order
 from ldbig.errors import SignatureMismatch
 from genrandom import gen_host, gen_pattern, gen_signature
 from oracles import matches_bruteforce
+from test_tensor import benchmark_models
 
 
 def node_pattern(*controls, nested=False, anchor_at_roots=False) -> Pattern:
@@ -174,6 +176,12 @@ def _changed(b, nodes=None, node_parent=None, link=None):
     pytest.param(EMBED_PATTERN,
                  _changed(EMBED_HOST, link={Port(12, 0): Edge(30)}),
                  EMBED_MAP, False, id="outer name bound to two host links"),
+    pytest.param(_changed(EMBED_PATTERN, link={Port(2, 0): Edge(10)}),
+                 EMBED_HOST, EMBED_MAP, False,
+                 id="edge bound to two host links"),
+    pytest.param(_changed(EMBED_PATTERN, link={Port(2, 0): Edge(11)}),
+                 _changed(EMBED_HOST, link={Port(12, 0): Edge(30)}),
+                 EMBED_MAP, False, id="two edges bound to one host link"),
 ])
 def test_each_broken_embedding_condition_rejects(pattern, host, node_map,
                                                  anchor):
@@ -267,17 +275,19 @@ def _wildcarded_node(sig, control) -> Pattern:
 
 
 def _counting(monkeypatch):
-    """Count the complete maps ``find_matches`` hands to the leaf check."""
+    """Count the complete maps the search yields to ``find_matches``: its
+    leaves."""
     from ldbig import sorting
-    calls = [0]
-    check = sorting.verify_occurrence
+    leaves = [0]
+    search = sorting.node_maps
 
     def counted(*args):
-        calls[0] += 1
-        return check(*args)
+        for phi in search(*args):
+            leaves[0] += 1
+            yield phi
 
-    monkeypatch.setattr(sorting, "verify_occurrence", counted)
-    return calls
+    monkeypatch.setattr(sorting, "node_maps", counted)
+    return leaves
 
 
 def _siblings() -> Pattern:
@@ -311,9 +321,9 @@ def test_root_level_siblings_agree_with_bruteforce_on_random_hosts():
 
 def test_root_level_siblings_are_drawn_from_the_anchors_place(
         wordpress_composite, monkeypatch):
-    calls = _counting(monkeypatch)
+    leaves = _counting(monkeypatch)
     occs = find_matches(_siblings(), wordpress_composite)
-    assert occs and calls[0] == len(occs)
+    assert occs and leaves[0] == len(occs)
     assert {o.node_map for o in occs} == \
         matches_bruteforce(_siblings().bigraph, wordpress_composite)
 
@@ -349,13 +359,170 @@ OUTER_O = LocalInterface.of((set(), set()), ({"o"}, set()))
                                           Port(2, 0): Port(1, 0),
                                           Port(3, 0): Port(2, 0)}),
                  {((1, 1), (2, 2)), ((1, 2), (2, 3))}, id="mapped port"),
+    # pattern edges bind injectively: two may not share the one host edge
+    pytest.param(_row(NO_NAMES, NO_NAMES, {Port(1, 0): Edge(8),
+                                           Port(2, 0): Edge(9)}),
+                 _row(NO_NAMES, NO_NAMES, {Port(1, 0): Edge(9),
+                                           Port(2, 0): Edge(9)}),
+                 set(), id="two pattern edges on one host link"),
+    # the twin-networks shape: one outer name binds one host link
+    pytest.param(_row(NO_NAMES, OUTER_O, {Port(1, 0): OuterName(1, "o"),
+                                          Port(2, 0): OuterName(1, "o")}),
+                 _row(NO_NAMES, NO_NAMES, {Port(1, 0): Edge(8),
+                                           Port(2, 0): Edge(9),
+                                           Port(3, 0): Edge(9)}),
+                 {((1, 2), (2, 3)), ((1, 3), (2, 2))},
+                 id="one outer name on two host links"),
+    # pattern node 1 reaches node 2's port, and node 2 is mapped after it
+    pytest.param(_row(NO_NAMES, OUTER_O, {Port(1, 0): Port(2, 0),
+                                          Port(2, 0): OuterName(1, "o")}),
+                 _row(NO_NAMES, OUTER_O, {Port(1, 0): Port(2, 0),
+                                          Port(2, 0): OuterName(1, "o"),
+                                          Port(3, 0): Port(2, 0)}),
+                 {((1, 1), (2, 2)), ((1, 3), (2, 2))},
+                 id="port onto a later node"),
 ])
 def test_the_link_screen_cuts_every_failing_leaf(pattern, host, occurrences,
                                                   monkeypatch):
     assert validate(pattern) == [] and validate(host) == []
-    calls = _counting(monkeypatch)
+    leaves = _counting(monkeypatch)
     occs = find_matches(Pattern("p", pattern), host)
     assert {o.node_map for o in occs} == occurrences == \
         matches_bruteforce(pattern, host)
-    # without the screen, the search reaches leaves the leaf check rejects
-    assert calls[0] == len(occs)
+    # without the screen, the search reaches leaves that are no occurrence
+    assert leaves[0] == len(occs)
+    assert all(verify_occurrence(pattern, host, dict(o.node_map)) == o
+               for o in occs)
+
+
+def _rewired(rng, b: Bigraph) -> Bigraph:
+    """``b`` with each port linked anew to one of its outer names, one of
+    two edges or a target port, so that links are shared."""
+    names = [OuterName(i, t) for i in range(b.outer.width + 1)
+             for t in sorted(b.outer.plus(i))]
+    ports = [Port(v, k) for v, c in b.nodes.items() for k in range(c.minus)]
+    targets = names + [Edge(90), Edge(91)] + ports
+    link = {p: rng.choice(targets) for p in b.link if isinstance(p, Port)}
+    return Bigraph(b.signature, b.inner, b.outer, b.nodes, {90, 91},
+                   b.site_parent, b.node_parent, link)
+
+
+def _cut(rng, host: Bigraph) -> Bigraph:
+    """A pattern cut from up to three host nodes, placed and wired as in
+    the host: a node under no cut node goes under a root per host place, a
+    port onto a cut node stays, and each other host link becomes one outer
+    name or one edge; sometimes one port is then linked elsewhere."""
+    cut = rng.sample(sorted(host.nodes), k=min(len(host.nodes),
+                                               rng.randint(1, 3)))
+    new = {w: i + 1 for i, w in enumerate(cut)}
+    roots: dict = {}
+    parent = {}
+    for w in cut:
+        p = host.node_parent.get(w)
+        parent[new[w]] = new[p] if p in new else \
+            roots.setdefault(p, Root(len(roots) + 1))
+    stand_ins: dict = {}
+
+    def stand_in(lh):
+        if isinstance(lh, Port) and lh.node in new:
+            return Port(new[lh.node], lh.index)
+        if lh not in stand_ins:
+            k = len(stand_ins)
+            stand_ins[lh] = rng.choice([OuterName(1, f"n{k}"), Edge(80 + k)])
+        return stand_ins[lh]
+
+    link = {Port(new[w], k): stand_in(host.link.get(Port(w, k)))
+            for w in cut for k in range(host.nodes[w].plus)}
+    if link and rng.random() < 0.4:
+        link[rng.choice(sorted(link))] = rng.choice(
+            [*stand_ins.values(), *(Port(v, 0) for v in new.values())])
+    texts = {t.text for t in link.values() if isinstance(t, OuterName)}
+    outer = LocalInterface.of((set(), set()), (texts, set()),
+                              *[(set(), set())] * (len(roots) - 1))
+    return Bigraph(host.signature, LocalInterface.of(), outer,
+                   {new[w]: host.nodes[w] for w in cut},
+                   {t.ident for t in link.values() if isinstance(t, Edge)},
+                   {}, parent, link)
+
+
+def test_every_leaf_is_an_occurrence_on_random_cut_patterns(monkeypatch):
+    rng = random.Random(65)
+    leaves = _counting(monkeypatch)
+    found, shapes = 0, {Edge: 0, OuterName: 0, Port: 0}
+    for _ in range(300):
+        sig = gen_signature(rng, max_controls=3)
+        host = _rewired(rng, gen_host(rng, sig, max_nodes=7))
+        if not host.nodes:
+            continue
+        pattern = _cut(rng, host)
+        anchor = rng.random() < 0.3
+        before = leaves[0]
+        occs = find_matches(Pattern("p", pattern, anchor), host)
+        assert {o.node_map for o in occs} == \
+            matches_bruteforce(pattern, host, anchor)
+        assert leaves[0] - before == len(occs)
+        for o in occs:
+            assert verify_occurrence(pattern, host, dict(o.node_map),
+                                     anchor) == o
+        found += len(occs)
+        # a shared edge or outer name, or a port onto a later node
+        at = {u: i for i, u in enumerate(place_order(pattern))}
+        targets = list(pattern.link.values())
+        for p, t in pattern.link.items() if occs else ():
+            if targets.count(t) > 1 and not isinstance(t, Port) or \
+                    isinstance(t, Port) and at[t.node] > at[p.node]:
+                shapes[type(t)] += 1
+    assert found > 100 and min(shapes.values()) > 10, (found, shapes)
+
+
+W2 = Signature(fixed=(W, B))
+# a host whose nodes sit off the place forest: 11 and 12 on a parent cycle,
+# 14 its own parent, 15 with no parent; 13 is under the root
+ODD_HOST = Bigraph(W2, LocalInterface.of(), OUTER_O,
+                   {11: W, 12: W, 13: W, 14: W, 15: W, 16: B}, {9}, {},
+                   {11: 12, 12: 11, 13: Root(1), 14: 14, 16: 13},
+                   {Port(16, 0): Edge(9)})
+
+
+def _odd(node_parent, nodes=None, link=None) -> Bigraph:
+    nodes = nodes or {v: W for v in node_parent}
+    return Bigraph(W2, LocalInterface.of(), OUTER_O, nodes, {9}, {},
+                   node_parent, link or {})
+
+
+@pytest.mark.parametrize("pattern, occurrences", [
+    pytest.param(_odd({1: 2, 2: 1}), {((1, 11), (2, 12)), ((1, 12), (2, 11))},
+                 id="parent cycle"),
+    pytest.param(_odd({1: 1}), {((1, 14),)}, id="own parent"),
+    pytest.param(_odd({1: 99}), {((1, 15),)}, id="parent no node"),
+    pytest.param(_odd({}, nodes={1: W}), {((1, 15),)}, id="no parent"),
+    pytest.param(_odd({1: Root(1)}, nodes={1: B}), set(), id="unlinked port"),
+    pytest.param(_odd({1: Root(1)}, nodes={1: B},
+                      link={Port(1, 0): Port(99, 0)}),
+                 set(), id="port onto no pattern node"),
+])
+def test_pattern_nodes_off_the_place_forest_are_screened(pattern, occurrences,
+                                                         monkeypatch):
+    leaves = _counting(monkeypatch)
+    occs = find_matches(Pattern("p", pattern), ODD_HOST)
+    assert {o.node_map for o in occs} == occurrences == \
+        matches_bruteforce(pattern, ODD_HOST)
+    assert leaves[0] == len(occs)
+
+
+def test_the_benchmark_patterns_reach_only_occurrences(monkeypatch):
+    # the twelve seed-1 lattice-deep stacks, with the workload's patterns
+    hosts = [assemble(m) for m in benchmark_models(monkeypatch)[6:18]]
+    import generate
+    import workloads
+    patterns = {p.name: p for p in patterns_from_json(
+        generate.patterns_json(workloads.LATTICE_PATTERNS))}
+    leaves = _counting(monkeypatch)
+    found = {}
+    for name, pattern in patterns.items():
+        before = leaves[0]
+        found[name] = sum(len(find_matches(pattern, host)) for host in hosts)
+        assert leaves[0] - before == found[name], name
+    # every leaf of twin-networks failed at the leaf check before the screen
+    assert found["twin-networks"] == 0
+    assert found["network-and-volume"] > 0
