@@ -1,5 +1,7 @@
 """docker-compose frontend: parse a YAML subset, build the environment
-bigraph and per-service container stubs, and assemble the composite.
+bigraph and per-service container stubs, and assemble the composite.  The
+environment and the composite read one wiring table, ``_wiring``, so each
+rule that wires the compose file is stated once.
 
 Supported subset: version '2'; per-service keys image, links, ports, expose,
 networks, volumes; top-level networks (driver recorded, ignored) and volumes
@@ -295,81 +297,74 @@ def parse_compose(text: str) -> ComposeModel:
                         networks=networks, volumes=volumes)
 
 
+def _wiring(model: ComposeModel, top: int, own):
+    """The compose file's wiring, stated once for the environment and the
+    composite.
+
+    Returns four things.  The edge ids: one per network in use, in
+    ``model.networks`` order, then one per mounted closed volume, in
+    ``model.volumes`` order, numbered from ``top + 1``.  ``reach(k, name)``,
+    the link of the k-th service's tagged consumed ``name``: its network's
+    or closed volume's edge, an external volume's ``OuterName(1, vol)``, or
+    for a link alias ``own(j)``, the point of the linked j-th service's own
+    name.  Each published host port's tagged name with the (k, tagged
+    container port) it reaches, in service order.  And the outer interface:
+    one root, which offers the external volumes and consumes the published
+    host ports."""
+    specs = model.containers.values()
+    used = set().union(*[s.networks for s in specs])
+    mounted = {m.name for s in specs for m in s.volumes}
+    shared: dict = {}
+    edges: list[int] = []
+    for net in model.networks:
+        if net in used:
+            edges.append(top + len(edges) + 1)
+            shared[handle(NETWORK, net)] = Edge(edges[-1])
+    for vol, decl in model.volumes.items():
+        if decl.external:
+            shared[handle(VOLUME, vol)] = OuterName(1, vol)
+        elif vol in mounted:
+            edges.append(top + len(edges) + 1)
+            shared[handle(VOLUME, vol)] = Edge(edges[-1])
+    index = {name: j for j, name in enumerate(model.services, 1)}
+    aliased = {(k, handle("link", alias)): own(index[target])
+               for k, svc in enumerate(model.services.values(), 1)
+               for target, alias in svc.links}
+    published = {handle("port", host): (k, handle("port", container))
+                 for k, svc in enumerate(model.services.values(), 1)
+                 for host, container in svc.ports}
+
+    def reach(k, name):
+        return shared.get(name) or aliased[k, name]
+
+    outer = LocalInterface.of(
+        (frozenset(), frozenset()),
+        ({v for v, decl in model.volumes.items() if decl.external}, published))
+    return edges, reach, published, outer
+
+
 def environment_bigraph(model: ComposeModel) -> Bigraph:
-    """The context bigraph: one root, one site per service, link wiring for
-    aliases, shared networks, volumes and published-port renaming.
+    """The context bigraph: one root, one site per service, and the links
+    ``_wiring`` gives: each site's consumed names go to their network's or
+    volume's edge, an external volume's outer name or the linked service's
+    own name, and each published host port's outer name to the container
+    port.
 
     Its edges are numbered from 1."""
-    order = list(model.services)
-    site_of = {name: i + 1 for i, name in enumerate(order)}
-
-    # one pass over the services: interface names and each resource's users
-    localities = [(frozenset(), frozenset())]
-    net_users: dict[str, list[str]] = {}
-    vol_users: dict[str, list[str]] = {}
-    for spec in model.containers.values():
-        localities.append(spec.names())
-        for net in spec.networks:
-            net_users.setdefault(net, []).append(spec.name)
-        for vol in dict.fromkeys(v.name for v in spec.volumes):
-            vol_users.setdefault(vol, []).append(spec.name)
-    inner = LocalInterface(tuple(localities))
-
+    names = list(model.services)
+    edges, reach, published, outer = _wiring(
+        model, 0, lambda j: InnerName(j, handle(CONTAINER, names[j - 1])))
+    localities = [(frozenset(), frozenset()),
+                  *[spec.names() for spec in model.containers.values()]]
+    link = {InnerName(k, name): reach(k, name)
+            for k, (consumed, _) in enumerate(localities[1:], 1)
+            for name in sorted(consumed)}
+    for host, offered in published.items():
+        link[OuterName(1, host)] = InnerName(*offered)
     root = Root(1)
-    site_parent = {site_of[name]: root for name in order}
-    edges: list[int] = []
-    link: dict = {}
-
-    def edge() -> Edge:
-        edges.append(len(edges) + 1)
-        return Edge(edges[-1])
-
-    # one edge per network in use joins the attached services' network names
-    for net in model.networks:
-        users = net_users.get(net)
-        if not users:
-            continue
-        e = edge()
-        for n in users:
-            link[InnerName(site_of[n], handle(NETWORK, net))] = e
-
-    # volumes: external ones surface on the outer interface, others close
-    for vol, decl in model.volumes.items():
-        users = vol_users.get(vol, [])
-        inner_vol = handle(VOLUME, vol)
-        if decl.external:
-            for n in users:
-                link[InnerName(site_of[n], inner_vol)] = OuterName(1, vol)
-        elif users:
-            e = edge()
-            for n in users:
-                link[InnerName(site_of[n], inner_vol)] = e
-
-    # link aliases target the linked service's identity handle
-    for name in order:
-        for target, alias in model.services[name].links:
-            link[InnerName(site_of[name], handle("link", alias))] = InnerName(
-                site_of[target], handle(CONTAINER, target))
-
-    # published ports: the outer host-port name reaches the container port
-    for name in order:
-        for host, container in model.services[name].ports:
-            link[OuterName(1, handle("port", host))] = InnerName(
-                site_of[name], handle("port", container))
-
-    return Bigraph(default_signature(), inner, _outer(model), {}, edges,
-                   site_parent, {}, link)
-
-
-def _outer(model: ComposeModel) -> LocalInterface:
-    """The outer interface of the environment and of the composite: one
-    root, which offers the external volumes and consumes the published
-    host ports."""
-    return LocalInterface.of(
-        (frozenset(), frozenset()),
-        ({v for v, decl in model.volumes.items() if decl.external},
-         {handle("port", host) for svc in model.services.values()
-          for host, _ in svc.ports}))
+    return Bigraph(default_signature(), LocalInterface(tuple(localities)),
+                   outer, {}, edges, {k: root for k in range(1, len(names) + 1)},
+                   {}, link)
 
 
 def container_stub(name: str, model: ComposeModel) -> Bigraph:
@@ -393,55 +388,29 @@ def assemble(model: ComposeModel) -> Bigraph:
     """The composite ``compose(environment_bigraph(model), stub_block(model))``,
     built in one pass over the containers.
 
-    Each port links to what ``compose`` chases it to through the shared
-    interface: a network's port to the network's edge, a volume's to its
-    edge or, for an external volume, to its outer name, a consumed alias's
-    to the linked container's port; and a published host port's outer name
-    to the container port it publishes.  Node ids, edge ids and dict order
-    are those of the formula.  The pipeline's one well-formedness check: an
-    ill-formed composite raises LdbError, which the CLI reports as an input
-    error.
+    It reads the environment's wiring from ``_wiring``, the one table both
+    builders share, and links each port to what ``compose`` chases it to
+    through the shared interface: a network's or volume's port to its edge
+    or, for an external volume, to its outer name, a consumed alias's to
+    the linked container's port; and a published host port's outer name to
+    the container port it publishes.  The edges are numbered past the
+    block, as compose's refresh numbers them, so node ids, edge ids and
+    dict order are those of the formula.  The pipeline's one
+    well-formedness check: an ill-formed composite raises LdbError, which
+    the CLI reports as an input error.
     """
     specs = model.containers.values()
     boxes, top = _boxes(specs)
-
-    # the link each network and volume handle reaches: the environment's
-    # edges, one per network in use and one per closed volume in use,
-    # numbered past the block as compose's refresh numbers them, and an
-    # external volume's outer name
-    used = set().union(*[s.networks for s in specs])
-    mounted = {m.name for s in specs for m in s.volumes}
-    shared: dict = {}
-    edges: list[int] = []
-    for net in model.networks:
-        if net in used:
-            edges.append(top + len(edges) + 1)
-            shared[handle(NETWORK, net)] = Edge(edges[-1])
-    for vol, decl in model.volumes.items():
-        if decl.external:
-            shared[handle(VOLUME, vol)] = OuterName(1, vol)
-        elif vol in mounted:
-            edges.append(top + len(edges) + 1)
-            shared[handle(VOLUME, vol)] = Edge(edges[-1])
-    box_of = dict(zip(model.containers, boxes))
-    aliased = {(k, handle("link", alias)): Port(box_of[target], 0)
-               for k, svc in enumerate(model.services.values(), 1)
-               for target, alias in svc.links}
-
-    def reach(k, name):
-        return shared.get(name) or aliased[k, name]
-
+    edges, reach, published, outer = _wiring(
+        model, top, lambda j: Port(boxes[j - 1], 0))
     root = Root(1)
     link: dict = {}
     offered: dict = {}
     nodes, parent, attrs = _lay_out(specs, boxes, lambda k: root, reach, link,
                                     offered)
-    # published ports: the outer host-port name reaches the container port
-    for k, svc in enumerate(model.services.values(), 1):
-        for host, container in svc.ports:
-            link[OuterName(1, handle("port", host))] = offered[
-                OuterName(k, handle("port", container))]
-    result = Bigraph(default_signature(), EMPTY_INTERFACE, _outer(model),
+    for host, port in published.items():
+        link[OuterName(1, host)] = offered[OuterName(*port)]
+    result = Bigraph(default_signature(), EMPTY_INTERFACE, outer,
                      nodes, edges, {}, parent, link, attrs)
     problems = validate(result)
     if problems:

@@ -1,12 +1,35 @@
-"""Flow-check verdicts computed straight from a ``ComposeModel``.
+"""Wiring and flow-check verdicts computed straight from a ``ComposeModel``.
 
 The paper holds that docker-compose's composition *is* the composition of
-bigraphs inside the environment, so each verdict on the assembled composite
-must equal the same verdict read off the model.  Nothing here builds or
-reads a bigraph.
+bigraphs inside the environment, so the environment's wiring and each
+verdict on the assembled composite must equal the same facts read off the
+model.  Nothing here builds or reads a bigraph.
 """
 
 from __future__ import annotations
+
+
+def wiring(model) -> tuple[dict, dict]:
+    """What the compose file wires to what, at the level of the model.
+
+    Each (service, tagged name) that a service consumes maps to its target:
+    ``("network", n)`` for ``n_<n>``, ``("volume", v)`` or, when ``v`` is
+    declared external, ``("external", v)`` for ``v_<v>``, and
+    ``("service", t)`` for the alias ``l_<alias>`` of a link to ``t``.  Each
+    published host port maps to the (service, container port) it
+    reaches."""
+    targets, published = {}, {}
+    for name, svc in model.services.items():
+        for net in svc.networks:
+            targets[name, "n_" + net] = ("network", net)
+        for mount in svc.volumes:
+            kind = "external" if model.volumes[mount.name].external else "volume"
+            targets[name, "v_" + mount.name] = (kind, mount.name)
+        for target, alias in svc.links:
+            targets[name, "l_" + alias] = ("service", target)
+        for host, container in svc.ports:
+            published[host] = (name, container)
+    return targets, published
 
 
 def unreachable_links(model) -> list[tuple[str, str]]:

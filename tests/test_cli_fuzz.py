@@ -1,10 +1,11 @@
 """Fuzz the CLI contract: whatever compose, pattern or order file it reads,
 ``ldbig.cli.main`` returns 0, 1 or 2 without raising, exits 2 exactly when
 its report is an input error, and exits 2 on every document that is broken
-by construction.  Each compose document it accepts assembles as the
-environment composed over the container block and exports the text of its
-document tree, and on each compose edit it accepts, check_links and the flow
-graph agree with the verdicts read off the compose model."""
+by construction.  Each compose document it accepts gives a well-formed
+environment and container block, assembles as the one composed over the
+other, wires as its model says and exports the text of its document tree,
+and on each compose edit it accepts, check_links and the flow graph agree
+with the verdicts read off the compose model."""
 
 import contextlib
 import copy
@@ -16,11 +17,13 @@ from pathlib import Path
 import yaml
 from hypothesis import assume, given, settings, strategies as st
 
-from ldbig import assemble, parse_compose
+from ldbig import (
+    assemble, environment_bigraph, parse_compose, stub_block, validate,
+)
 from ldbig.cli import main
 from test_assembly import assert_is_the_formula
 from test_serialize import assert_dumps_is_json_dumps
-from test_model_reference import assert_agree
+from test_model_reference import assert_agree, assert_wiring_agrees
 
 DATA = Path(__file__).parent / "data"
 WORDPRESS_TEXT = (DATA / "wordpress.yml").read_text(encoding="utf-8")
@@ -101,8 +104,9 @@ def _compose_commands(compose: Path):
 
 def _codes_on_compose(text: str) -> dict[str, int]:
     """The exit code of each subcommand on the document ``text``; one that
-    ``validate`` accepts assembles as the paper's formula, and its export is
-    the text of its document tree."""
+    ``validate`` accepts gives a well-formed environment and block,
+    assembles as the paper's formula, wires as its model says, and its
+    export is the text of its document tree."""
     with tempfile.TemporaryDirectory() as tmp:
         compose = Path(tmp) / "stack.yml"
         compose.write_text(text, encoding="utf-8")
@@ -110,7 +114,10 @@ def _codes_on_compose(text: str) -> dict[str, int]:
                  for argv in _compose_commands(compose)}
     if codes["validate"] == 0:
         model = parse_compose(text)
+        assert validate(environment_bigraph(model)) == []
+        assert validate(stub_block(model)) == []
         assert_is_the_formula(model)
+        assert_wiring_agrees(model)
         assert_dumps_is_json_dumps(assemble(model))
     return codes
 

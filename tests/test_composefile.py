@@ -418,30 +418,48 @@ def test_environment_single_service():
 
 
 
-def test_environment_looks_each_service_up_a_bounded_number_of_times():
+def _composefile_lines(run) -> int:
+    """Lines of ``composefile`` executed while ``run()`` runs, traced with
+    ``sys.settrace``: lines, not seconds, so the count is deterministic."""
+    source = composefile.__file__
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def scope(frame, event, arg):
+        return local if frame.f_code.co_filename == source else None
+
+    old = sys.gettrace()
+    sys.settrace(scope)
+    try:
+        run()
+    finally:
+        sys.settrace(old)
+    return count
+
+
+@pytest.mark.parametrize("build", [environment_bigraph, assemble],
+                         ids=["environment", "assemble"])
+def test_wiring_a_resource_per_service_grows_linearly(build):
     """Doubling the services, each with its own network and volume, at most
-    ~doubles the lookups in ``model.services``; rescanning every service
-    per network and per volume quadruples them."""
-    lookups = [0]
-
-    class CountingDict(dict):
-        def __getitem__(self, key):
-            lookups[0] += 1
-            return super().__getitem__(key)
-
-    counts = []
+    ~doubles the lines ``composefile`` runs to wire them; rescanning every
+    service per network and per volume quadruples them."""
+    counts, edges = [], []
     for n in (200, 400):
-        services = CountingDict(
-            (f"s{i}", ServiceSpec(image="busybox", networks=(f"n{i}",),
-                                  volumes=(VolumeMount(f"v{i}", "/data"),)))
-            for i in range(n))
-        model = ComposeModel(version="2", services=services,
-                             networks={f"n{i}": NetworkDecl() for i in range(n)},
-                             volumes={f"v{i}": VolumeDecl() for i in range(n)})
-        lookups[0] = 0
-        env = environment_bigraph(model)
-        counts.append(lookups[0])
-    assert len(env.edges) == 800
+        model = ComposeModel(
+            version="2",
+            services={f"s{i}": ServiceSpec(
+                image="busybox", networks=(f"n{i}",),
+                volumes=(VolumeMount(f"v{i}", "/data"),)) for i in range(n)},
+            networks={f"n{i}": NetworkDecl() for i in range(n)},
+            volumes={f"v{i}": VolumeDecl() for i in range(n)})
+        counts.append(_composefile_lines(
+            lambda: edges.append(len(build(model).edges))))
+    assert edges == [400, 800]
     assert counts[0] > 0
     assert counts[1] / counts[0] <= 2.2, counts
 

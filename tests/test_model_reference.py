@@ -1,7 +1,9 @@
-"""check_links, the flow graph and check_security against verdicts read off
-the compose model, at sizes the brute-force oracles do not reach."""
+"""The wiring of the environment and of the composite, check_links, the flow
+graph and check_security against the same facts read off the compose
+model, at sizes the brute-force oracles do not reach."""
 
 import random
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,15 +11,122 @@ import networkx as nx
 import pytest
 
 from ldbig import (
-    SecurityOrder, assemble, build_flow_graph, check_links, check_security,
+    Edge, InnerName, OuterName, Port, SecurityOrder, assemble,
+    build_flow_graph, check_links, check_security, environment_bigraph,
     parse_compose,
 )
 from ldbig.composefile import ComposeModel, ServiceSpec
 from genrandom import gen_model
 from model_reference import flow_arcs, leak_pairs, order_closure, \
-    unreachable_links
+    unreachable_links, wiring
+from test_assembly import _models
+from test_tensor import benchmark_models
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+KINDS = {"n": "network", "v": "volume"}
+
+
+def _named(targets, on_edge):
+    """``targets`` with each edge replaced by the one resource whose points
+    it joins; no edge joins two resources and no resource has two edges."""
+    named = {}
+    for edge, resources in on_edge.items():
+        (named[edge],) = resources
+    assert len(set(named.values())) == len(named), on_edge
+    return {key: named.get(t, t) for key, t in targets.items()}
+
+
+def environment_wiring(model, env):
+    """``wiring(model)`` read back from the environment's link map: site k
+    is the k-th service, and an edge is the resource of the inner names it
+    joins."""
+    services = list(model.services)
+    targets, published, on_edge = {}, {}, defaultdict(set)
+    for point, link in env.link.items():
+        if isinstance(point, OuterName):
+            assert point.text[:2] == link.text[:2] == "p_"
+            published[point.text[2:]] = (services[link.locality - 1],
+                                         link.text[2:])
+            continue
+        key = (services[point.locality - 1], point.text)
+        if isinstance(link, Edge):
+            tag, _, name = point.text.partition("_")
+            on_edge[link].add((KINDS[tag], name))
+            targets[key] = link
+        elif isinstance(link, OuterName):
+            targets[key] = ("external", link.text)
+        else:
+            target = services[link.locality - 1]
+            assert isinstance(link, InnerName) and link.text == "c_" + target
+            targets[key] = ("service", target)
+    return _named(targets, on_edge), published
+
+
+def composite_wiring(model, b):
+    """``wiring(model)`` read back from the composite: the link of each
+    network, volume and process port, with each box mapped back to the
+    service it names.  A process's i-th port is the i-th link alias of its
+    service, and its i-th offered port the i-th distinct container port,
+    exposed ones first."""
+    service_of = {v: b.attrs(v)["name"] for v, control in b.nodes.items()
+                  if control.name == "container"}
+
+    def target(link):
+        if isinstance(link, Port):
+            assert link.index == 0
+            return ("service", service_of[link.node])
+        if isinstance(link, OuterName):
+            return ("external", link.text)
+        return link
+
+    targets, published, on_edge = {}, {}, defaultdict(set)
+    for v, control in b.nodes.items():
+        if control.name == "container":
+            continue
+        service = service_of[b.node_parent[v]]
+        if control.name == "process":
+            links = model.services[service].links
+            assert control.plus == len(links)
+            for i, (_, alias) in enumerate(links):
+                targets[service, "l_" + alias] = target(b.link[Port(v, i)])
+            continue
+        name = b.attrs(v)["name"]
+        link = b.link[Port(v, 0)]
+        if isinstance(link, Edge):
+            on_edge[link].add((control.name, name))
+        key = (service, control.name[0] + "_" + name)
+        assert targets.setdefault(key, target(link)) == target(link)
+    for point, link in b.link.items():
+        if isinstance(point, OuterName):
+            service = service_of[b.node_parent[link.node]]
+            svc = model.services[service]
+            offers = list(dict.fromkeys([*svc.expose,
+                                         *(c for _, c in svc.ports)]))
+            assert point.text[:2] == "p_"
+            published[point.text[2:]] = (service, offers[link.index])
+    return _named(targets, on_edge), published
+
+
+def assert_wiring_agrees(model):
+    """The wiring read off the model is the wiring of the environment and of
+    the composite; returns it."""
+    expected = wiring(model)
+    assert environment_wiring(model, environment_bigraph(model)) == expected
+    assert composite_wiring(model, assemble(model)) == expected
+    return expected
+
+
+def test_the_wiring_matches_the_model(wordpress_model, monkeypatch):
+    kinds, published = set(), 0
+    for model in [*_models(), wordpress_model, *benchmark_models(monkeypatch)]:
+        targets, ports = assert_wiring_agrees(model)
+        kinds |= {kind for kind, _ in targets.values()}
+        published += len(ports)
+    # every kind of target, and published ports, are compared
+    assert kinds == {"network", "volume", "external", "service"}
+    assert published > 0
 
 
 def assert_agree(model):
