@@ -79,7 +79,7 @@ def _sorted_findings(items):
 
 
 def _cmd_validate(args) -> Report:
-    # assemble owns well-formedness: an ill-formed composite raises LdbError
+    # assemble checks what its builder could get wrong and raises LdbError
     assemble(_load_model(args.file))
     return ok()
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import yaml
 
 from .algebra import tensor  # noqa: F401 -- perfbench's tests read composefile.tensor
-from .bigraph import Bigraph, Edge, InnerName, OuterName, Port, Root, validate
+from .bigraph import Bigraph, Edge, InnerName, OuterName, Port, Root
 from .containers import (
     CONTAINER, NETWORK, VOLUME, ContainerSpec, VolumeMount, _boxes, _lay_out,
     build_container, default_signature, handle,
@@ -158,7 +158,9 @@ def _parse_link(entry, path) -> tuple[str, str]:
                              f"\"service:alias\", got {text!r}")
 
 
-def _parse_volume(entry, path) -> VolumeMount:
+def _parse_volume(entry, path, declared) -> VolumeMount:
+    """A mount; a volume name in ``declared`` was checked where it was
+    declared, so only an undeclared one is checked here."""
     text = _require_str(entry, path)
     parts = text.split(":")
     if len(parts) == 2:
@@ -173,8 +175,9 @@ def _parse_volume(entry, path) -> VolumeMount:
         raise ComposeSyntaxError(f"{path}: unknown volume flag {flag!r}")
     if not name or not mount:
         raise ComposeSyntaxError(f"{path}: empty volume name or path in {text!r}")
-    return VolumeMount(_require_name(name, path), mount,
-                       read_only=(flag == "ro"))
+    if name not in declared:
+        name = _require_name(name, path)
+    return VolumeMount(name, mount, read_only=(flag == "ro"))
 
 
 def _container_spec(name: str, svc: ServiceSpec) -> ContainerSpec:
@@ -245,10 +248,14 @@ def parse_compose(text: str) -> ComposeModel:
                        _require_list(body.get("ports"), f"{name}.ports")])
         expose = tuple([_parse_expose(e, f"{name}.expose") for e in
                         _require_list(body.get("expose"), f"{name}.expose")])
-        vols = tuple([_parse_volume(e, f"{name}.volumes") for e in
+        vols = tuple([_parse_volume(e, f"{name}.volumes", volumes) for e in
                       _require_list(body.get("volumes"), f"{name}.volumes")])
         if "networks" in body:
-            nets = tuple([_require_name(e, f"{name}.networks") for e in
+            # a declared network's name was checked where it was declared;
+            # an entry of another type may be unhashable, so only a str is
+            # looked up
+            nets = tuple([e if type(e) is str and e in networks
+                          else _require_name(e, f"{name}.networks") for e in
                           _require_list(body.get("networks"), f"{name}.networks")])
         else:
             nets = (DEFAULT_NETWORK,)
@@ -395,9 +402,13 @@ def assemble(model: ComposeModel) -> Bigraph:
     the linked container's port; and a published host port's outer name to
     the container port it publishes.  The edges are numbered past the
     block, as compose's refresh numbers them, so node ids, edge ids and
-    dict order are those of the formula.  The pipeline's one
-    well-formedness check: an ill-formed composite raises LdbError, which
-    the CLI reports as an input error.
+    dict order are those of the formula.
+
+    The builder is trusted to be well-formed; tier-1 runs the full
+    ``validate`` on every composite it assembles.  What is checked here,
+    in one linear pass, is what its own maps could get wrong (see
+    ``_check_assembled``): a fault raises LdbError, which the CLI reports
+    as an input error.
     """
     specs = model.containers.values()
     boxes, top = _boxes(specs)
@@ -412,8 +423,44 @@ def assemble(model: ComposeModel) -> Bigraph:
         link[OuterName(1, host)] = offered[OuterName(*port)]
     result = Bigraph(default_signature(), EMPTY_INTERFACE, outer,
                      nodes, edges, {}, parent, link, attrs)
-    problems = validate(result)
+    problems = _check_assembled(result)
     if problems:
         raise LdbError("assembled bigraph is not well-formed: "
-                       + "; ".join(str(p) for p in problems))
+                       + "; ".join(problems))
     return result
+
+
+def _check_assembled(b: Bigraph) -> list[str]:
+    """The faults of an assembled composite that its builder's maps could
+    hold, in one pass over each: node and edge ids overlap, a node has no
+    parent or one that is neither the root nor a node, the link map has
+    more or fewer keys than there are points (the nodes' source ports and
+    the outer interface's negative names; the inner interface is empty),
+    or an edge or a node port a point links to does not exist."""
+    nodes, edges = b.nodes, b.edges
+    problems = []
+    if not edges.isdisjoint(nodes):
+        problems.append(f"node and edge ids {sorted(edges & nodes.keys())} "
+                        "overlap")
+    root = Root(1)
+    parent = b.node_parent
+    for v in nodes:
+        above = parent.get(v)
+        if above is None:
+            problems.append(f"node {v} has no parent")
+        elif not (above in nodes or above == root):
+            problems.append(f"node {v} has an unknown parent {above}")
+    points = (sum([c.plus for c in nodes.values()])
+              + sum([len(minus) for _, minus in b.outer.localities]))
+    if len(b.link) != points:
+        problems.append(f"{len(b.link)} linked points for {points} points")
+    for point, target in b.link.items():
+        kind = type(target)
+        if kind is Edge:
+            if target.ident not in edges:
+                problems.append(f"{point} links to unknown edge {target}")
+        elif kind is Port:
+            ctrl = nodes.get(target.node)
+            if ctrl is None or not 0 <= target.index < ctrl.minus:
+                problems.append(f"{point} links to unknown port {target}")
+    return problems

@@ -17,7 +17,7 @@ host's.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bigraph import Bigraph, Control, OuterName, Port, Root, Signature
 from .interfaces import EMPTY_INTERFACE, LocalInterface
@@ -57,8 +57,7 @@ def default_signature() -> Signature:
     return _SIGNATURE
 
 
-@dataclass(frozen=True)
-class VolumeMount:
+class VolumeMount(NamedTuple):
     """A volume mounted at ``path`` inside the container."""
 
     name: str
@@ -66,33 +65,55 @@ class VolumeMount:
     read_only: bool = False
 
 
-@dataclass(frozen=True)
 class ContainerSpec:
     """One container running one process, which consumes the link aliases
     ``consumes`` and offers the ports ``offers``; a volume mounted at
-    several paths is one name."""
+    several paths is one name.
 
-    name: str
-    networks: tuple[str, ...] = ()
-    volumes: tuple[VolumeMount, ...] = ()
-    consumes: tuple[str, ...] = ()
-    offers: tuple[str, ...] = ()
+    A plain class with slots, built once per service: a frozen dataclass's
+    ``__init__`` costs about twice as much.  Specs are equal when their
+    fields are; treat one as immutable."""
+
+    __slots__ = ("name", "networks", "volumes", "consumes", "offers",
+                 "_names")
+
+    def __init__(self, name: str, networks: tuple[str, ...] = (),
+                 volumes: tuple[VolumeMount, ...] = (),
+                 consumes: tuple[str, ...] = (), offers: tuple[str, ...] = ()):
+        self.name = name
+        self.networks = networks
+        self.volumes = volumes
+        self.consumes = consumes
+        self.offers = offers
+        self._names = None
+
+    def _fields(self):
+        return (self.name, self.networks, self.volumes, self.consumes,
+                self.offers)
+
+    def __eq__(self, other):
+        if type(other) is not ContainerSpec:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("ContainerSpec(name={!r}, networks={!r}, volumes={!r}, "
+                "consumes={!r}, offers={!r})".format(*self._fields()))
 
     def names(self) -> tuple[frozenset[str], frozenset[str]]:
-        """The (consumed, offered) outer names, each tagged by ``handle``.
-
-        Computed once and kept as a plain attribute: a ``cached_property``
-        takes a lock and builds the instance's ``__dict__`` on its first
-        read on CPython 3.11, which slowed assembly measurably."""
-        names = getattr(self, "_names", None)
-        if names is None:
-            names = (frozenset([*(handle(NETWORK, n) for n in self.networks),
-                                *(handle(VOLUME, v.name) for v in self.volumes),
-                                *(handle("link", a) for a in self.consumes)]),
-                     frozenset([*(handle("port", p) for p in self.offers),
-                                handle(CONTAINER, self.name)]))
-            object.__setattr__(self, "_names", names)
-        return names
+        """The (consumed, offered) outer names, each tagged by ``handle``,
+        computed on the first call and kept in a slot."""
+        if self._names is None:
+            self._names = (
+                frozenset([*(handle(NETWORK, n) for n in self.networks),
+                           *(handle(VOLUME, v.name) for v in self.volumes),
+                           *(handle("link", a) for a in self.consumes)]),
+                frozenset([*(handle("port", p) for p in self.offers),
+                           handle(CONTAINER, self.name)]))
+        return self._names
 
 
 def _boxes(specs) -> tuple[list[int], int]:

@@ -27,7 +27,6 @@ from ldbig import (
     environment_bigraph, parse_compose, parse_order_file, patterns_from_json,
     serialize, stub_block, to_dot, validate,
 )
-from ldbig.bigraph import Violation
 from ldbig.cli import main
 from ldbig.errors import LdbError
 from genrandom import gen_bigraph, gen_interface, gen_model, gen_signature
@@ -87,8 +86,14 @@ def _lattice(n):
 
 def assert_is_the_formula(model, composite=None):
     """``assemble(model)`` (or ``composite``, already assembled from it) is
-    the environment composed over the container block."""
-    assert_same(assemble(model) if composite is None else composite,
+    well-formed and is the environment composed over the container block.
+
+    ``assemble`` checks only what its builder's maps could get wrong, so
+    the full ``validate`` of each composite it builds runs here."""
+    if composite is None:
+        composite = assemble(model)
+    assert validate(composite) == []
+    assert_same(composite,
                 algebra.compose(environment_bigraph(model), stub_block(model)))
 
 
@@ -145,14 +150,76 @@ def test_assembly_builds_one_bigraph(monkeypatch):
     assert max(sizes) == 200 and 2 in sizes and 0 in sizes
 
 
-def test_an_ill_formed_composite_is_an_input_error(monkeypatch, capsys,
-                                                  wordpress_model, data_dir):
-    fault = Violation("parent", "node 99", "no parent")
-    monkeypatch.setattr(composefile, "validate", lambda b: [fault])
-    message = "assembled bigraph is not well-formed: [parent] node 99: no parent"
+def _overlap(edges, parent, link):
+    edges.append(1)
+
+
+def _orphan(edges, parent, link):
+    del parent[2]
+
+
+def _under_a_missing_node(edges, parent, link):
+    parent[2] = 99
+
+
+def _under_a_missing_root(edges, parent, link):
+    parent[5] = Root(2)
+
+
+def _a_key_too_few(edges, parent, link):
+    del link[Port(6, 0)]
+
+
+def _a_key_too_many(edges, parent, link):
+    link[Port(4, 1)] = Edge(13)
+
+
+def _to_a_missing_edge(edges, parent, link):
+    link[Port(6, 0)] = Edge(99)
+
+
+def _to_a_missing_node(edges, parent, link):
+    link[Port(12, 0)] = Port(99, 0)
+
+
+def _to_a_missing_port(edges, parent, link):
+    link[Port(12, 0)] = Port(5, 1)
+
+
+# each fault the builder's maps could hold, injected into wordpress's
+# composite (nodes 1-12, edges 13 and 14), with what assemble says of it
+FAULTS = [
+    (_overlap, "node and edge ids [1] overlap"),
+    (_orphan, "node 2 has no parent"),
+    (_under_a_missing_node, "node 2 has an unknown parent 99"),
+    (_under_a_missing_root, "node 5 has an unknown parent r2"),
+    (_a_key_too_few, "9 linked points for 10 points"),
+    (_a_key_too_many, "11 linked points for 10 points"),
+    (_to_a_missing_edge, "6:0 links to unknown edge e99"),
+    (_to_a_missing_node, "12:0 links to unknown port 99:0"),
+    (_to_a_missing_port, "12:0 links to unknown port 5:1"),
+]
+
+
+@pytest.mark.parametrize("fault, problem", FAULTS,
+                         ids=[f.__name__.strip("_") for f, _ in FAULTS])
+def test_an_ill_formed_composite_is_an_input_error(
+        monkeypatch, capsys, wordpress_model, data_dir, fault, problem):
+    built = []
+
+    def corrupted(signature, inner, outer, nodes, edges, sites, parent, link,
+                  attrs):
+        fault(edges, parent, link)  # the maps assemble just built
+        built.append(Bigraph(signature, inner, outer, nodes, edges, sites,
+                             parent, link, attrs))
+        return built[-1]
+
+    monkeypatch.setattr(composefile, "Bigraph", corrupted)
+    message = f"assembled bigraph is not well-formed: {problem}"
     with pytest.raises(LdbError) as caught:
         assemble(wordpress_model)
     assert str(caught.value) == message
+    assert validate(built[0]) != []  # the full check finds it too
     compose = str(data_dir / "wordpress.yml")
     assert main(["validate", compose, "--json"]) == 2
     (finding,) = json.loads(capsys.readouterr().out)["findings"]

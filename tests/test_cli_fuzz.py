@@ -104,9 +104,9 @@ def _compose_commands(compose: Path):
 
 def _codes_on_compose(text: str) -> dict[str, int]:
     """The exit code of each subcommand on the document ``text``; one that
-    ``validate`` accepts gives a well-formed environment and block,
-    assembles as the paper's formula, wires as its model says, and its
-    export is the text of its document tree."""
+    ``validate`` accepts gives a well-formed environment, block and
+    composite, assembles as the paper's formula, wires as its model says,
+    and its export is the text of its document tree."""
     with tempfile.TemporaryDirectory() as tmp:
         compose = Path(tmp) / "stack.yml"
         compose.write_text(text, encoding="utf-8")
@@ -116,9 +116,10 @@ def _codes_on_compose(text: str) -> dict[str, int]:
         model = parse_compose(text)
         assert validate(environment_bigraph(model)) == []
         assert validate(stub_block(model)) == []
-        assert_is_the_formula(model)
+        composite = assemble(model)
+        assert_is_the_formula(model, composite)  # validates it too
         assert_wiring_agrees(model)
-        assert_dumps_is_json_dumps(assemble(model))
+        assert_dumps_is_json_dumps(composite)
     return codes
 
 

@@ -347,6 +347,14 @@ services:
     pytest.param(MINIMAL + "    networks: [n m]\n",
                  "app.networks: name may not contain whitespace: 'n m'",
                  id="network entry"),
+    # an entry that is no str is checked, never looked up among the
+    # declared networks: a list or a mapping is unhashable
+    pytest.param(MINIMAL + "    networks: [[n], {n: 1}]\nnetworks: {n: }\n",
+                 "app.networks: expected a non-empty string, got ['n']",
+                 id="list network entry"),
+    pytest.param(MINIMAL + "    networks: [{n: 1}]\nnetworks: {n: }\n",
+                 "app.networks: expected a non-empty string, got {'n': 1}",
+                 id="mapping network entry"),
     pytest.param(MINIMAL + "volumes: {v w: {external: true}}\n",
                  "volumes: name may not contain whitespace: 'v w'",
                  id="unused volume name"),
@@ -551,7 +559,8 @@ def test_random_models_assemble_and_validate():
     for _ in range(60):
         model = gen_model(rng)
         assert validate(environment_bigraph(model)) == []
-        composite = assemble(model)  # assemble validates internally
+        composite = assemble(model)
+        assert validate(composite) == []
         assert composite.inner.width == 0
         permuted = permute_services(rng, model)
         assert is_isomorphic(composite, assemble(permuted))

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -78,9 +77,22 @@ def test_dropping_an_offer_breaks_isomorphism():
 
     full = build_container(reference_spec())
     spec = reference_spec()
-    trimmed = replace(spec, offers=spec.offers[:2])
+    trimmed = ContainerSpec(spec.name, spec.networks, spec.volumes,
+                            spec.consumes, spec.offers[:2])
     smaller = build_container(trimmed)
     assert not is_isomorphic(full, smaller)
+
+
+def test_specs_are_values():
+    # equal fields make equal specs, whatever names() has cached
+    spec, same = reference_spec(), reference_spec()
+    same.names()
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != ContainerSpec("C") and spec != spec.name
+    assert eval(repr(spec)) == spec
+    assert repr(ContainerSpec("lone")) == (
+        "ContainerSpec(name='lone', networks=(), volumes=(), consumes=(), "
+        "offers=())")
 
 
 def test_minimal_container():

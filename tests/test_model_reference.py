@@ -176,7 +176,7 @@ def beside(model, other):
         services[moved(name)] = replace(
             svc, ports=(), networks=tuple(map(moved, svc.networks)),
             links=tuple((moved(target), alias) for target, alias in svc.links),
-            volumes=tuple(replace(v, name=moved(v.name)) for v in svc.volumes))
+            volumes=tuple(v._replace(name=moved(v.name)) for v in svc.volumes))
     return ComposeModel(
         "2", services,
         {**model.networks, **{moved(n): d for n, d in other.networks.items()}},

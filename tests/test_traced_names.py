@@ -82,6 +82,7 @@ def test_names_are_checked_where_they_are_read_and_not_again(data_dir):
             tracer.uninstall()
         counts.append(tracer.counts["interfaces.check_name"])
     # the reader checks each name once: 2 + 1 declared networks and volumes,
-    # 3 services, 2 links, 2 mounted volumes and 4 joined networks; building
-    # the composite, with a process control per container, checks none again
-    assert counts == [14, 0]
+    # 3 services and 2 links; the 2 mounted volumes and 4 joined networks
+    # are declared names, and building the composite, with a process
+    # control per container, checks none again
+    assert counts == [8, 0]
