@@ -21,8 +21,9 @@ from .composefile import assemble, environment_bigraph, parse_compose, \
     stub_block
 from .errors import ComposeSyntaxError, CyclicOrder, LdbError, \
     SignatureMismatch, UnknownNetwork
-from .report import Finding, Report, input_error, ok, report_json, violations
-from .serialize import dumps, patterns_from_json, to_dot
+from .report import Finding, Report, input_error, ok, report_pieces, \
+    violations
+from .serialize import dot_pieces, json_pieces, patterns_from_json
 from .sorting import check_sorting
 
 
@@ -39,9 +40,22 @@ def _paint(text: str, code: str, stream) -> str:
     return text
 
 
+def _write(pieces, out) -> None:
+    """Write each piece of a document to ``out`` as it is made, then a
+    newline unless the document ends in one.  With ``out`` None (a closed
+    stdout) the pieces are still made, so a failure still ends the run."""
+    write, end = len if out is None else out.write, ""  # len writes nothing
+    for piece in pieces:
+        write(piece)
+        end = piece[-1:]
+        del piece  # not held while the next is made
+    if end != "\n":
+        write("\n")
+
+
 def _print_report(report: Report, as_json: bool):
     if as_json:
-        print(report_json(report))
+        _write(report_pieces(report), sys.stdout)
         return
     if report.status == "ok":
         print(_paint("ok", "32", sys.stdout) + ": no findings")
@@ -126,13 +140,21 @@ def _cmd_export(args) -> Report:
              "composite": assemble}[args.stage]
     # the model and the specs it caches are freed before the text is built
     b = build(_load_model(args.file))
-    text = dumps(b) if args.format == "json" else to_dot(b, title=args.stage)
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")  # a no-op when stdout is closed (None)
+    pieces = json_pieces(b) if args.format == "json" \
+        else dot_pieces(b, args.stage)
+    if not args.output:
+        _write(pieces, sys.stdout)
+        return ok()
+    # opened once the bigraph is built; a failure that leaves the file
+    # partial deletes it, unless it is no regular file (a device or a pipe)
+    with open(args.output, "w", encoding="utf-8") as out:
+        try:
+            _write(pieces, out)
+            out.flush()
+        except BaseException:
+            if os.path.isfile(args.output):
+                os.unlink(args.output)
+            raise
     return ok()
 
 

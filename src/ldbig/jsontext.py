@@ -6,14 +6,16 @@ pure-Python generator encoder.  Here a container that holds only scalars
 is written in one step, by string joins when small and otherwise by one C
 encoder call whose item separator carries that depth's indent; so is a
 list of such dicts.  Python walks only the containers above them.  It
-knows nothing of bigraphs or reports: ``serialize.dumps`` and
-``report.report_json`` write their documents from templates and hand it,
-through ``_nested``, only the parts they have no template for.
+knows nothing of bigraphs or reports: ``serialize.json_pieces`` and
+``report.report_pieces`` write their documents from templates, a list at a
+time in pieces of at most ``_PIECE`` entries (``_chunks``, ``_listed``),
+and hand it, through ``_nested``, only the parts they have no template for.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quoted
 
 __all__ = ["json_text"]
@@ -21,6 +23,7 @@ __all__ = ["json_text"]
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _JOINED = 4  # a scalar-only container this small is joined, a larger one encoded
 _CACHED = 64  # depths whose indent and encoder are kept once made
+_PIECE = 256  # the most entries (nodes, links, findings, lines) in a piece
 _ENCODE_SCALAR = json.JSONEncoder(check_circular=False).encode
 
 
@@ -85,6 +88,24 @@ def _record_texts(records: list, depth: int) -> list:
     body = _ENCODER[depth + 1].encode(records)[2:-2]
     return ["{" + inner + text + _NL[depth] + "}"
             for text in body.split("}," + inner + "{")] if records else []
+
+
+def _chunks(items):
+    """``items`` in lists of at most ``_PIECE``, each made when asked for."""
+    it = iter(items)
+    return iter(lambda: list(islice(it, _PIECE)), [])
+
+
+def _listed(chunks):
+    """The text at depth 1 of a list, a piece per list of its items' texts
+    at depth 2, each list emptied before the next is made."""
+    sep = "[" + _NL[2]
+    for texts in chunks:
+        texts[0] = sep + texts[0]
+        sep = "," + _NL[2]
+        yield sep.join(texts)
+        texts.clear()
+    yield _NL[1] + "]" if sep[0] == "," else "[]"
 
 
 def _one_step(value, depth: int):

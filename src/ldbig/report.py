@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .jsontext import _NL, _is_record, _nested, _quoted, _record_texts
+from .jsontext import _NL, _chunks, _is_record, _listed, _nested, _quoted, \
+    _record_texts
 
 OK = "ok"
 VIOLATIONS = "violations"
@@ -119,20 +120,27 @@ def _payload(payload, cache: dict) -> str:
         + _I3 + "}"
 
 
-def report_json(report: Report) -> str:
+def report_pieces(report: Report):
     """Exactly ``json.dumps(doc, indent=2, sort_keys=True)`` of the report's
     document ``{"status": ..., "findings": [{"kind": ..., "severity": ...,
-    "message": ..., "payload": ...}, ...]}``, written with no document tree.
+    "message": ..., "payload": ...}, ...]}``, written with no document tree,
+    in pieces made one at a time, each of at most ``_PIECE`` findings.
 
     A record object's text is made once per call: the CLI's leak reports
     share one record per network or container node among the paths of
     their findings.
     """
     cache: dict = {}
-    findings = [f'{{{_I3}"kind": {_text(f.kind, 3)},'
-                f'{_I3}"message": {_text(f.message, 3)},'
-                f'{_I3}"payload": {_payload(f.payload, cache)},'
-                f'{_I3}"severity": {_text(f.severity, 3)}{_I2}}}'
-                for f in report.findings]
-    body = f"[{_I2}{(',' + _I2).join(findings)}{_I1}]" if findings else "[]"
-    return f'{{{_I1}"findings": {body},{_I1}"status": {_text(report.status, 1)}\n}}'
+    yield f'{{{_I1}"findings": '
+    yield from _listed([f'{{{_I3}"kind": {_text(f.kind, 3)},'
+                        f'{_I3}"message": {_text(f.message, 3)},'
+                        f'{_I3}"payload": {_payload(f.payload, cache)},'
+                        f'{_I3}"severity": {_text(f.severity, 3)}{_I2}}}'
+                        for f in findings]
+                       for findings in _chunks(report.findings))
+    yield f',{_I1}"status": {_text(report.status, 1)}\n}}'
+
+
+def report_json(report: Report) -> str:
+    """The text of ``report_pieces(report)`` as one string."""
+    return "".join(report_pieces(report))

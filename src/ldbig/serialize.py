@@ -5,10 +5,11 @@ parents and attributes, edges, site placement and the full link map; importing
 it reproduces the bigraph exactly (same identifiers); a document of the wrong
 shape raises ValueError naming the offending entry by its path.  DOT output
 renders the place hierarchy as nested clusters and the link map as directed
-arcs.  Export documents are written by ``dumps`` straight from the bigraph,
-with the bytes of ``json.dumps(bigraph_to_json(b), indent=2, sort_keys=True)``;
-``json_text`` (defined in ``jsontext``) writes the parts it has no template
-for.  Reports are written by ``report.report_json``.
+arcs.  ``json_pieces`` and ``dot_pieces`` write a document straight from
+the bigraph in pieces of bounded size, and ``dumps`` and ``to_dot`` join
+them: ``dumps`` has the bytes of ``json.dumps(bigraph_to_json(b), indent=2,
+sort_keys=True)``, and ``json_text`` (defined in ``jsontext``) writes the
+parts it has no template for.  Reports are written by ``report``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .bigraph import (
     validate,
 )
 from .interfaces import LocalInterface, check_name
-from .jsontext import _NL, _is_record, _nested, _quoted, _record_texts, \
-    json_text
+from .jsontext import _NL, _chunks, _is_record, _listed, _nested, _quoted, \
+    _record_texts, json_text
 from .sorting import Pattern
 
 __all__ = [
@@ -183,11 +184,11 @@ def bigraph_from_json(data: dict, path: str = "bigraph") -> Bigraph:
                    site_parent, node_parent, link, attrs)
 
 
-# dumps writes bigraph_to_json(b)'s text from b: a template per node and link
-# entry, its braces at depth 2, fields at 3, theirs at 4; scalar-only attrs
-# come from one encoder call, and a field that is no plain int or str, and
-# each other part of the document, from json_text
-_I2, _I3, _I4 = _NL[2], _NL[3], _NL[4]
+# json_pieces writes bigraph_to_json(b)'s text from b: a template per node
+# and link entry, its braces at depth 2, fields at 3, theirs at 4; a piece's
+# scalar-only attrs come from one encoder call, and a field that is no plain
+# int or str, and each other part of the document, from json_text
+_I1, _I2, _I3, _I4 = _NL[1], _NL[2], _NL[3], _NL[4]
 _NAMES = {InnerName: "inner", OuterName: "outer"}
 
 
@@ -211,34 +212,51 @@ def _control_text(c: Control) -> str:
     return _nested(_control_to_json(c), 3)
 
 
-def _attrs_texts(b: Bigraph) -> dict:
-    """The text at depth 3 of each node's attrs that are a record, by node,
-    all written by one encoder call."""
-    records = {v: a for v, a in b.node_attrs.items() if _is_record(a)}
-    return dict(zip(records, _record_texts(list(records.values()), 3)))
+def _node_texts(b: Bigraph):
+    """The texts at depth 2 of the node entries, a list per piece; the
+    attrs that are a record in a piece are written by one encoder call."""
+    controls = {}
+    for vs in _chunks(sorted(b.nodes)):
+        records = {v: a for v in vs if _is_record(a := b.node_attrs.get(v))}
+        attrs = dict(zip(records, _record_texts(list(records.values()), 3)))
+        texts = []
+        for v in vs:
+            c, parent, a = b.nodes[v], b.node_parent.get(v), b.node_attrs.get(v)
+            control = controls.get(c) or controls.setdefault(c, _control_text(c))
+            parent = f'{{{_I4}"node": {parent}{_I3}}}' if type(parent) is int \
+                else _nested(_parent_to_json(parent), 3)
+            head = f'{{{_I3}"attrs": {attrs.get(v) or _nested(dict(a), 3)},' \
+                if a else "{"
+            v = v if type(v) is int else json_text(v)
+            texts.append(f'{head}{_I3}"control": {control},{_I3}"id": {v},'
+                         f'{_I3}"parent": {parent}{_I2}}}')
+        yield texts
+
+
+def json_pieces(b: Bigraph):
+    """The text of ``dumps(b)``, in pieces made one at a time, each of at
+    most ``_PIECE`` node or link entries."""
+    links, parts = {}, _head(b)
+    parts["links"] = (
+        [f'{{{_I3}"link": {links.get(t) or links.setdefault(t, _ref_text(t))},'
+         f'{_I3}"point": {_ref_text(p)}{_I2}}}' for p, t in chunk]
+        for chunk in _chunks(_links(b)))
+    parts["nodes"] = _node_texts(b)
+    sep = "{"
+    for key in sorted(parts):
+        yield f"{sep}{_I1}{_quoted(key)}: "
+        if key in ("links", "nodes"):
+            yield from _listed(parts[key])
+        else:
+            yield _nested(parts[key], 1)
+        sep = ","
+    yield "\n}"
 
 
 def dumps(b: Bigraph) -> str:
     """Exactly ``json_text(bigraph_to_json(b))``, written with no document
     tree."""
-    controls, links, attrs, nodes = {}, {}, _attrs_texts(b), []
-    for v in sorted(b.nodes):
-        c, parent, a = b.nodes[v], b.node_parent.get(v), b.node_attrs.get(v)
-        control = controls.get(c) or controls.setdefault(c, _control_text(c))
-        parent = f'{{{_I4}"node": {parent}{_I3}}}' if type(parent) is int \
-            else _nested(_parent_to_json(parent), 3)
-        head = f'{{{_I3}"attrs": {attrs.get(v) or _nested(dict(a), 3)},' \
-            if a else "{"
-        v = v if type(v) is int else json_text(v)
-        nodes.append(f'{head}{_I3}"control": {control},{_I3}"id": {v},'
-                     f'{_I3}"parent": {parent}{_I2}}}')
-    entries = [f'{{{_I3}"link": {links.get(t) or links.setdefault(t, _ref_text(t))},'
-               f'{_I3}"point": {_ref_text(p)}{_I2}}}' for p, t in _links(b)]
-    parts = {k: _nested(v, 1) for k, v in _head(b).items()}
-    for key, texts in (("nodes", nodes), ("links", entries)):
-        parts[key] = f"[{_I2}{(',' + _I2).join(texts)}{_NL[1]}]" if texts else "[]"
-    return "{" + _NL[1] + ("," + _NL[1]).join(
-        f"{_quoted(k)}: {parts[k]}" for k in sorted(parts)) + "\n}"
+    return "".join(json_pieces(b))
 
 
 def loads(text: str) -> Bigraph:
@@ -291,10 +309,21 @@ def _dot_id(x) -> str:
     raise TypeError(x)
 
 
+def dot_pieces(b: Bigraph, title: str):
+    """The text of ``to_dot(b, title)``, in pieces made one at a time, each
+    of at most ``_PIECE`` lines."""
+    return ("\n".join(lines) + "\n" for lines in _chunks(_dot_lines(b, title)))
+
+
 def to_dot(b: Bigraph, title: str = "bigraph") -> str:
     """Render nesting as clusters and the link map as directed arcs."""
-    lines = [f"digraph {_quote(title)} {{", "  rankdir=TB;",
-             "  node [shape=box, fontsize=10];"]
+    return "".join(dot_pieces(b, title))
+
+
+def _dot_lines(b: Bigraph, title: str):
+    yield f"digraph {_quote(title)} {{"
+    yield "  rankdir=TB;"
+    yield "  node [shape=box, fontsize=10];"
 
     def label(v: int) -> str:
         ctrl = b.nodes[v]
@@ -302,45 +331,42 @@ def to_dot(b: Bigraph, title: str = "bigraph") -> str:
         base = f"{ctrl.name} {name}" if name else ctrl.name
         return f"{base}\n({ctrl.plus}+,{ctrl.minus}-) #{v}"
 
-    def open_place(place, indent: str):
-        for s in b.sites_under(place):
-            lines.append(f"{indent}\"site_{s}\" [label=\"site {s}\", "
-                         "shape=box, style=dotted];")
-        return iter(b.children(place)), indent
+    def sites(place, indent: str):
+        return (f"{indent}\"site_{s}\" [label=\"site {s}\", shape=box, "
+                "style=dotted];" for s in b.sites_under(place))
 
-    def emit_place(place, indent: str):
+    for r in range(1, b.outer.width + 1):
+        yield f"  subgraph cluster_root_{r} {{"
+        yield f"    label=\"root {r}\"; style=dashed;"
+        yield from sites(Root(r), "    ")
         # depth-first with an explicit stack of (children left, indent)
-        stack = [open_place(place, indent)]
+        stack = [(iter(b.children(Root(r))), "    ")]
         while stack:
             children, indent = stack[-1]
             for v in children:
                 if b.children(v) or b.sites_under(v):
-                    lines.append(f"{indent}subgraph cluster_n{v} {{")
-                    lines.append(f"{indent}  label={_quote(label(v))};")
-                    lines.append(f"{indent}  \"n{v}\" [label=\"\", shape=point];")
-                    stack.append(open_place(v, indent + "  "))
+                    yield f"{indent}subgraph cluster_n{v} {{"
+                    yield f"{indent}  label={_quote(label(v))};"
+                    yield f"{indent}  \"n{v}\" [label=\"\", shape=point];"
+                    yield from sites(v, indent + "  ")
+                    stack.append((iter(b.children(v)), indent + "  "))
                     break
-                lines.append(f"{indent}\"n{v}\" [label={_quote(label(v))}];")
+                yield f"{indent}\"n{v}\" [label={_quote(label(v))}];"
             else:
                 stack.pop()
                 if stack:
-                    lines.append(f"{stack[-1][1]}}}")
-
-    for r in range(1, b.outer.width + 1):
-        lines.append(f"  subgraph cluster_root_{r} {{")
-        lines.append(f"    label=\"root {r}\"; style=dashed;")
-        emit_place(Root(r), "    ")
-        lines.append("  }")
+                    yield f"{stack[-1][1]}}}"
+        yield "  }"
 
     for interface, cls in ((b.inner, InnerName), (b.outer, OuterName)):
         for i, sides in enumerate(interface.localities):
             for texts, sign in zip(sides, "+-"):
                 for t in sorted(texts):
-                    lines.append(f"  {_dot_id(cls(i, t))} [label="
-                                 f"{_quote(f'{t}@{i}{sign}')}, shape=plaintext];")
+                    yield (f"  {_dot_id(cls(i, t))} [label="
+                           f"{_quote(f'{t}@{i}{sign}')}, shape=plaintext];")
     for e in sorted(b.edges):
-        lines.append(f"  {_dot_id(Edge(e))} [label=\"e{e}\", shape=diamond, "
-                     "fontsize=8];")
+        yield (f"  {_dot_id(Edge(e))} [label=\"e{e}\", shape=diamond, "
+               "fontsize=8];")
 
     for p, t in _links(b):
         extras = []
@@ -349,7 +375,5 @@ def to_dot(b: Bigraph, title: str = "bigraph") -> str:
         if isinstance(t, Port):
             extras.append(f"headlabel=\"{t.index}\"")
         suffix = f" [{', '.join(extras)}]" if extras else ""
-        lines.append(f"  {_dot_id(p)} -> {_dot_id(t)}{suffix};")
-
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {_dot_id(p)} -> {_dot_id(t)}{suffix};"
+    yield "}"

@@ -8,7 +8,8 @@ one breadth-first search per ordered pair that rescans every arc at each
 step, the tensor product by a pairwise fold that copies and relabels at
 every step, assembly by that fold over stubs numbered from 1, well-formedness
 by building and sorting every point, a YAML document by PyYAML's own
-composer and safe constructor. Keep them dumb.
+composer and safe constructor, a DOT export by one list of every line
+joined at the end. Keep them dumb.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from ldbig import (
 )
 from ldbig.analysis import FlowNode, Violation
 from ldbig.interfaces import juxtapose
+from ldbig.serialize import _dot_id, _quote
 
 
 def _groups_by_control(b: Bigraph):
@@ -449,3 +451,68 @@ def yaml_load_reference(text: str, source):
             Composer.__init__(self)
 
     return yaml.load(text, Loader=Loader)
+
+
+def to_dot_reference(b: Bigraph, title: str = "bigraph") -> str:
+    """``to_dot`` as it was before it was written in pieces: every line
+    appended to one list, the link map's items sorted by the point's text,
+    and one join at the end."""
+    lines = [f"digraph {_quote(title)} {{", "  rankdir=TB;",
+             "  node [shape=box, fontsize=10];"]
+
+    def label(v: int) -> str:
+        ctrl = b.nodes[v]
+        name = b.attrs(v).get("name")
+        base = f"{ctrl.name} {name}" if name else ctrl.name
+        return f"{base}\n({ctrl.plus}+,{ctrl.minus}-) #{v}"
+
+    def open_place(place, indent: str):
+        for s in b.sites_under(place):
+            lines.append(f"{indent}\"site_{s}\" [label=\"site {s}\", "
+                         "shape=box, style=dotted];")
+        return iter(b.children(place)), indent
+
+    def emit_place(place, indent: str):
+        stack = [open_place(place, indent)]
+        while stack:
+            children, indent = stack[-1]
+            for v in children:
+                if b.children(v) or b.sites_under(v):
+                    lines.append(f"{indent}subgraph cluster_n{v} {{")
+                    lines.append(f"{indent}  label={_quote(label(v))};")
+                    lines.append(f"{indent}  \"n{v}\" [label=\"\", shape=point];")
+                    stack.append(open_place(v, indent + "  "))
+                    break
+                lines.append(f"{indent}\"n{v}\" [label={_quote(label(v))}];")
+            else:
+                stack.pop()
+                if stack:
+                    lines.append(f"{stack[-1][1]}}}")
+
+    for r in range(1, b.outer.width + 1):
+        lines.append(f"  subgraph cluster_root_{r} {{")
+        lines.append(f"    label=\"root {r}\"; style=dashed;")
+        emit_place(Root(r), "    ")
+        lines.append("  }")
+
+    for interface, cls in ((b.inner, InnerName), (b.outer, OuterName)):
+        for i, sides in enumerate(interface.localities):
+            for texts, sign in zip(sides, "+-"):
+                for t in sorted(texts):
+                    lines.append(f"  {_dot_id(cls(i, t))} [label="
+                                 f"{_quote(f'{t}@{i}{sign}')}, shape=plaintext];")
+    for e in sorted(b.edges):
+        lines.append(f"  {_dot_id(Edge(e))} [label=\"e{e}\", shape=diamond, "
+                     "fontsize=8];")
+
+    for p, t in sorted(b.link.items(), key=lambda kv: str(kv[0])):
+        extras = []
+        if isinstance(p, Port):
+            extras.append(f"taillabel=\"{p.index}\"")
+        if isinstance(t, Port):
+            extras.append(f"headlabel=\"{t.index}\"")
+        suffix = f" [{', '.join(extras)}]" if extras else ""
+        lines.append(f"  {_dot_id(p)} -> {_dot_id(t)}{suffix};")
+
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -12,13 +13,15 @@ from pathlib import Path
 import pytest
 
 from ldbig import (
-    assemble, build_flow_graph, check_links, is_isomorphic, loads,
-    parse_compose,
+    assemble, build_flow_graph, check_links, dumps, is_isomorphic, loads,
+    parse_compose, to_dot,
 )
 from ldbig import cli
 from ldbig.cli import main
+from ldbig.jsontext import _PIECE
 from ldbig.report import Finding, Report
 from model_reference import flow_arcs, unreachable_links
+from test_serialize import PIECE_COUNTS, sized
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -538,6 +541,7 @@ def test_bad_order_line_is_an_input_error(compose_file, tmp_path):
 @pytest.mark.parametrize("command, code", [
     (["check-security", "{file}", "--order", "{order}", "--json"], 1),
     (["export", "{file}", "--format", "json"], 0),
+    (["export", "{file}", "--format", "dot"], 0),
 ])
 def test_a_closed_stdout_ends_without_a_traceback(compose_file, data_dir,
                                                   command, code, reader_gone):
@@ -608,6 +612,82 @@ def test_export_stages_and_dot(compose_file, tmp_path):
                   "--stage", "environment", "--output", str(target))
     assert out.returncode == 0
     assert loads(target.read_text()).inner.width == 3
+
+
+@pytest.mark.parametrize("count", PIECE_COUNTS)
+def test_an_export_has_the_bytes_of_dumps_and_to_dot(
+        count, compose_file, tmp_path, monkeypatch, capsys):
+    b = sized(count)
+    monkeypatch.setattr(cli, "assemble", lambda model: b)
+    assert main(["export", compose_file, "--format", "json"]) == 0
+    assert capsys.readouterr().out == dumps(b) + "\n"
+    assert main(["export", compose_file, "--format", "dot"]) == 0
+    assert capsys.readouterr().out == to_dot(b, "composite")
+    target = tmp_path / "out.json"
+    assert main(["export", compose_file, "--format", "json",
+                 "--output", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == dumps(b) + "\n"
+    assert capsys.readouterr().out == ""
+
+
+def _fail_after_one_piece(monkeypatch, writer: str, error) -> list:
+    """Make ``cli``'s ``writer`` raise ``error`` once it has made its first
+    piece; the list that piece is put in."""
+    pieces, made = getattr(cli, writer), []
+
+    def failing(*args, **kwargs):
+        made.append(next(pieces(*args, **kwargs)))
+        yield made[0]
+        raise error
+
+    monkeypatch.setattr(cli, writer, failing)
+    return made
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+@pytest.mark.parametrize("error", [
+    MemoryError, OSError(errno.ENOSPC, "No space left on device")],
+    ids=["memory", "os"])
+def test_a_failure_in_the_middle_of_a_document_is_an_input_error(
+        error, fmt, to_file, compose_file, tmp_path, monkeypatch, capsys):
+    b = sized(_PIECE + 1)  # a document of several pieces
+    monkeypatch.setattr(cli, "assemble", lambda model: b)
+    made = _fail_after_one_piece(monkeypatch, f"{fmt}_pieces", error)
+    target = tmp_path / "out"
+    argv = ["export", compose_file, "--format", fmt, "--json"]
+    assert main(argv + (["--output", str(target)] if to_file else [])) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert not target.exists()
+    if not to_file:  # the usual report follows the partial text
+        assert out.startswith(made[0])
+        out = out[len(made[0]):]
+    message, payload = (f"{compose_file}: out of memory", compose_file) \
+        if error is MemoryError else ("[Errno 28] No space left on device", None)
+    assert json.loads(out) == {"status": "inputError", "findings": [{
+        "kind": "inputError", "severity": "error", "message": message,
+        "payload": {"file": payload}}]}
+
+
+def test_an_output_that_is_no_regular_file_is_not_deleted(
+        compose_file, tmp_path, monkeypatch):
+    device = tmp_path / "null"
+    device.symlink_to(os.devnull)
+    _fail_after_one_piece(monkeypatch, "json_pieces", MemoryError)
+    assert main(["export", compose_file, "--format", "json",
+                 "--output", str(device)]) == 2
+    assert device.is_symlink()
+
+
+def test_an_output_is_not_opened_when_the_bigraph_cannot_be_built(
+        tmp_path, capsys):
+    bad, target = tmp_path / "bad.yml", tmp_path / "out.json"
+    bad.write_text("services:\n  a: [\n")
+    assert main(["export", str(bad), "--format", "json",
+                 "--output", str(target)]) == 2
+    assert not target.exists()
+    assert "malformed YAML" in capsys.readouterr().out
 
 
 def test_version_flag():

@@ -13,9 +13,12 @@ from ldbig import (
 )
 from ldbig.interfaces import LocalInterface
 from ldbig.analysis import FlowGraph, FlowNode, SecurityOrder, find_leaks
-from ldbig.report import Finding, Report, report_json
+from ldbig.jsontext import _PIECE
+from ldbig.report import Finding, Report, report_json, report_pieces, \
+    violations
 from ldbig.serialize import json_text
 from genrandom import gen_chain, gen_container_spec
+from oracles import to_dot_reference
 from test_assembly import _models, _monolith
 from test_tensor import benchmark_models
 
@@ -329,6 +332,62 @@ def test_dumps_builds_no_document_tree(monkeypatch, wordpress_composite):
     golden = (GOLDEN / "wordpress.composite.json").read_text(encoding="utf-8")
     assert dumps(wordpress_composite) + "\n" == golden
     assert dumps(monolith) == expected
+
+
+# -- documents written in pieces ----------------------------------------------
+
+# a list's length on each side of a piece's end, and the empty list
+PIECE_COUNTS = [0, 1, _PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE + 1]
+
+
+def sized(count: int, edges: int | None = None) -> Bigraph:
+    """A bigraph of ``count`` nodes and links and ``count`` (or ``edges``)
+    edges: every third node nested in the one before it, every second with
+    attrs that are a record and every third with attrs of a list."""
+    edges = count if edges is None else edges
+    attrs = {v: {"name": f"s{v}"} if v % 2 else {"tags": [v]}
+             for v in range(count) if v % 2 or v % 3 == 0}
+    return Bigraph(
+        Signature((Control("c", 0, 1),)), LocalInterface.of(),
+        LocalInterface.of(((), ()), ((), ())),
+        {v: Control("c", 0, 1) for v in range(count)},
+        range(count, count + edges), {},
+        {v: v - 1 if v % 3 == 2 else Root(1) for v in range(count)},
+        {Port(v, 0): Edge(count + v % max(edges, 1)) for v in range(count)},
+        attrs)
+
+
+@pytest.mark.parametrize("count", PIECE_COUNTS)
+def test_dumps_is_json_dumps_at_piece_boundaries(count):
+    b = sized(count)
+    assert dumps(b) == _dumps(bigraph_to_json(b))
+    pieces = list(serialize.json_pieces(b))
+    assert max(p.count('"control": ') for p in pieces) <= _PIECE
+    assert max(p.count('"point": ') for p in pieces) <= _PIECE
+
+
+@pytest.mark.parametrize("count", PIECE_COUNTS)
+def test_to_dot_is_the_reference_at_piece_boundaries(count):
+    b = sized(count)
+    assert to_dot(b, "t") == to_dot_reference(b, "t")
+    # a bigraph of one root and no node or link has seven lines and its edges
+    b = sized(0, edges=max(count - 7, 0))
+    assert to_dot(b) == to_dot_reference(b)
+    lines = [p.count("\n") for p in serialize.dot_pieces(b, "t")]
+    assert sum(lines) == max(count, 7)
+    assert lines[:-1] == [_PIECE] * (len(lines) - 1) and 0 < lines[-1] <= _PIECE
+
+
+@pytest.mark.parametrize("count", PIECE_COUNTS)
+def test_report_json_is_json_dumps_at_piece_boundaries(count):
+    shared = {"kind": "network", "name": "a"}
+    report = violations(
+        Finding("securityLeak", "warning", f"m{i}",
+                {"path": [shared, {"kind": "container", "name": f"c{i}"}]})
+        for i in range(count))
+    assert_report_is_json_dumps(report)
+    pieces = list(report_pieces(report))
+    assert max(p.count('"severity": ') for p in pieces) <= _PIECE
 
 
 # -- report_json against json.dumps of the report's document ------------------
