@@ -11,8 +11,8 @@ the position (key = point, value = link).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Union
 
 from .interfaces import LocalInterface
@@ -300,56 +300,6 @@ class Bigraph:
                                               self.node_parent)
         return self._control_cache
 
-    def node_region(self, node: int) -> int | None:
-        return self._places()[1].get(node)
-
-    def site_region(self, site: int) -> int | None:
-        parent = self.site_parent.get(site)
-        if isinstance(parent, Root):
-            return parent.index
-        if isinstance(parent, int):
-            return self.node_region(parent)
-        return None
-
-    def region_of(self, x: Point | Link) -> int | None:
-        """The root region a point or link belongs to; 0 for global names,
-        None for edges (region-free) and unresolvable elements."""
-        if isinstance(x, Edge):
-            return None
-        if isinstance(x, Port):
-            return self.node_region(x.node)
-        if isinstance(x, InnerName):
-            return 0 if x.locality == 0 else self.site_region(x.locality)
-        if isinstance(x, OuterName):
-            return x.locality
-        raise TypeError(f"not a point or link: {x!r}")
-
-    def points(self) -> set[Point]:
-        """Every point the link map must cover."""
-        pts: set[Point] = set()
-        for i in range(len(self.inner.localities)):
-            pts.update(InnerName(i, t) for t in self.inner.plus(i))
-        for i in range(len(self.outer.localities)):
-            pts.update(OuterName(i, t) for t in self.outer.minus(i))
-        for v, ctrl in self.nodes.items():
-            pts.update(Port(v, k) for k in range(ctrl.plus))
-        return pts
-
-    def is_link(self, x) -> bool:
-        """Whether ``x`` denotes an existing link target of this bigraph."""
-        if isinstance(x, Edge):
-            return x.ident in self.edges
-        if isinstance(x, Port):
-            ctrl = self.nodes.get(x.node)
-            return ctrl is not None and 0 <= x.index < ctrl.minus
-        if isinstance(x, InnerName):
-            return (0 <= x.locality <= self.inner.width
-                    and x.text in self.inner.minus(x.locality))
-        if isinstance(x, OuterName):
-            return (0 <= x.locality <= self.outer.width
-                    and x.text in self.outer.plus(x.locality))
-        return False
-
 
 def place_order(b: Bigraph) -> tuple[int, ...]:
     """Nodes in parent-before-child order; those not under a root last."""
@@ -438,46 +388,75 @@ def validate(b: Bigraph) -> list[Violation]:
         out.append(Violation("forest", f"node {v}",
                              "never reaches a root (cycle or dangling parent)"))
 
-    # link map: totality, targets, locality. The keys are the points when
-    # each is one and there are as many as points; else the point set says
-    # which are missing and which are not points
-    inner, outer = b.inner.localities, b.outer.localities
-    linked = link.items()
-    n_points = (sum(len(p) for p, _ in inner) + sum(len(m) for _, m in outer)
-                + sum(c.plus for c in nodes.values()))
-    if len(link) != n_points or not all(map(partial(_is_point, b), link)):
-        points = b.points()
-        for p in sorted(points - link.keys(), key=str):
-            out.append(Violation("link-total", str(p), "point has no link"))
-        for p in sorted(link.keys() - points, key=str):
-            out.append(Violation("link-domain", str(p), "not a point of this bigraph"))
-        linked = [(p, link[p]) for p in link.keys() & points]
-
-    faults = []           # (point, violation): at most one per point
+    # link map: totality, targets, locality, in one pass over its items. A
+    # key is a point, and a target a link, when it equals one, as in a set
+    # of them: "0" is no index and True is 1. Fields are read by position:
+    # a port's node and index, a name's locality, an edge's id
+    inner, outer, edges = b.inner.localities, b.outer.localities, b.edges
+    nowhere = object()  # the region of what is no point or link
+    # each inner locality's region: global, or that of its site's parent
+    site = {s: p.index if isinstance(p, Root) else
+            root_of.get(p) if isinstance(p, int) else None
+            for s, p in b.site_parent.items()} | {0: 0}
+    # the names that are points (positive inner, negative outer) and links
+    points, links = (
+        {InnerName(i, t) for i, loc in enumerate(inner) for t in loc[side]}
+        | {OuterName(i, t) for i, loc in enumerate(outer) for t in loc[1 - side]}
+        for side in (0, 1))
+    strays = []   # keys that are no point
+    faults = []   # at most one per point
     preimage: dict[Link, int] = {}   # points per inner or outer name target
-    for p, target in linked:
-        kind = type(target)
-        if kind is InnerName or kind is OuterName:
-            preimage[target] = preimage.get(target, 0) + 1
-        if kind is Edge:
-            if target.ident in b.edges:
-                continue
-        elif b.is_link(target):
-            lp, lt = b.region_of(p), b.region_of(target)
-            # an unresolvable region is already reported via forest/parent;
-            # a link is reachable from its own region or, when global, from
-            # all; a global point crossing into one region would break
-            # composition
-            if lp is not None and lt is not None and lt != 0 and lp != lt:
-                faults.append((p, Violation(
-                    "link-locality", str(p),
-                    f"point in region {lp} targets {target} in region {lt}")))
+    for p, target in link.items():
+        kind = type(p)
+        if kind is Port:
+            ctrl, i = nodes.get(p[1]), p[2]
+            lp = (root_of.get(p[1]) if ctrl is not None and (
+                type(i) is int and 0 <= i < ctrl.plus or i in range(ctrl.plus))
+                else nowhere)
+        elif kind is OuterName:
+            lp = p[1] if p in points else nowhere
+        else:
+            lp = site.get(p[1]) if kind is InnerName and p in points else nowhere
+        if lp is nowhere:
+            strays.append(p)
             continue
-        faults.append((p, Violation(
-            "link-target", str(p),
-            f"target {target} is not a link of this bigraph")))
-    faults.sort(key=lambda fault: str(fault[0]))
-    out.extend(v for _, v in faults)
+        kind = type(target)
+        if kind is Edge:
+            if target[1] in edges:
+                continue
+            lt = nowhere
+        elif kind is Port:
+            ctrl, i = nodes.get(target[1]), target[2]
+            lt = (root_of.get(target[1]) if ctrl is not None and (
+                type(i) is int and 0 <= i < ctrl.minus or i in range(ctrl.minus))
+                else nowhere)
+        elif kind is OuterName or kind is InnerName:
+            preimage[target] = preimage.get(target, 0) + 1
+            lt = (nowhere if target not in links else
+                  target[1] if kind is OuterName else site.get(target[1]))
+        else:
+            lt = nowhere
+        if lt is nowhere:
+            faults.append(Violation(
+                "link-target", str(p),
+                f"target {target} is not a link of this bigraph"))
+        # an unresolvable region is already reported via forest/parent; a
+        # link is reachable from its own region or, when global, from all;
+        # a global point crossing into one region would break composition
+        elif lp is not None and lt is not None and lt != 0 and lp != lt:
+            faults.append(Violation(
+                "link-locality", str(p),
+                f"point in region {lp} targets {target} in region {lt}"))
+    if len(link) - len(strays) != len(points) + sum(
+            map(attrgetter("plus"), nodes.values())):
+        missing = chain(points, (Port(v, k) for v, c in nodes.items()
+                                 for k in range(c.plus)))
+        for p in sorted((p for p in missing if p not in link), key=str):
+            out.append(Violation("link-total", str(p), "point has no link"))
+    for p in sorted(strays, key=str):
+        out.append(Violation("link-domain", str(p), "not a point of this bigraph"))
+    faults.sort(key=attrgetter("subject"))
+    out.extend(faults)
 
     # pass-through names must have exactly one point
     # inner names are points when positive, outer names when negative
@@ -495,22 +474,3 @@ def validate(b: Bigraph) -> list[Violation]:
                                      f"a pass-through {side} name"))
     return out
 
-
-def _is_point(b: Bigraph, p) -> bool:
-    """Whether ``p`` is a point of ``b``: a node's source port, a positive
-    inner name or a negative outer name. A point whose index or locality is
-    no plain int gets no, and ``validate`` then builds the point set."""
-    kind = type(p)
-    if kind is Port:
-        ctrl = b.nodes.get(p.node)
-        return (ctrl is not None and type(p.index) is int
-                and 0 <= p.index < ctrl.plus)
-    if kind is InnerName:
-        side, localities = 0, b.inner.localities
-    elif kind is OuterName:
-        side, localities = 1, b.outer.localities
-    else:
-        return False
-    i = p.locality
-    return (type(i) is int and 0 <= i < len(localities)
-            and p.text in localities[i][side])

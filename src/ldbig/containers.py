@@ -65,55 +65,24 @@ class VolumeMount(NamedTuple):
     read_only: bool = False
 
 
-class ContainerSpec:
+class ContainerSpec(NamedTuple):
     """One container running one process, which consumes the link aliases
     ``consumes`` and offers the ports ``offers``; a volume mounted at
-    several paths is one name.
+    several paths is one name."""
 
-    A plain class with slots, built once per service: a frozen dataclass's
-    ``__init__`` costs about twice as much.  Specs are equal when their
-    fields are; treat one as immutable."""
-
-    __slots__ = ("name", "networks", "volumes", "consumes", "offers",
-                 "_names")
-
-    def __init__(self, name: str, networks: tuple[str, ...] = (),
-                 volumes: tuple[VolumeMount, ...] = (),
-                 consumes: tuple[str, ...] = (), offers: tuple[str, ...] = ()):
-        self.name = name
-        self.networks = networks
-        self.volumes = volumes
-        self.consumes = consumes
-        self.offers = offers
-        self._names = None
-
-    def _fields(self):
-        return (self.name, self.networks, self.volumes, self.consumes,
-                self.offers)
-
-    def __eq__(self, other):
-        if type(other) is not ContainerSpec:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return ("ContainerSpec(name={!r}, networks={!r}, volumes={!r}, "
-                "consumes={!r}, offers={!r})".format(*self._fields()))
+    name: str
+    networks: tuple[str, ...] = ()
+    volumes: tuple[VolumeMount, ...] = ()
+    consumes: tuple[str, ...] = ()
+    offers: tuple[str, ...] = ()
 
     def names(self) -> tuple[frozenset[str], frozenset[str]]:
-        """The (consumed, offered) outer names, each tagged by ``handle``,
-        computed on the first call and kept in a slot."""
-        if self._names is None:
-            self._names = (
-                frozenset([*(handle(NETWORK, n) for n in self.networks),
+        """The (consumed, offered) outer names, each tagged by ``handle``."""
+        return (frozenset([*(handle(NETWORK, n) for n in self.networks),
                            *(handle(VOLUME, v.name) for v in self.volumes),
                            *(handle("link", a) for a in self.consumes)]),
                 frozenset([*(handle("port", p) for p in self.offers),
                            handle(CONTAINER, self.name)]))
-        return self._names
 
 
 def _boxes(specs) -> tuple[list[int], int]:

@@ -17,6 +17,7 @@ from ldbig import (
 from ldbig.analysis import FlowGraph, FlowNode
 from ldbig.composefile import NetworkDecl, ServiceSpec, VolumeDecl
 from ldbig.containers import ContainerSpec, VolumeMount
+from oracles import node_root, region
 
 NAME_POOL = ["a", "b", "c", "d", "k", "m", "u", "w", "x", "y", "z"]
 
@@ -86,14 +87,14 @@ def gen_bigraph(rng: random.Random, signature: Signature,
     name_links: list[tuple[object, int]] = []
     for i in range(inner.width + 1):
         for t in inner.minus(i):
-            name_links.append((InnerName(i, t), draft.region_of(InnerName(i, t))))
+            name_links.append((InnerName(i, t), region(draft, InnerName(i, t))))
     for i in range(outer.width + 1):
         for t in outer.plus(i):
-            name_links.append((OuterName(i, t), draft.region_of(OuterName(i, t))))
+            name_links.append((OuterName(i, t), region(draft, OuterName(i, t))))
     port_links = []
     for v, ctrl in nodes.items():
         for k in range(ctrl.minus):
-            port_links.append((Port(v, k), draft.node_region(v)))
+            port_links.append((Port(v, k), node_root(draft, v)))
 
     used_names: set = set()
     link: dict = {}
@@ -122,14 +123,14 @@ def gen_bigraph(rng: random.Random, signature: Signature,
     for i in range(inner.width + 1):
         for t in sorted(inner.plus(i)):
             p = InnerName(i, t)
-            wire(p, draft.region_of(p))
+            wire(p, region(draft, p))
     for i in range(outer.width + 1):
         for t in sorted(outer.minus(i)):
             p = OuterName(i, t)
-            wire(p, draft.region_of(p))
+            wire(p, region(draft, p))
     for v, ctrl in nodes.items():
         for k in range(ctrl.plus):
-            wire(Port(v, k), draft.node_region(v))
+            wire(Port(v, k), node_root(draft, v))
 
     return Bigraph(signature, inner, outer, nodes, edges, site_parent,
                    node_parent, link)

@@ -7,9 +7,9 @@ dense closure, a node's root by walking up its parents, leak witnesses by
 one breadth-first search per ordered pair that rescans every arc at each
 step, the tensor product by a pairwise fold that copies and relabels at
 every step, assembly by that fold over stubs numbered from 1, well-formedness
-by building and sorting every point, a YAML document by PyYAML's own
-composer and safe constructor, a DOT export by one list of every line
-joined at the end. Keep them dumb.
+by building every point and link and sorting the points, a YAML document by
+PyYAML's own composer and safe constructor, a DOT export by one list of
+every line joined at the end. Keep them dumb.
 """
 
 from __future__ import annotations
@@ -236,6 +236,45 @@ def node_root(b: Bigraph, node: int) -> int | None:
     return None
 
 
+def region(b: Bigraph, x) -> int | None:
+    """The root region of a point or link: a port's node's, an inner
+    name's site's (0 when global), an outer name's locality; None for an
+    edge or a place that reaches no root."""
+    if isinstance(x, Port):
+        return node_root(b, x.node)
+    if isinstance(x, OuterName):
+        return x.locality
+    if not isinstance(x, InnerName):
+        return None
+    if x.locality == 0:
+        return 0
+    parent = b.site_parent.get(x.locality)
+    if isinstance(parent, Root):
+        return parent.index
+    return node_root(b, parent) if isinstance(parent, int) else None
+
+
+def points(b: Bigraph) -> set:
+    """Every point: the positive inner names, the negative outer names and
+    the nodes' source ports."""
+    return ({InnerName(i, t) for i, (plus, _) in enumerate(b.inner.localities)
+             for t in plus}
+            | {OuterName(i, t) for i, (_, minus) in enumerate(b.outer.localities)
+               for t in minus}
+            | {Port(v, k) for v, ctrl in b.nodes.items() for k in range(ctrl.plus)})
+
+
+def links(b: Bigraph) -> set:
+    """Every link: the negative inner names, the positive outer names, the
+    nodes' target ports and the edges."""
+    return ({InnerName(i, t) for i, (_, minus) in enumerate(b.inner.localities)
+             for t in minus}
+            | {OuterName(i, t) for i, (plus, _) in enumerate(b.outer.localities)
+               for t in plus}
+            | {Port(v, k) for v, ctrl in b.nodes.items() for k in range(ctrl.minus)}
+            | {Edge(e) for e in b.edges})
+
+
 def nearest_container(b: Bigraph, node: int, containers) -> int | None:
     """Walk up the parent map from ``node`` to the first container."""
     cur = b.node_parent.get(node)
@@ -324,9 +363,11 @@ def assemble_reference(model):
 
 
 def validate_reference(b: Bigraph) -> list[WellFormednessViolation]:
-    """``validate`` as it was before it sorted only what it reports: it
-    builds every point, sorts them all by ``str`` and counts the preimage of
-    every link. Kept verbatim, so a report's order is pinned."""
+    """``validate`` from the definitions alone: it builds every point and
+    every link, sorts the points by ``str``, walks up the parents for each
+    region and counts the preimage of every link.  It calls no query of
+    ``Bigraph``, so it shares no code with ``validate``, and it pins a
+    report's order."""
     Violation = WellFormednessViolation
     out: list[Violation] = []
 
@@ -370,26 +411,28 @@ def validate_reference(b: Bigraph) -> list[WellFormednessViolation]:
         out.append(Violation("parent", f"node {v}", "not a node of this bigraph"))
 
     for v in sorted(b.nodes):
-        if v in b.node_parent and b.node_region(v) is None:
+        if v in b.node_parent and node_root(b, v) is None:
             out.append(Violation("forest", f"node {v}",
                                  "never reaches a root (cycle or dangling parent)"))
 
-    # link map: totality, targets, locality
-    points = b.points()
-    for p in sorted(points - set(b.link), key=str):
+    # link map: totality, targets, locality; a point or link is found by
+    # equality, so True is 1 and "1" is no locality
+    pts, lks = points(b), links(b)
+    for p in sorted(pts - set(b.link), key=str):
         out.append(Violation("link-total", str(p), "point has no link"))
-    for p in sorted(set(b.link) - points, key=str):
+    for p in sorted(set(b.link) - pts, key=str):
         out.append(Violation("link-domain", str(p), "not a point of this bigraph"))
 
-    for p in sorted(set(b.link) & points, key=str):
+    for p in sorted((p for p in b.link if p in pts), key=str):
         target = b.link[p]
-        if not b.is_link(target):
+        if type(target) not in (InnerName, OuterName, Port, Edge) \
+                or target not in lks:
             out.append(Violation("link-target", str(p),
                                  f"target {target} is not a link of this bigraph"))
             continue
         if isinstance(target, Edge):
             continue
-        lp, lt = b.region_of(p), b.region_of(target)
+        lp, lt = region(b, p), region(b, target)
         if lp is None or lt is None:
             continue  # unresolvable region already reported via forest/parent
         # a link is reachable from its own region or, when global, from all;
@@ -400,7 +443,7 @@ def validate_reference(b: Bigraph) -> list[WellFormednessViolation]:
 
     # pass-through names must have exactly one point
     preimage: dict[Link, int] = {}
-    for p in points:
+    for p in pts:
         t = b.link.get(p)
         if t is not None:
             preimage[t] = preimage.get(t, 0) + 1

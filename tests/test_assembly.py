@@ -30,7 +30,7 @@ from ldbig import (
 from ldbig.cli import main
 from ldbig.errors import LdbError
 from genrandom import gen_bigraph, gen_interface, gen_model, gen_signature
-from oracles import assemble_reference, validate_reference
+from oracles import assemble_reference, region, validate_reference
 from test_tensor import (
     assert_block_is_the_tensor, assert_same, benchmark_models,
 )
@@ -255,7 +255,7 @@ def _faulty(rng: random.Random, b: Bigraph, faults: list[str]) -> Bigraph:
             targets += [OuterName(i, t) for i in range(1, b.outer.width + 1)
                         for t in sorted(b.outer.plus(i))]
             pairs = [(p, t) for p in keys for t in targets
-                     if None is not b.region_of(p) != b.region_of(t) is not None]
+                     if None is not region(b, p) != region(b, t) is not None]
             if pairs:
                 p, t = rng.choice(pairs)
                 link[p] = t
@@ -272,6 +272,14 @@ def _faulty(rng: random.Random, b: Bigraph, faults: list[str]) -> Bigraph:
                 cls, i, s, t = rng.choice(sides)
                 link[cls(i, s)] = cls(i, t)
                 link[rng.choice([p for p in keys if p != cls(i, s)])] = cls(i, t)
+        elif fault == "odd-field" and keys:
+            # a key or a target with a field that is no int: "1" and None
+            # are no index, locality or id, and True is 1
+            p, odd = rng.choice(keys), rng.choice(["1", None, True])
+            if rng.random() < 0.5:
+                link[p] = _with_field(link[p], odd)
+            else:
+                link[_with_field(p, odd)] = link.pop(p)
         elif fault == "unknown-parent" and names:
             v = rng.choice(names)
             node_parent[v] = rng.choice([99, Root(9), Root(None), "x", None])
@@ -291,9 +299,18 @@ def _faulty(rng: random.Random, b: Bigraph, faults: list[str]) -> Bigraph:
                    node_parent, link, b.node_attrs)
 
 
+def _with_field(x, field):
+    """``x`` with ``field`` in place of a port's index, a name's locality or
+    an edge's id."""
+    kind = type(x)
+    if kind is Port:
+        return Port(x.node, field)
+    return Edge(field) if kind is Edge else kind(field, x.text)
+
+
 FAULTS = ["dropped-link", "stray-key", "non-link-target", "cross-region",
-          "passthrough", "unknown-parent", "cyclic-parent", "stray-parent",
-          "support", "control"]
+          "passthrough", "odd-field", "unknown-parent", "cyclic-parent",
+          "stray-parent", "support", "control"]
 
 
 def test_validate_reports_as_the_reference_on_several_faults():
@@ -361,6 +378,30 @@ def _superlinear(run, make=_monolith, n=100) -> dict:
 
 def test_assembly_grows_linearly_in_every_function():
     over = _superlinear(assemble)
+    assert not over, f"lines at 100 and 200 services: {over}"
+
+
+def test_validate_grows_linearly_in_every_function():
+    over = _superlinear(lambda model: validate(assemble(model)))
+    assert not over, f"lines at 100 and 200 services: {over}"
+
+
+def test_validate_grows_linearly_in_every_function_on_faults():
+    # a copy with a dropped link, a stray key and a dangling target, so that
+    # the missing points are named and the faults sorted
+    def faulty(model):
+        b = assemble(model)
+        link = dict(b.link)
+        first, second = list(link)[:2]
+        del link[first]
+        link[Port(99, 0)] = Edge(98)
+        link[second] = Edge(99)
+        report = validate(Bigraph(b.signature, b.inner, b.outer, b.nodes,
+                                  b.edges, b.site_parent, b.node_parent,
+                                  link, b.node_attrs))
+        assert [v.clause for v in report] == [
+            "link-total", "link-domain", "link-target"]
+    over = _superlinear(faulty)
     assert not over, f"lines at 100 and 200 services: {over}"
 
 

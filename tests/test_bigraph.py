@@ -8,7 +8,7 @@ from ldbig import (
 )
 from ldbig.bigraph import Violation, place_order
 from genrandom import gen_chain
-from oracles import node_root
+from oracles import node_root, region
 
 
 SIG = Signature(fixed=(Control("A", 1, 1), Control("B", 2, 0)))
@@ -43,8 +43,8 @@ def test_cross_region_port_link_is_a_locality_violation():
                 nodes={1: Control("A", 1, 0)}, edges=set(), site_parent={},
                 node_parent={1: Root(1)},
                 link={Port(1, 0): OuterName(2, "x")})
-    assert b.region_of(Port(1, 0)) == 1
-    assert b.region_of(OuterName(2, "x")) == 2
+    assert region(b, Port(1, 0)) == 1
+    assert region(b, OuterName(2, "x")) == 2
     assert "link-locality" in clauses(b)
 
 
@@ -239,12 +239,8 @@ def test_regions_and_place_order_match_a_walk_up_the_parents():
         b = with_broken_forest(rng, gen_chain(rng, length=1, max_nodes=8)[0])
         roots = {v: node_root(b, v) for v in b.nodes}
         rootless += sum(r is None for r in roots.values())
-        for v in b.nodes:
-            assert b.node_region(v) == roots[v]
-        for s, p in b.site_parent.items():
-            want = p.index if isinstance(p, Root) else node_root(b, p)
-            assert b.site_region(s) == want
-
+        root_of = b._places()[1]
+        assert {v: root_of.get(v) for v in b.nodes} == roots
         order = place_order(b)
         assert sorted(order) == sorted(b.nodes)  # every node, once
         pos = {v: i for i, v in enumerate(order)}
@@ -271,14 +267,12 @@ def test_foreign_keys_and_targets_are_reported_not_raised():
         {"y": Port(1, 0)}))] == [("link-total", "1:0"), ("link-domain", "y")]
     assert [(v.clause, v.subject) for v in validate(one_node(
         {Port(1, 0): "x"}))] == [("link-target", "1:0")]
-
-
-def test_regions_of_edges_and_of_what_is_no_point_or_link():
-    b = Bigraph(SIG, LocalInterface.of(), LocalInterface.of(), {}, {1}, {},
-                {}, {})
-    assert b.region_of(Edge(1)) is None
-    with pytest.raises(TypeError, match="not a point or link: 'x'"):
-        b.region_of("x")
+    # an index or locality that is no int names no link; True is 1
+    for odd in (Port(1, "0"), OuterName("1", "x"), InnerName(None, "x"),
+                Edge("1")):
+        assert [str(v) for v in validate(one_node({Port(1, 0): odd}))] == [
+            f"[link-target] 1:0: target {odd} is not a link of this bigraph"]
+    assert validate(one_node({Port(1, 0): Port(True, False)})) == []
 
 
 def test_repr_equality_and_names():

@@ -84,7 +84,7 @@ def test_dropping_an_offer_breaks_isomorphism():
 
 
 def test_specs_are_values():
-    # equal fields make equal specs, whatever names() has cached
+    # equal fields make equal specs, whether or not names() has run
     spec, same = reference_spec(), reference_spec()
     same.names()
     assert spec == same and hash(spec) == hash(same)
