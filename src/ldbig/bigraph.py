@@ -328,6 +328,14 @@ def _invert(parent: dict) -> dict:
     return {p: tuple(sorted(xs)) for p, xs in under.items()}
 
 
+def _hashable(x) -> bool:
+    try:
+        hash(x)
+    except TypeError:
+        return False
+    return True
+
+
 def validate(b: Bigraph) -> list[Violation]:
     """Check every well-formedness clause; an empty list means ok.
 
@@ -421,20 +429,23 @@ def validate(b: Bigraph) -> list[Violation]:
             strays.append(p)
             continue
         kind = type(target)
-        if kind is Edge:
-            if target[1] in edges:
-                continue
-            lt = nowhere
-        elif kind is Port:
-            ctrl, i = nodes.get(target[1]), target[2]
-            lt = (root_of.get(target[1]) if ctrl is not None and (
-                type(i) is int and 0 <= i < ctrl.minus or i in range(ctrl.minus))
-                else nowhere)
-        elif kind is OuterName or kind is InnerName:
-            preimage[target] = preimage.get(target, 0) + 1
-            lt = (nowhere if target not in links else
-                  target[1] if kind is OuterName else site.get(target[1]))
-        else:
+        try:  # a field that is unhashable names no link
+            if kind is Edge:
+                if target[1] in edges:
+                    continue
+                lt = nowhere
+            elif kind is Port:
+                ctrl, i = nodes.get(target[1]), target[2]
+                lt = (root_of.get(target[1]) if ctrl is not None and (
+                    type(i) is int and 0 <= i < ctrl.minus
+                    or i in range(ctrl.minus)) else nowhere)
+            elif kind is OuterName or kind is InnerName:
+                preimage[target] = preimage.get(target, 0) + 1
+                lt = (nowhere if target not in links else
+                      target[1] if kind is OuterName else site.get(target[1]))
+            else:
+                lt = nowhere
+        except TypeError:
             lt = nowhere
         if lt is nowhere:
             faults.append(Violation(
@@ -464,7 +475,7 @@ def validate(b: Bigraph) -> list[Violation]:
             (InnerName, inner, "inner"),
             (OuterName, [(m, p) for p, m in outer], "outer")):
         for i, (sources, targets) in enumerate(localities):
-            hit = {link[cls(i, t)] for t in sources if cls(i, t) in link}
+            hit = {x for t in sources if _hashable(x := link.get(cls(i, t)))}
             bad = [x for x in hit
                    if isinstance(x, cls) and x.locality == i
                    and x.text in targets and preimage.get(x, 0) != 1]

@@ -11,15 +11,18 @@ node may always carry extra children and extra wiring.
 ``find_matches`` draws each node's candidates from the host's index by
 control and checks each condition as soon as the nodes it names are mapped,
 so every complete map it reaches is an occurrence; ``verify_occurrence``
-checks a complete map on its own.
+runs the same search with each node pinned to its image.  The tests check
+both against the brute-force matcher in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import node_maps
-from .bigraph import Bigraph, Edge, InnerName, Port, Root, place_order
+from .bigraph import (
+    Bigraph, Edge, InnerName, Port, Root, node_groups, place_order,
+)
 from .errors import SignatureMismatch
 
 __all__ = [
@@ -28,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     """A forbidden shape; must share the host's signature.
 
     By default a pattern root anchors at any host place, so the shape is
@@ -42,16 +44,14 @@ class Pattern:
     anchor_at_roots: bool = False
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """One embedding, fully determined by its node map."""
 
     node_map: tuple[tuple[int, int], ...]
     root_anchors: tuple[tuple[int, object], ...]
 
 
-@dataclass(frozen=True)
-class SortingResult:
+class SortingResult(NamedTuple):
     well_sorted: bool
     counterexamples: tuple[tuple[str, tuple[Occurrence, ...]], ...] = ()
 
@@ -59,65 +59,15 @@ class SortingResult:
 def verify_occurrence(pattern: Bigraph, host: Bigraph,
                       node_map: dict[int, int],
                       anchor_at_roots: bool = False) -> Occurrence | None:
-    """Check the embedding conditions for a complete node map; returns the
-    Occurrence with its root anchors, or None."""
-    if set(node_map) != set(pattern.nodes):
+    """The Occurrence a complete node map is, or None: ``find_matches``'
+    search with each node pinned to its image."""
+    if set(node_map) != set(pattern.nodes) or any(
+            host.nodes.get(w) != pattern.nodes[u] for u, w in node_map.items()):
         return None
-    if len(set(node_map.values())) != len(node_map):
-        return None
-    for u, w in node_map.items():
-        if host.nodes.get(w) != pattern.nodes[u]:
-            return None
-
-    anchors: dict[int, object] = {}
-    for u, w in node_map.items():
-        pp = pattern.node_parent.get(u)
-        hp = host.node_parent.get(w)
-        if isinstance(pp, Root):
-            if anchor_at_roots and not isinstance(hp, Root):
-                return None
-            if pp.index in anchors:
-                if anchors[pp.index] != hp:
-                    return None
-            else:
-                anchors[pp.index] = hp
-        else:
-            if hp != node_map.get(pp):
-                return None
-
-    bindings: dict[object, object] = {}
-    edge_targets: set = set()
-    for u, w in node_map.items():
-        for k in range(pattern.nodes[u].plus):
-            lp = pattern.link.get(Port(u, k))
-            lh = host.link.get(Port(w, k))
-            if lp is None or lh is None:
-                return None
-            if isinstance(lp, Port):
-                if lp.node not in node_map:
-                    return None
-                if lh != Port(node_map[lp.node], lp.index):
-                    return None
-            elif isinstance(lp, InnerName):
-                if lh != lp:
-                    return None
-            elif isinstance(lp, Edge):
-                if lp in bindings:
-                    if bindings[lp] != lh:
-                        return None
-                elif lh in edge_targets:
-                    return None
-                else:
-                    bindings[lp] = lh
-                    edge_targets.add(lh)
-            else:  # OuterName: widening, non-injective
-                if bindings.setdefault(lp, lh) != lh:
-                    return None
-
-    return Occurrence(
-        node_map=tuple(sorted(node_map.items())),
-        root_anchors=tuple(sorted(anchors.items())),
-    )
+    groups = node_groups([(w, u) for u, w in node_map.items()],
+                         host.node_parent)
+    return next(_occurrences(pattern, host, {u: u for u in node_map}, groups,
+                             anchor_at_roots), None)
 
 
 def find_matches(pattern: Pattern, host: Bigraph) -> list[Occurrence]:
@@ -126,6 +76,14 @@ def find_matches(pattern: Pattern, host: Bigraph) -> list[Occurrence]:
     if pb.signature != host.signature:
         raise SignatureMismatch(
             f"pattern {pattern.name!r} uses a different signature")
+    # distinct maps, so the occurrences sort by their node maps
+    return sorted(_occurrences(pb, host, pb.nodes, host._by_control(),
+                               pattern.anchor_at_roots))
+
+
+def _occurrences(pb: Bigraph, host: Bigraph, kind: dict, groups: dict,
+                 anchor_at_roots: bool):
+    """Yield each occurrence of ``pb`` in ``host``, as ``node_maps`` draws it."""
     host_link, host_parent = host.link.get, host.node_parent.get
     order = place_order(pb)
     at = {u: i for i, u in enumerate(order)}
@@ -144,11 +102,11 @@ def find_matches(pattern: Pattern, host: Bigraph) -> list[Occurrence]:
         for k in range(pb.nodes[u].plus):
             lp = pb.link.get(Port(u, k))
             if lp is None or isinstance(lp, Port) and lp.node not in at:
-                return []
+                return
             # a port onto a port is settled by the later of the two nodes
             later = max(u, lp.node, key=at.get) if isinstance(lp, Port) else u
             links[later].append((u, k, lp))
-    anchored = set(firsts.values()) if pattern.anchor_at_roots else set()
+    anchored = set(firsts.values()) if anchor_at_roots else set()
     bound: dict = {}      # each pattern edge and outer name bound: its host link
     claimed: set = set()  # the host links pattern edges are bound to
     made: list = []       # (depth, pattern edge or outer name), as bound
@@ -191,17 +149,13 @@ def find_matches(pattern: Pattern, host: Bigraph) -> list[Occurrence]:
         return True
 
     anchors = sorted(firsts.items())
-    occs = [Occurrence(tuple(sorted(phi.items())),
-                       tuple((r, host_parent(phi[u])) for r, u in anchors))
-            for phi in node_maps(pb, host, pb.nodes, host._by_control(), fits)]
-    return sorted(occs, key=lambda o: o.node_map)
+    for phi in node_maps(pb, host, kind, groups, fits):
+        yield Occurrence(tuple(sorted(phi.items())),
+                         tuple((r, host_parent(phi[u])) for r, u in anchors))
 
 
 def check_sorting(host: Bigraph, forbidden: list[Pattern]) -> SortingResult:
     """Well-sorted iff no forbidden pattern occurs in the host."""
-    hits = []
-    for pattern in forbidden:
-        occs = find_matches(pattern, host)
-        if occs:
-            hits.append((pattern.name, tuple(occs)))
-    return SortingResult(well_sorted=not hits, counterexamples=tuple(hits))
+    hits = tuple((pattern.name, tuple(occs)) for pattern in forbidden
+                 if (occs := find_matches(pattern, host)))
+    return SortingResult(well_sorted=not hits, counterexamples=hits)

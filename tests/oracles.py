@@ -362,6 +362,14 @@ def assemble_reference(model):
     return result
 
 
+def _hashable(x) -> bool:
+    try:
+        hash(x)
+        return True
+    except TypeError:
+        return False
+
+
 def validate_reference(b: Bigraph) -> list[WellFormednessViolation]:
     """``validate`` from the definitions alone: it builds every point and
     every link, sorts the points by ``str``, walks up the parents for each
@@ -426,7 +434,7 @@ def validate_reference(b: Bigraph) -> list[WellFormednessViolation]:
     for p in sorted((p for p in b.link if p in pts), key=str):
         target = b.link[p]
         if type(target) not in (InnerName, OuterName, Port, Edge) \
-                or target not in lks:
+                or not _hashable(target) or target not in lks:
             out.append(Violation("link-target", str(p),
                                  f"target {target} is not a link of this bigraph"))
             continue
@@ -445,14 +453,15 @@ def validate_reference(b: Bigraph) -> list[WellFormednessViolation]:
     preimage: dict[Link, int] = {}
     for p in pts:
         t = b.link.get(p)
-        if t is not None:
+        if t is not None and _hashable(t):
             preimage[t] = preimage.get(t, 0) + 1
     # inner names are points when positive, outer names when negative
     for cls, localities, side in (
             (InnerName, b.inner.localities, "inner"),
             (OuterName, [(m, p) for p, m in b.outer.localities], "outer")):
         for i, (sources, targets) in enumerate(localities):
-            hit = {b.link[cls(i, t)] for t in sources if cls(i, t) in b.link}
+            hit = {b.link[cls(i, t)] for t in sources
+                   if cls(i, t) in b.link and _hashable(b.link[cls(i, t)])}
             for x in sorted(hit, key=str):
                 if (isinstance(x, cls) and x.locality == i
                         and x.text in targets and preimage.get(x, 0) != 1):

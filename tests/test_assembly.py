@@ -274,9 +274,10 @@ def _faulty(rng: random.Random, b: Bigraph, faults: list[str]) -> Bigraph:
                 link[rng.choice([p for p in keys if p != cls(i, s)])] = cls(i, t)
         elif fault == "odd-field" and keys:
             # a key or a target with a field that is no int: "1" and None
-            # are no index, locality or id, and True is 1
-            p, odd = rng.choice(keys), rng.choice(["1", None, True])
-            if rng.random() < 0.5:
+            # are no index, locality or id, and True is 1; a target's field
+            # may be unhashable too, as no dict key's can
+            p, odd = rng.choice(keys), rng.choice(["1", None, True, [1]])
+            if rng.random() < 0.5 or odd == [1]:
                 link[p] = _with_field(link[p], odd)
             else:
                 link[_with_field(p, odd)] = link.pop(p)

@@ -8,7 +8,7 @@ from ldbig import (
 )
 from ldbig.bigraph import Violation, place_order
 from genrandom import gen_chain
-from oracles import node_root, region
+from oracles import node_root, region, validate_reference
 
 
 SIG = Signature(fixed=(Control("A", 1, 1), Control("B", 2, 0)))
@@ -267,12 +267,23 @@ def test_foreign_keys_and_targets_are_reported_not_raised():
         {"y": Port(1, 0)}))] == [("link-total", "1:0"), ("link-domain", "y")]
     assert [(v.clause, v.subject) for v in validate(one_node(
         {Port(1, 0): "x"}))] == [("link-target", "1:0")]
-    # an index or locality that is no int names no link; True is 1
+    # an index or locality that is no int, or any unhashable field, names
+    # no link; True is 1
     for odd in (Port(1, "0"), OuterName("1", "x"), InnerName(None, "x"),
-                Edge("1")):
+                Edge("1"), Port([1], 0), Edge([1]), OuterName([1], "x")):
         assert [str(v) for v in validate(one_node({Port(1, 0): odd}))] == [
             f"[link-target] 1:0: target {odd} is not a link of this bigraph"]
+        assert validate_reference(one_node({Port(1, 0): odd})) == \
+            validate(one_node({Port(1, 0): odd}))
     assert validate(one_node({Port(1, 0): Port(True, False)})) == []
+    # a name point onto an unhashable target hits no pass-through name
+    point = Bigraph(SIG, LocalInterface.of(),
+                    LocalInterface.of((set(), set()), (set(), {"m"})),
+                    {1: Control("A", 1, 1)}, {2}, {}, {1: Root(1)},
+                    {Port(1, 0): Edge(2), OuterName(1, "m"): Edge([1])})
+    assert [(v.clause, v.subject) for v in validate(point)] == \
+        [(v.clause, v.subject) for v in validate_reference(point)] == \
+        [("link-target", "m@1o")]
 
 
 def test_repr_equality_and_names():

@@ -11,7 +11,7 @@ from ldbig import (
 from ldbig.bigraph import place_order
 from ldbig.errors import SignatureMismatch
 from genrandom import gen_host, gen_pattern, gen_signature
-from oracles import matches_bruteforce
+from oracles import _embedding_ok, matches_bruteforce
 from test_tensor import benchmark_models
 
 
@@ -199,6 +199,18 @@ def test_the_unbroken_embedding_is_an_occurrence():
         {((1, 11), (2, 12), (3, 13))}
 
 
+def _reference(pattern: Bigraph, host: Bigraph, phi: dict,
+               anchor_at_roots: bool = False) -> Occurrence | None:
+    """The occurrence a node map is by the oracle's conditions, or None."""
+    if set(phi) != set(pattern.nodes) or len(set(phi.values())) != len(phi) \
+            or any(host.nodes.get(w) != pattern.nodes[u] for u, w in phi.items()) \
+            or not _embedding_ok(pattern, host, phi, anchor_at_roots):
+        return None
+    anchors = {p.index: host.node_parent.get(phi[u])
+               for u, p in pattern.node_parent.items() if isinstance(p, Root)}
+    return Occurrence(tuple(sorted(phi.items())), tuple(sorted(anchors.items())))
+
+
 def test_occurrences_pass_the_independent_validator():
     rng = random.Random(61)
     checked = 0
@@ -207,8 +219,7 @@ def test_occurrences_pass_the_independent_validator():
         host = gen_host(rng, sig, max_nodes=6)
         pattern = gen_pattern(rng, sig, max_nodes=3)
         for occ in find_matches(Pattern("p", pattern), host):
-            assert verify_occurrence(pattern, host,
-                                     dict(occ.node_map)) is not None
+            assert _reference(pattern, host, dict(occ.node_map)) == occ
             checked += 1
     assert checked > 10
 
@@ -391,8 +402,7 @@ def test_the_link_screen_cuts_every_failing_leaf(pattern, host, occurrences,
         matches_bruteforce(pattern, host)
     # without the screen, the search reaches leaves that are no occurrence
     assert leaves[0] == len(occs)
-    assert all(verify_occurrence(pattern, host, dict(o.node_map)) == o
-               for o in occs)
+    assert all(_reference(pattern, host, dict(o.node_map)) == o for o in occs)
 
 
 def _rewired(rng, b: Bigraph) -> Bigraph:
@@ -462,8 +472,7 @@ def test_every_leaf_is_an_occurrence_on_random_cut_patterns(monkeypatch):
             matches_bruteforce(pattern, host, anchor)
         assert leaves[0] - before == len(occs)
         for o in occs:
-            assert verify_occurrence(pattern, host, dict(o.node_map),
-                                     anchor) == o
+            assert _reference(pattern, host, dict(o.node_map), anchor) == o
         found += len(occs)
         # a shared edge or outer name, or a port onto a later node
         at = {u: i for i, u in enumerate(place_order(pattern))}
@@ -473,6 +482,57 @@ def test_every_leaf_is_an_occurrence_on_random_cut_patterns(monkeypatch):
                     isinstance(t, Port) and at[t.node] > at[p.node]:
                 shapes[type(t)] += 1
     assert found > 100 and min(shapes.values()) > 10, (found, shapes)
+
+
+def _random_maps(rng, pattern: Bigraph, host: Bigraph, occs, k: int):
+    """``k`` node maps of the pattern into the host, most of them no
+    occurrence: an occurrence from ``occs`` or a map that draws each image
+    from the host nodes of its control, then, unless the fault drawn is
+    "none", broken once: a key dropped or added, two nodes on one image, an
+    image of another control or of no node, or two images swapped."""
+    nodes, hosts = sorted(pattern.nodes), sorted(host.nodes)
+    same = {u: [w for w in hosts if host.nodes[w] == c]
+            for u, c in pattern.nodes.items()}
+    for _ in range(k):
+        if occs and rng.random() < 0.5:
+            phi = dict(rng.choice(occs).node_map)
+        else:
+            phi = {u: rng.choice(same[u] or [99]) for u in nodes}
+        fault = rng.choice(["none", "drop", "add", "twin", "control", "swap"])
+        if fault == "drop" and phi:
+            del phi[rng.choice(nodes)]
+        elif fault == "add":
+            phi[max(nodes, default=0) + 1] = rng.choice(hosts or [99])
+        elif fault in ("twin", "swap") and len(nodes) > 1:
+            u, v = rng.sample(nodes, 2)
+            if fault == "swap":
+                phi[u], phi[v] = phi[v], phi[u]
+            else:
+                phi[u] = phi[v]
+        elif fault == "control" and nodes:
+            u = rng.choice(nodes)
+            phi[u] = rng.choice([w for w in hosts if w not in same[u]] or [99])
+        yield phi
+
+
+def test_verify_occurrence_agrees_with_the_oracle_on_random_maps():
+    # random patterns and patterns cut from the host, each with maps that
+    # break keys, injectivity, controls, parents, links and anchors
+    rng = random.Random(66)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        sig = gen_signature(rng, max_controls=3)
+        host = _rewired(rng, gen_host(rng, sig, max_nodes=7))
+        pattern = _cut(rng, host) if host.nodes and rng.random() < 0.7 \
+            else gen_pattern(rng, sig, max_nodes=3)
+        occs = find_matches(Pattern("p", pattern), host)
+        for phi in _random_maps(rng, pattern, host, occs, 8):
+            anchor = rng.random() < 0.3
+            expected = _reference(pattern, host, phi, anchor)
+            assert verify_occurrence(pattern, host, dict(phi), anchor) == \
+                expected, (phi, anchor)
+            seen[expected is not None] += 1
+    assert seen[True] > 150 and seen[False] > 2 * seen[True], seen
 
 
 W2 = Signature(fixed=(W, B))
